@@ -106,10 +106,6 @@ func renderServer(b *strings.Builder, prefix string, st serve.Stats) {
 		prefix, st.Discipline, st.Workers, st.Queued, st.Running, st.Load, loadBar(st.Load, 20))
 	fmt.Fprintf(b, "%saccepted=%d completed=%d canceled=%d rejected=%d expired=%d\n",
 		strings.Repeat(" ", len(prefix)), st.Accepted, st.Completed, st.Canceled, st.Rejected, st.Expired)
-	if st.TraceEvents > 0 || st.TraceLost > 0 {
-		fmt.Fprintf(b, "%strace: events=%d lost=%d occupancy=%.0f%%\n",
-			strings.Repeat(" ", len(prefix)), st.TraceEvents, st.TraceLost, 100*st.TraceOccupancy)
-	}
 	if len(st.Tenants) == 0 {
 		return
 	}

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pstlbench/internal/counters"
 	"pstlbench/internal/flow"
 	"pstlbench/internal/obs"
 	"pstlbench/internal/report"
@@ -188,13 +187,11 @@ func main() {
 		weights[bspec.tenant] = 1
 	}
 	met := obs.NewRegistry()
-	reg := counters.NewRegistry()
 	srv := serve.New(serve.Config{
 		Workers:       *workers,
 		QueueCap:      *queueCap,
 		MaxConcurrent: *concurrency,
 		Weights:       weights,
-		Registry:      reg,
 		Metrics:       met,
 	})
 	defer srv.Close()
@@ -202,7 +199,7 @@ func main() {
 	var mu sync.Mutex
 	perStream := make(map[string][]windowReport)
 	eng, err := flow.NewEngine(flow.Config{
-		Server: srv, Registry: reg, Metrics: met,
+		Server: srv, Metrics: met,
 		OnResult: func(r flow.WindowResult) {
 			mu.Lock()
 			perStream[r.Stream] = append(perStream[r.Stream], windowReport{

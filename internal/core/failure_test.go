@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"pstlbench/internal/exec"
@@ -44,7 +45,7 @@ func TestPanicInsideSortComparator(t *testing.T) {
 	p := Par(pool)
 	s := make([]float64, 20000)
 	Generate(Seq(), s, func(i int) float64 { return float64(20000 - i) })
-	calls := 0
+	var calls atomic.Int64 // the comparator runs on every worker at once
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -52,8 +53,7 @@ func TestPanicInsideSortComparator(t *testing.T) {
 			}
 		}()
 		SortFunc(p, s, func(a, b float64) bool {
-			calls++
-			if calls > 50000 {
+			if calls.Add(1) > 50000 {
 				panic("comparator exploded")
 			}
 			return a < b

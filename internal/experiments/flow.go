@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pstlbench/internal/counters"
 	"pstlbench/internal/flow"
 	"pstlbench/internal/report"
 	"pstlbench/internal/serve"
@@ -45,9 +44,8 @@ func flowEngine(workers int) (*serve.Server, *flow.Engine) {
 		Workers:       workers,
 		QueueCap:      4096,
 		MaxConcurrent: 2,
-		Registry:      counters.NewRegistry(),
 	})
-	eng, err := flow.NewEngine(flow.Config{Server: srv, Registry: counters.NewRegistry()})
+	eng, err := flow.NewEngine(flow.Config{Server: srv})
 	if err != nil {
 		panic(err)
 	}
@@ -204,10 +202,9 @@ func flowSharedPool(cfg Config, rep *Report) {
 		QueueCap:      4096,
 		MaxConcurrent: 2,
 		Weights:       map[string]float64{"stream": 1, "batch": 1},
-		Registry:      counters.NewRegistry(),
 	})
 	defer srv.Close()
-	eng, err := flow.NewEngine(flow.Config{Server: srv, Registry: counters.NewRegistry()})
+	eng, err := flow.NewEngine(flow.Config{Server: srv})
 	if err != nil {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("shared-pool run skipped: %v", err))
 		return

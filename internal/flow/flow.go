@@ -25,10 +25,14 @@
 //     accounting and per-window checksums the tests and the ext-stream
 //     experiment validate against.
 //
-// Observability: pstld_flow_* metric families (events, late, dropped,
-// windows closed/dropped, buffered depth, watermark lag, per-window
-// latency), per-stream latency regions in a counters.Registry, and the
-// per-window results ring the streaming driver's report is built from.
+// Observability: every count and latency lives in internal/obs, in the
+// Metrics registry (a private one when none is given). The pstld_flow_*
+// counters (events, late, dropped, paused, windows closed/done/canceled/
+// dropped) and gauges (buffered depth, watermark lag) are read at scrape
+// time from the stream's locked fields, so /metrics and StreamStats
+// cannot disagree. The per-window latency histogram observes done windows
+// only and backs the StreamStats p50/p99/mean. The per-window results
+// ring is what the streaming driver's report is built from.
 package flow
 
 import (
@@ -37,7 +41,6 @@ import (
 	"time"
 
 	"pstlbench/internal/core"
-	"pstlbench/internal/counters"
 	"pstlbench/internal/obs"
 	"pstlbench/internal/serve"
 )
@@ -56,10 +59,9 @@ type Config struct {
 	// The engine does not own it: batch tenants submit to the same server,
 	// and Close leaves it running.
 	Server *serve.Server
-	// Registry, when non-nil, records per-window latency into region
-	// "flow:<stream>" for p50/p99 reporting.
-	Registry *counters.Registry
-	// Metrics, when non-nil, receives the pstld_flow_* families.
+	// Metrics receives the pstld_flow_* families, which also back the
+	// StreamStats latency quantiles. When nil the engine keeps them in a
+	// private registry.
 	Metrics *obs.Registry
 	// ResultCap bounds the per-engine ring of retained WindowResults
 	// (default 1024; <0 retains nothing).
@@ -75,7 +77,6 @@ type Config struct {
 // through the shared server.
 type Engine struct {
 	srv      *serve.Server
-	reg      *counters.Registry
 	met      *obs.Registry
 	onResult func(WindowResult)
 
@@ -99,10 +100,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cap < 0 {
 		cap = 0
 	}
+	met := cfg.Metrics
+	if met == nil {
+		met = obs.NewRegistry()
+	}
 	return &Engine{
 		srv:       cfg.Server,
-		reg:       cfg.Registry,
-		met:       cfg.Metrics,
+		met:       met,
 		onResult:  cfg.OnResult,
 		streams:   make(map[string]*Stream),
 		resultCap: cap,
@@ -124,6 +128,9 @@ func (e *Engine) AddStream(cfg StreamConfig) (*Stream, error) {
 	if _, dup := e.streams[s.cfg.Name]; dup {
 		return nil, fmt.Errorf("flow: duplicate stream %q", s.cfg.Name)
 	}
+	// Register only once the name is known unique: a rejected duplicate
+	// must not rebind the live stream's pull-time series.
+	s.initMetrics(e.met)
 	e.streams[s.cfg.Name] = s
 	e.order = append(e.order, s.cfg.Name)
 	s.start()

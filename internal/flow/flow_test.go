@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pstlbench/internal/core"
-	"pstlbench/internal/counters"
 	"pstlbench/internal/obs"
 	"pstlbench/internal/serve"
 )
@@ -273,12 +273,11 @@ func TestBackpressurePause(t *testing.T) {
 // tentpole: a stream and a batch tenant submit through one server, WFQ
 // isolates them, and every window job still returns the audited checksum.
 func TestStreamSharesPoolWithBatchTenant(t *testing.T) {
-	reg := counters.NewRegistry()
 	e, srv := newTestEngine(t, serve.Config{
 		QueueCap:      512,
 		MaxConcurrent: 2,
 		Weights:       map[string]float64{"stream": 1, "batch": 1},
-	}, Config{Registry: reg, ResultCap: 8192})
+	}, Config{ResultCap: 8192})
 	cfg := StreamConfig{
 		Name: "wc", Tenant: "stream",
 		Window:         WindowSpec{Size: 50, Lateness: 10},
@@ -329,8 +328,51 @@ func TestStreamSharesPoolWithBatchTenant(t *testing.T) {
 	}
 }
 
+// TestDroppedWindowsDoNotPullLatencyDown overflows PendingWindows behind a
+// stalled server. The overflow drops windows about 0 µs after they close;
+// only done windows may feed the latency quantiles, or overload would
+// read as a latency improvement.
+func TestDroppedWindowsDoNotPullLatencyDown(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	e, srv := newTestEngine(t, serve.Config{Workers: 1, MaxConcurrent: 1, QueueCap: 1}, Config{})
+	release := make(chan struct{})
+	blocker := func(core.Policy) float64 { <-release; return 0 }
+	// One job holds the only slot and one fills the queue: every window
+	// submit is rejected until release.
+	for i := 0; i < 2; i++ {
+		if _, err := srv.Submit(serve.Spec{Tenant: "blocker", N: 1, Fn: blocker}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := e.AddStream(StreamConfig{
+		Name: "o", Window: WindowSpec{Size: 10}, Op: OpSpec{Kind: "reduce"},
+		PendingWindows: 2, SubmitRetries: 1 << 20, RetrySleepMax: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 40; i++ {
+		s.Push(Event{TS: i * 10, Val: 1}) // each push closes the previous window
+	}
+	time.AfterFunc(stall, func() { close(release) })
+	s.Close()
+
+	st := s.Stats()
+	if st.WindowsDone == 0 || st.WindowsDropped <= st.WindowsDone {
+		t.Fatalf("want a few done windows and more dropped ones: %+v", st)
+	}
+	// Done windows waited out the stall; a bucket's lower bound is at
+	// least half of any value in it, so p50 cannot fall below stall/2.
+	if floor := (stall / 2).Seconds(); st.P50Seconds < floor || st.MeanSeconds < floor {
+		t.Fatalf("p50 %v / mean %v below the done windows' level %v (done=%d dropped=%d)",
+			st.P50Seconds, st.MeanSeconds, floor, st.WindowsDone, st.WindowsDropped)
+	}
+}
+
 // TestEngineMetricsExposition checks the pstld_flow_* families appear in
-// Prometheus text form with the stream label and consistent totals.
+// Prometheus text form with the stream label and consistent totals: every
+// pstld_flow_*_total sample equals the matching StreamStats field, and the
+// latency histogram counts exactly the done windows.
 func TestEngineMetricsExposition(t *testing.T) {
 	met := obs.NewRegistry()
 	e, _ := newTestEngine(t, serve.Config{}, Config{Metrics: met})
@@ -342,6 +384,19 @@ func TestEngineMetricsExposition(t *testing.T) {
 	}
 	Replay(s, SynthTrace(500, 0, 3, 0, 0, 0, 0, 3))
 	s.Close()
+	// m2 makes the late, dropped, and paused totals nonzero: stragglers
+	// behind closed windows, a buffer cap below one window's events, and
+	// a push after Close.
+	s2, err := e.AddStream(StreamConfig{
+		Name: "m2", Window: WindowSpec{Size: 100}, Op: OpSpec{Kind: "reduce"},
+		BufferCap: 16, Policy: DropOldest,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Replay(s2, SynthTrace(500, 0, 3, 2, 50, 400, 0, 3))
+	s2.Close()
+	s2.Push(Event{TS: 1, Val: 1})
 	var buf bytes.Buffer
 	met.WritePrometheus(&buf)
 	text := buf.String()
@@ -362,6 +417,39 @@ func TestEngineMetricsExposition(t *testing.T) {
 	st := s.Stats()
 	if got := int64(500); st.Events != got {
 		t.Fatalf("events %d, want %d", st.Events, got)
+	}
+
+	for _, str := range []*Stream{s, s2} {
+		st := str.Stats()
+		label := `{stream="` + str.Name() + `"}`
+		want := map[string]int64{
+			"pstld_flow_events_total":                 st.Events,
+			"pstld_flow_late_events_total":            st.LateEvents,
+			"pstld_flow_dropped_events_total":         st.DroppedEvents,
+			"pstld_flow_paused_events_total":          st.PausedEvents,
+			"pstld_flow_windows_closed_total":         st.WindowsClosed,
+			"pstld_flow_windows_done_total":           st.WindowsDone,
+			"pstld_flow_windows_canceled_total":       st.WindowsCanceled,
+			"pstld_flow_windows_dropped_total":        st.WindowsDropped,
+			"pstld_flow_window_latency_seconds_count": st.WindowsDone,
+		}
+		seen := 0
+		for _, line := range strings.Split(text, "\n") {
+			name, val, ok := strings.Cut(line, label+" ")
+			if _, tracked := want[name]; !ok || !tracked {
+				continue
+			}
+			seen++
+			if val != strconv.FormatInt(want[name], 10) {
+				t.Errorf("%s%s = %s, StreamStats says %d", name, label, val, want[name])
+			}
+		}
+		if seen != len(want) {
+			t.Errorf("stream %s: %d of %d totals in exposition", str.Name(), seen, len(want))
+		}
+	}
+	if st2 := s2.Stats(); st2.LateEvents == 0 || st2.DroppedEvents == 0 || st2.PausedEvents == 0 {
+		t.Fatalf("m2 left a total at zero, the comparison is vacuous: %+v", st2)
 	}
 }
 

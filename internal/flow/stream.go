@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"pstlbench/internal/counters"
 	"pstlbench/internal/serve"
 )
 
@@ -155,8 +154,10 @@ type WindowResult struct {
 	State string `json:"state"`
 	// Checksum is the operator result, valid only when State is "done".
 	Checksum float64 `json:"checksum,omitempty"`
-	// LatencySeconds is wall time from window close to terminal state —
-	// the per-window latency the p50/p99 report quotes.
+	// LatencySeconds is wall time from window close to terminal state.
+	// Only done windows feed the p50/p99 report: a dropped window ends
+	// about when it closes, and counting it would pull the quantiles down
+	// exactly when the stream is overloaded.
 	LatencySeconds float64 `json:"latency_seconds"`
 	Flushed        bool    `json:"flushed,omitempty"`
 }
@@ -204,7 +205,6 @@ func newStream(e *Engine, cfg StreamConfig) (*Stream, error) {
 		open:    make(map[int64]*openWindow),
 		closedQ: make(chan *Window, cfg.PendingWindows),
 	}
-	s.initMetrics(e.met)
 	return s, nil
 }
 
@@ -268,7 +268,6 @@ func (s *Stream) Push(ev Event) PushStatus {
 	if s.closed {
 		s.pausedEvents++
 		s.mu.Unlock()
-		s.m.paused.Inc()
 		return PushPaused
 	}
 	// Resolve the event's still-open windows under the CURRENT watermark
@@ -285,7 +284,6 @@ func (s *Stream) Push(ev Event) PushStatus {
 	if len(s.scratch) == 0 {
 		s.late++
 		s.mu.Unlock()
-		s.m.late.Inc()
 		return PushLate
 	}
 	need := len(s.scratch)
@@ -293,7 +291,6 @@ func (s *Stream) Push(ev Event) PushStatus {
 		if s.cfg.Policy == Pause {
 			s.pausedEvents++
 			s.mu.Unlock()
-			s.m.paused.Inc()
 			return PushPaused
 		}
 		s.evictLocked(s.buffered + need - s.cfg.BufferCap)
@@ -323,7 +320,6 @@ func (s *Stream) Push(ev Event) PushStatus {
 	closed := s.closeExpiredLocked(s.watermarkLocked(), false)
 	s.emitLocked(closed)
 	s.mu.Unlock()
-	s.m.events.Inc()
 	return PushAccepted
 }
 
@@ -347,7 +343,6 @@ func (s *Stream) evictLocked(k int) {
 		w.events = w.events[:copy(w.events, w.events[d:])]
 		s.buffered -= d
 		s.droppedEvents += int64(d)
-		s.m.dropped.Add(int64(d))
 		k -= d
 	}
 }
@@ -369,7 +364,6 @@ func (s *Stream) closeExpiredLocked(wm int64, flush bool) []*Window {
 		delete(s.open, start)
 		s.buffered -= len(w.events)
 		s.windowsClosed++
-		s.m.closed.Inc()
 		if flush {
 			s.windowsFlushed++
 		}
@@ -421,24 +415,19 @@ func (s *Stream) windowFinished(w *Window, info serve.JobInfo) {
 	s.mu.Unlock()
 }
 
-// finishLocked records one terminal window outcome: counters, metrics,
-// the latency region, and the engine result ring.
+// finishLocked records one terminal window outcome: counters, the latency
+// histogram (done windows only — serve's completed-only rule), and the
+// engine result ring.
 func (s *Stream) finishLocked(w *Window, events int, state string, sum float64, lat time.Duration) {
 	switch state {
 	case "done":
 		s.windowsDone++
 		s.checksum += sum
-		s.m.done.Inc()
+		s.m.latency.Observe(lat.Seconds())
 	case "canceled":
 		s.windowsCanceled++
-		s.m.canceled.Inc()
 	case "dropped":
 		s.windowsDropped++
-		s.m.droppedW.Inc()
-	}
-	s.m.latency.Observe(lat.Seconds())
-	if s.eng.reg != nil {
-		s.eng.reg.Record("flow:"+s.cfg.Name, counters.Set{Seconds: lat.Seconds()})
 	}
 	// engine.record takes only the engine lock and never a stream's, so
 	// the stream->engine lock order here is the only one that occurs.
@@ -506,7 +495,8 @@ type StreamStats struct {
 	Checksum float64 `json:"checksum"`
 	// WatermarkLagSeconds is wall now minus the watermark.
 	WatermarkLagSeconds float64 `json:"watermark_lag_seconds"`
-	// P50/P99/MeanSeconds summarize per-window close-to-terminal latency.
+	// P50/P99/MeanSeconds summarize close-to-completion latency of done
+	// windows, read from pstld_flow_window_latency_seconds.
 	P50Seconds  float64 `json:"window_p50_seconds,omitempty"`
 	P99Seconds  float64 `json:"window_p99_seconds,omitempty"`
 	MeanSeconds float64 `json:"window_mean_seconds,omitempty"`
@@ -529,9 +519,9 @@ func (s *Stream) Stats() StreamStats {
 		st.WatermarkLagSeconds = float64(time.Now().UnixNano()-s.watermarkLocked()) / 1e9
 	}
 	s.mu.Unlock()
-	if s.eng.reg != nil {
-		rs := s.eng.reg.Stats("flow:" + s.cfg.Name)
-		st.P50Seconds, st.P99Seconds, st.MeanSeconds = rs.P50, rs.P99, rs.Mean
+	if lat := s.m.latency.Snapshot(); lat.Count > 0 {
+		st.P50Seconds, st.P99Seconds = lat.Quantile(0.5), lat.Quantile(0.99)
+		st.MeanSeconds = lat.Sum / float64(lat.Count)
 	}
 	return st
 }

@@ -23,7 +23,7 @@ type WindowConfig struct {
 // Windows is a rolling-window histogram: observations land in the current
 // window slot, slots expire in place as time advances (no ticker
 // goroutine), and Snapshot merges the live slots into one HistSnapshot.
-// Unlike the cumulative reservoirs in counters.Registry, quantiles read
+// Unlike a cumulative Histogram over the same buckets, quantiles read
 // from here reflect only the last Count x Width of traffic — the
 // difference between "p99 since boot" and "p99 right now", which is what
 // diurnal load and post-incident triage need.

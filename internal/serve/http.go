@@ -79,7 +79,7 @@ type errorBody struct {
 //	GET    /healthz   liveness + load -> 200 HealthInfo
 //	POST   /jobs/poll batch job status -> 200 PollResponse
 //	POST   /withdraw  withdraw queued jobs for migration -> 200 WithdrawResponse
-//	GET    /metrics   Prometheus text exposition (when Config.Metrics set)
+//	GET    /metrics   Prometheus text exposition of the server's instruments
 //	GET    /spans     terminal job lifecycle spans (when Config.Spans set)
 //
 // /healthz, /jobs/poll, and /withdraw form the worker surface a shard
@@ -94,9 +94,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("POST /withdraw", s.handleWithdraw)
-	if s.metrics != nil {
-		mux.Handle("GET /metrics", MetricsHandler(s.metrics))
-	}
+	mux.Handle("GET /metrics", MetricsHandler(s.metrics))
 	if s.spans != nil {
 		mux.Handle("GET /spans", SpansHandler(s.spans))
 	}

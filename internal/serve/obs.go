@@ -2,24 +2,26 @@ package serve
 
 // Serving-tier observability: the Server's bridge into internal/obs.
 //
-// Three strands, all optional and all nil-safe:
-//   - Metrics (Config.Metrics): queue/running/load gauges, admission
-//     counters, per-tenant latency histograms, and windowed-latency
-//     families rendered by /metrics. Hot-path updates are atomic
-//     histogram observations; everything derivable from existing locked
-//     state is exported as pull-time funcs so the job path pays nothing.
+// obs is the server's only latency and count instrument, so /stats and
+// /metrics read the same numbers. Three strands:
+//   - Metrics (Config.Metrics, or a private registry when nil):
+//     queue/running/load gauges, admission counters, per-tenant latency
+//     histograms, and windowed-latency families rendered by /metrics. The
+//     cumulative latency histograms also back the /stats Mean/P50/P99.
+//     Hot-path updates are atomic histogram observations; everything
+//     derivable from existing locked state is exported as pull-time funcs
+//     so the job path pays nothing.
 //   - Windows: per-tenant rolling-window latency histograms backing the
-//     windowed quantiles in /stats and the SLO burn-rate gauges. Always
-//     on (the windows are a few KB per tenant) so /stats reflects current
-//     load even when no metrics registry is configured.
-//   - Spans (Config.Spans): terminal job lifecycle spans retained in a
-//     bounded ring for /spans and the Chrome-trace export.
+//     windowed quantiles in /stats and the SLO burn-rate gauges.
+//   - Spans (Config.Spans, optional): terminal job lifecycle spans
+//     retained in a bounded ring for /spans and the Chrome-trace export.
 //
-// Lock order: Server.mu > obsMu > (windows' own lock). Registry
-// registration never runs under Server.mu — tenant instruments are
-// created in ensureTenantObs on the submit path before the server lock is
-// taken — and obs.Registry evaluates pull-time closures without its own
-// lock held, so the GaugeFunc closures below may take Server.mu freely.
+// Lock order: Server.mu > obsMu > (registry's and windows' own locks).
+// Registry registration never runs under Server.mu — tenant instruments
+// are created in ensureTenantObs on the submit path before the server
+// lock is taken — and obs.Registry evaluates pull-time closures without
+// its own lock held, so the GaugeFunc closures below may take Server.mu
+// freely.
 
 import (
 	"time"
@@ -28,7 +30,7 @@ import (
 )
 
 // tenantObs is the per-tenant observability state: cumulative histograms
-// (nil without a metrics registry) plus the rolling latency windows.
+// plus the rolling latency windows.
 type tenantObs struct {
 	lat, wait, exec *obs.Histogram
 	windows         *obs.Windows
@@ -37,7 +39,11 @@ type tenantObs struct {
 
 // initObs wires the observability strands at construction time.
 func (s *Server) initObs(cfg Config) {
-	s.metrics = cfg.Metrics
+	m := cfg.Metrics
+	if m == nil {
+		m = obs.NewRegistry()
+	}
+	s.metrics = m
 	s.mlabels = cfg.MetricsLabels
 	s.spans = cfg.Spans
 	s.tenantObsM = make(map[string]*tenantObs)
@@ -53,10 +59,6 @@ func (s *Server) initObs(cfg Config) {
 		Now:   cfg.windowNow,
 	}
 
-	m := s.metrics
-	if m == nil {
-		return
-	}
 	l := s.mlabels
 	m.GaugeFunc("pstld_queue_depth", "Jobs waiting in the admission queue.",
 		func() float64 { return float64(s.Queued()) }, l...)
@@ -88,19 +90,6 @@ func (s *Server) initObs(cfg Config) {
 	ctr("pstld_jobs_withdrawn_total", "Queued jobs withdrawn for migration.", func() int64 { return s.withdrawn })
 	s.batchHist = m.Histogram("pstld_batch_jobs",
 		"Jobs coalesced per batched dispatch.", obs.SizeBuckets, l...)
-	if s.tr != nil {
-		m.CounterFunc("pstld_trace_events_total", "Events recorded across trace rings (evicted included).",
-			func() float64 { return float64(s.tr.TotalEvents()) }, l...)
-		m.CounterFunc("pstld_trace_lost_events_total", "Events evicted from full trace rings.",
-			func() float64 { return float64(s.tr.Lost()) }, l...)
-		m.GaugeFunc("pstld_trace_ring_occupancy", "Fraction of trace ring capacity in use.",
-			func() float64 {
-				if c := s.tr.Capacity(); c > 0 {
-					return float64(s.tr.Surviving()) / float64(c)
-				}
-				return 0
-			}, l...)
-	}
 }
 
 // sloFor returns tenant's latency objective (0 disables).
@@ -111,42 +100,39 @@ func (s *Server) sloFor(tenant string) time.Duration {
 	return s.sloObjective
 }
 
-// ensureTenantObs creates the tenant's windows and (when a registry is
-// configured) its metric instruments. Called on the submit path BEFORE the
-// server lock so registration never nests inside Server.mu; one map hit
-// after the first call.
+// ensureTenantObs creates the tenant's windows and metric instruments.
+// Called on the submit path BEFORE the server lock so registration never
+// nests inside Server.mu; one map hit after the first call. The entry is
+// published only once fully built, so readers never see a half-made one.
 func (s *Server) ensureTenantObs(tenant string) *tenantObs {
 	s.obsMu.Lock()
+	defer s.obsMu.Unlock()
 	if to, ok := s.tenantObsM[tenant]; ok {
-		s.obsMu.Unlock()
 		return to
 	}
 	to := &tenantObs{
 		windows: obs.NewWindows(s.winCfg),
 		slo:     obs.SLO{Objective: s.sloFor(tenant).Seconds(), Target: s.sloTarget},
 	}
-	s.tenantObsM[tenant] = to
-	s.obsMu.Unlock()
-
-	if m := s.metrics; m != nil {
-		l := append(append([]string(nil), s.mlabels...), "tenant", tenant)
-		to.lat = m.Histogram("pstld_job_latency_seconds",
-			"End-to-end latency of completed jobs (cumulative).", obs.LatencyBuckets, l...)
-		to.wait = m.Histogram("pstld_queue_wait_seconds",
-			"Admission-to-start queue wait of completed jobs.", obs.LatencyBuckets, l...)
-		to.exec = m.Histogram("pstld_execute_seconds",
-			"Start-to-finish execution time of completed jobs.", obs.LatencyBuckets, l...)
-		w := to.windows
-		m.HistogramFunc("pstld_window_latency_seconds",
-			"End-to-end latency over the rolling window (merged at scrape).",
-			w.Snapshot, l...)
-		if to.slo.Objective > 0 {
-			slo := to.slo
-			m.GaugeFunc("pstld_slo_burn_rate",
-				"Error-budget burn rate over the rolling window (1 = on budget).",
-				func() float64 { return slo.BurnRate(w.Snapshot()) }, l...)
-		}
+	m := s.metrics
+	l := append(append([]string(nil), s.mlabels...), "tenant", tenant)
+	to.lat = m.Histogram("pstld_job_latency_seconds",
+		"End-to-end latency of completed jobs (cumulative).", obs.LatencyBuckets, l...)
+	to.wait = m.Histogram("pstld_queue_wait_seconds",
+		"Admission-to-start queue wait of completed jobs.", obs.LatencyBuckets, l...)
+	to.exec = m.Histogram("pstld_execute_seconds",
+		"Start-to-finish execution time of completed jobs.", obs.LatencyBuckets, l...)
+	w := to.windows
+	m.HistogramFunc("pstld_window_latency_seconds",
+		"End-to-end latency over the rolling window (merged at scrape).",
+		w.Snapshot, l...)
+	if to.slo.Objective > 0 {
+		slo := to.slo
+		m.GaugeFunc("pstld_slo_burn_rate",
+			"Error-budget burn rate over the rolling window (1 = on budget).",
+			func() float64 { return slo.BurnRate(w.Snapshot()) }, l...)
 	}
+	s.tenantObsM[tenant] = to
 	return to
 }
 

@@ -10,38 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"pstlbench/internal/native"
 	"pstlbench/internal/obs"
 	"pstlbench/internal/trace"
 )
-
-// TestStatsTraceLoss overflows a deliberately tiny trace ring and checks
-// the loss is visible in Stats — evicted events were previously invisible
-// to the operator, which is exactly how a truncated trace gets mistaken
-// for a quiet server.
-func TestStatsTraceLoss(t *testing.T) {
-	tr := trace.New(1, 4) // one track, four events: overflows immediately
-	s := newTestServer(t, Config{Tracer: tr, MaxConcurrent: 1})
-	for i := 0; i < 12; i++ {
-		j, err := s.Submit(Spec{Kernel: "reduce", N: 1 << 10, Tenant: "t"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitJob(t, j)
-	}
-	st := s.Stats()
-	if st.TraceEvents < 12 {
-		t.Fatalf("trace events = %d, want >= 12", st.TraceEvents)
-	}
-	if st.TraceLost == 0 {
-		t.Fatal("trace lost = 0, want evictions after overflowing a 4-event ring")
-	}
-	if st.TraceOccupancy <= 0 || st.TraceOccupancy > 1 {
-		t.Fatalf("trace occupancy = %v, want (0,1]", st.TraceOccupancy)
-	}
-	if got := tr.Surviving(); got > 4 {
-		t.Fatalf("surviving = %d, want <= ring capacity 4", got)
-	}
-}
 
 // TestWindowedQuantilesLoadStep drives the end-to-end satellite guarantee
 // through the server: a latency step (fast jobs, then jobs stuck behind a
@@ -108,6 +80,35 @@ func TestWindowedQuantilesLoadStep(t *testing.T) {
 	}
 	if gone.WindowP99Seconds != 0 {
 		t.Fatalf("windowed p99 past horizon = %v, want 0", gone.WindowP99Seconds)
+	}
+}
+
+// TestCumulativeMatchesWindowWithinHorizon: the cumulative and windowed
+// /stats quantiles read one instrument family through one estimator, so
+// while every completion is still inside the rolling horizon they must
+// agree exactly — a second estimator would show up here as a mismatch.
+func TestCumulativeMatchesWindowWithinHorizon(t *testing.T) {
+	var clock atomic.Int64
+	clock.Store(time.Now().UnixNano())
+	s := newTestServer(t, Config{MaxConcurrent: 1, windowNow: clock.Load})
+	for i := 0; i < 24; i++ {
+		// Mixed sizes spread the latencies over several buckets.
+		j, err := s.Submit(Spec{Kernel: "sort", N: 1 << (8 + i%8), Tenant: "acme"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+	}
+	ts := tenantOf(t, s, "acme")
+	if ts.WindowJobs != ts.Completed || ts.Completed != 24 {
+		t.Fatalf("window jobs %d, completed %d, want 24 each", ts.WindowJobs, ts.Completed)
+	}
+	if ts.P50Seconds <= 0 || ts.P99Seconds < ts.P50Seconds {
+		t.Fatalf("cumulative p50=%v p99=%v", ts.P50Seconds, ts.P99Seconds)
+	}
+	if ts.P50Seconds != ts.WindowP50Seconds || ts.P99Seconds != ts.WindowP99Seconds {
+		t.Fatalf("cumulative p50/p99 %v/%v != windowed %v/%v",
+			ts.P50Seconds, ts.P99Seconds, ts.WindowP50Seconds, ts.WindowP99Seconds)
 	}
 }
 
@@ -221,13 +222,15 @@ func TestCanceledSpanCarriesCancelPhase(t *testing.T) {
 }
 
 // TestChromeExportNestsJobsOverChunks is the end-to-end export check: real
-// jobs through a real server produce a Chrome trace where the jobs track
-// sits after the tracer's tracks and each job interval contains scheduler
-// events from the same timeline — and a canceled job rides along with its
-// cancel phase in the args.
+// jobs through a real server on a traced pool produce a Chrome trace where
+// the jobs track sits after the tracer's tracks and each job interval
+// contains the pool's own chunk spans from the same timeline — and a
+// canceled job rides along with its cancel phase in the args.
 func TestChromeExportNestsJobsOverChunks(t *testing.T) {
-	tr := trace.New(3, 4096)
-	s := newTestServer(t, Config{Tracer: tr, Workers: 2, Spans: obs.NewSpanLog(64), MaxConcurrent: 1})
+	tr := trace.New(3, 4096) // two workers + the submitting caller
+	pool := native.NewTraced(2, native.StrategyStealing, native.Topology{}, tr)
+	t.Cleanup(pool.Close) // registered first, so it runs after the server's Close
+	s := newTestServer(t, Config{Pool: pool, Spans: obs.NewSpanLog(64), MaxConcurrent: 1})
 	j, err := s.Submit(Spec{Kernel: "sort", N: 1 << 16, Tenant: "acme"})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +263,8 @@ func TestChromeExportNestsJobsOverChunks(t *testing.T) {
 		t.Fatal("jobs track is empty")
 	}
 
-	// Parent/child: the completed job's span must contain at least one
-	// scheduler event on a lower track within its [start, end].
+	// Parent/child: the completed job's span must contain at least one of
+	// the pool's chunk spans on a lower track within its [start, end].
 	var jobStart, jobEnd float64
 	foundJob, foundCanceled := false, false
 	for _, e := range ct.TraceEvents {
@@ -284,13 +287,13 @@ func TestChromeExportNestsJobsOverChunks(t *testing.T) {
 	}
 	nested := false
 	for _, e := range ct.TraceEvents {
-		if e.Tid < jobsTid && e.Ph != "M" && e.Ts >= jobStart && e.Ts <= jobEnd {
+		if e.Tid < jobsTid && e.Name == "chunk" && e.Ts >= jobStart && e.Ts+e.Dur <= jobEnd {
 			nested = true
 			break
 		}
 	}
 	if !nested {
-		t.Fatal("no scheduler event nests inside the job span interval")
+		t.Fatal("no pool chunk span nests inside the job span interval")
 	}
 }
 

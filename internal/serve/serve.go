@@ -9,11 +9,9 @@ import (
 	"time"
 
 	"pstlbench/internal/core"
-	"pstlbench/internal/counters"
 	"pstlbench/internal/exec"
 	"pstlbench/internal/native"
 	"pstlbench/internal/obs"
-	"pstlbench/internal/trace"
 )
 
 // Config configures a Server. The zero value is usable: an owned
@@ -78,23 +76,12 @@ type Config struct {
 	// BatchMax caps jobs per batch (default 16).
 	BatchMax int
 
-	// Registry receives one end-to-end Seconds sample per completed job
-	// under region "serve:<tenant>", and per-kernel samples under
-	// "serve:<tenant>/<kernel>" — the per-tenant latency distributions
-	// (p50/p99) the Stats endpoint reports. Created when nil.
-	Registry *counters.Registry
-	// Tracer, when non-nil, receives one KindRegion span per job on its
-	// last track, from dispatch to completion, labeled
-	// "serve:<tenant>/<kernel>" with the numeric job ID — so per-job
-	// service intervals land on the same timeline as the pool's chunk and
-	// steal events and a cancelled job's freed workers are visible in the
-	// trace.
-	Tracer *trace.Tracer
-
-	// Metrics, when non-nil, receives the server's Prometheus instruments
-	// (queue depth, running, load, admission counters, per-tenant latency
-	// and windowed-latency histograms — see obs.go). MetricsLabels are
-	// alternating key, value pairs stamped on every instrument; a shard
+	// Metrics receives the server's Prometheus instruments (queue depth,
+	// running, load, admission counters, per-tenant latency and
+	// windowed-latency histograms — see obs.go); the per-tenant latency
+	// histograms are also what /stats reads its quantiles from. When nil
+	// the server keeps its instruments in a private registry. MetricsLabels
+	// are alternating key, value pairs stamped on every instrument; a shard
 	// router labels each shard's server ("shard", "0") so the shared
 	// registry keeps the series apart.
 	Metrics       *obs.Registry
@@ -249,9 +236,6 @@ type JobInfo struct {
 type Server struct {
 	pool    *native.Pool
 	ownPool bool
-	reg     *counters.Registry
-	tb      *trace.Buf
-	tr      *trace.Tracer
 
 	maxConcurrent int
 	smallJobMax   int
@@ -324,10 +308,6 @@ func New(cfg Config) *Server {
 		pool = native.New(w, st)
 		own = true
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = counters.NewRegistry()
-	}
 	qcap := cfg.QueueCap
 	if qcap <= 0 {
 		qcap = 64
@@ -358,8 +338,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		pool:          pool,
 		ownPool:       own,
-		reg:           reg,
-		tr:            cfg.Tracer,
 		maxConcurrent: maxc,
 		smallJobMax:   cfg.SmallJobMax,
 		batchMax:      batchMax,
@@ -371,15 +349,9 @@ func New(cfg Config) *Server {
 		jobs:          make(map[string]*Job),
 		tenants:       make(map[string]*tenantCounts),
 	}
-	if s.tr != nil {
-		s.tb = s.tr.Buf(s.tr.Tracks() - 1)
-	}
 	s.initObs(cfg)
 	return s
 }
-
-// Registry returns the registry holding the per-tenant latency regions.
-func (s *Server) Registry() *counters.Registry { return s.reg }
 
 // Queued returns the number of jobs waiting in the admission queue.
 func (s *Server) Queued() int {
@@ -646,8 +618,6 @@ func (s *Server) finishJobLocked(j *Job, sum float64, ok bool) {
 		s.completed++
 		s.tenant(j.spec.Tenant).completed++
 		total := j.finished.Sub(j.enqueued).Seconds()
-		s.reg.Record("serve:"+j.spec.Tenant, counters.Set{Seconds: total})
-		s.reg.Record("serve:"+j.spec.Tenant+"/"+j.spec.Kernel, counters.Set{Seconds: total})
 		runSec := j.finished.Sub(j.started).Seconds()
 		s.observeDone(j.spec.Tenant, total, j.started.Sub(j.enqueued).Seconds(), runSec)
 		if s.emaRun == 0 {
@@ -694,19 +664,11 @@ func (s *Server) run(j *Job) {
 	// The first parallel chunk CASes its wall time into the span's
 	// first-chunk slot: started-to-first-chunk is pure dispatch latency.
 	p.FirstChunkNS = j.spec.Span.Slot(obs.PhaseFirstChunk)
-	var from int64
-	if s.tb != nil {
-		from = s.tr.Now()
-	}
 	sum, ok := runJob(p, j.spec)
 
 	s.mu.Lock()
 	s.finishJobLocked(j, sum, ok)
 	s.running--
-	if s.tb != nil {
-		s.tb.Span(trace.KindRegion, from, s.tr.Now(),
-			s.tr.Intern("serve:"+j.spec.Tenant+"/"+j.spec.Kernel), j.num)
-	}
 	s.drainLocked()
 	s.mu.Unlock()
 }
@@ -722,10 +684,6 @@ func (s *Server) run(j *Job) {
 // fired before its task starts is finalized canceled without running.
 func (s *Server) runBatch(jobs []*Job) {
 	defer s.wg.Done()
-	var from int64
-	if s.tb != nil {
-		from = s.tr.Now()
-	}
 	tasks := make([]func(), len(jobs))
 	for i, j := range jobs {
 		j := j
@@ -748,10 +706,6 @@ func (s *Server) runBatch(jobs []*Job) {
 
 	s.mu.Lock()
 	s.running--
-	if s.tb != nil {
-		s.tb.Span(trace.KindRegion, from, s.tr.Now(),
-			s.tr.Intern("serve:"+jobs[0].spec.Tenant+"/batch"), int64(len(jobs)))
-	}
 	s.drainLocked()
 	s.mu.Unlock()
 }
@@ -897,7 +851,9 @@ type TenantStats struct {
 	// End-to-end latency of completed jobs, seconds. Mean/P50/P99 are
 	// cumulative since process start; the Window fields cover only the
 	// rolling window (WindowSeconds in Stats) — the pair distinguishes
-	// "slow since boot" from "slow right now".
+	// "slow since boot" from "slow right now". Both read the same bucket
+	// layout through HistSnapshot.Quantile, so while every completion is
+	// inside the window the two views agree exactly.
 	MeanSeconds float64 `json:"mean_seconds,omitempty"`
 	P50Seconds  float64 `json:"p50_seconds,omitempty"`
 	P99Seconds  float64 `json:"p99_seconds,omitempty"`
@@ -933,14 +889,8 @@ type Stats struct {
 	Load float64 `json:"load"`
 	// WindowSeconds is the rolling-window horizon behind the tenants'
 	// windowed quantiles.
-	WindowSeconds float64 `json:"window_seconds,omitempty"`
-	// Trace-ring health (present when the server has a Tracer): recorded
-	// events, events evicted from full rings (drops were previously
-	// invisible to the operator), and the fraction of ring capacity in use.
-	TraceEvents    uint64        `json:"trace_events,omitempty"`
-	TraceLost      uint64        `json:"trace_lost,omitempty"`
-	TraceOccupancy float64       `json:"trace_occupancy,omitempty"`
-	Tenants        []TenantStats `json:"tenants"`
+	WindowSeconds float64       `json:"window_seconds,omitempty"`
+	Tenants       []TenantStats `json:"tenants"`
 }
 
 // Stats returns a consistent snapshot of the server counters and the
@@ -980,14 +930,7 @@ func (s *Server) Stats() Stats {
 		pairs = append(pairs, pair{t, *s.tenants[t]})
 	}
 	s.mu.Unlock()
-	if s.tr != nil {
-		st.TraceEvents = s.tr.TotalEvents()
-		st.TraceLost = s.tr.Lost()
-		if c := s.tr.Capacity(); c > 0 {
-			st.TraceOccupancy = float64(s.tr.Surviving()) / float64(c)
-		}
-	}
-	// Registry reads take the registry's own lock; do them outside ours.
+	// Window snapshots take the windows' own lock; do them outside ours.
 	for _, p := range pairs {
 		ts := TenantStats{
 			Tenant:    p.t,
@@ -995,12 +938,12 @@ func (s *Server) Stats() Stats {
 			Canceled:  p.tc.canceled,
 			Rejected:  p.tc.rejected,
 		}
-		if rs := s.reg.Stats("serve:" + p.t); rs.Calls > 0 {
-			ts.MeanSeconds = rs.Mean
-			ts.P50Seconds = rs.P50
-			ts.P99Seconds = rs.P99
-		}
 		if to := s.tenantObsOf(p.t); to != nil {
+			if cum := to.lat.Snapshot(); cum.Count > 0 {
+				ts.MeanSeconds = cum.Sum / float64(cum.Count)
+				ts.P50Seconds = cum.Quantile(0.5)
+				ts.P99Seconds = cum.Quantile(0.99)
+			}
 			if st.WindowSeconds == 0 {
 				st.WindowSeconds = to.windows.Span().Seconds()
 			}
