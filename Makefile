@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench fusion serve shard obs cluster stream loadgen check
+.PHONY: all vet build test perfbench race bench fusion serve shard obs cluster stream loadgen check
 
 all: check
 
@@ -12,6 +12,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a nested module, so the root ./... never reaches its
+# oracle-gate tests; vet and test it on its own.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-check the concurrency-heavy packages: the work-stealing scheduler,
 # the algorithms that drive it, the fused pipelines compiled onto it, the
@@ -81,4 +86,4 @@ loadgen:
 	$(GO) run ./cmd/pstld -loadgen -duration 2s -sched wfq \
 		-spec "big:1:sort:1048576:4,small:1:reduce:65536:2"
 
-check: vet build test race
+check: vet build test perfbench race

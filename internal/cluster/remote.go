@@ -112,8 +112,8 @@ func terminalState(state string) bool {
 // Submit places the job on the worker. The client retries transport
 // failures; the worker dedupes on spec.ID, so a retried accept returns
 // the same job. If the ID is already in flight here (a router resubmit
-// racing a retry), the existing handle is returned so the router's
-// byShard map stays one-to-one.
+// racing a retry), the existing handle is returned, so one job has one
+// handle and the router's incarnation check (`j.sj != sj`) holds.
 func (r *RemoteShard) Submit(spec serve.Spec) (shard.JobHandle, error) {
 	info, err := r.c.Submit(spec)
 	if err != nil {

@@ -183,8 +183,9 @@ type regionData struct {
 	// Bounded sample reservoir for quantile estimation: a systematic
 	// (every stride-th) subsample of the timed records, decimated in place
 	// whenever it fills — deterministic, allocation-bounded, and uniform
-	// over the region's lifetime, so long-running regions (serving-layer
-	// latency per tenant) keep meaningful p50/p99 without unbounded memory.
+	// over the region's lifetime, so long-running regions (a harness
+	// benchmark's per-call latency over every timing attempt) keep
+	// meaningful p50/p99 without unbounded memory.
 	secSamples []float64
 	secStride  int // record every stride-th timed sample (power of two)
 	secSkip    int // timed samples to skip before the next recorded one

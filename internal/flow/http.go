@@ -1,10 +1,10 @@
 package flow
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
+
+	"pstlbench/internal/serve"
 )
 
 // IngestRequest is the POST /streams/{stream}/events body. Events with a
@@ -35,18 +35,18 @@ func (e *Engine) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /streams/{stream}/events", e.handleIngest)
 	mux.HandleFunc("GET /streams", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, e.Stats())
+		serve.WriteJSON(w, http.StatusOK, e.Stats())
 	})
 	mux.HandleFunc("GET /streams/{stream}", func(w http.ResponseWriter, req *http.Request) {
 		s := e.Stream(req.PathValue("stream"))
 		if s == nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such stream"})
+			serve.WriteError(w, http.StatusNotFound, "no such stream")
 			return
 		}
-		writeJSON(w, http.StatusOK, s.Stats())
+		serve.WriteJSON(w, http.StatusOK, s.Stats())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "streams": len(e.Streams())})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "streams": len(e.Streams())})
 	})
 	return mux
 }
@@ -54,12 +54,11 @@ func (e *Engine) Handler() http.Handler {
 func (e *Engine) handleIngest(w http.ResponseWriter, req *http.Request) {
 	s := e.Stream(req.PathValue("stream"))
 	if s == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such stream"})
+		serve.WriteError(w, http.StatusNotFound, "no such stream")
 		return
 	}
 	var body IngestRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !serve.ReadJSON(w, req, &body) {
 		return
 	}
 	var resp IngestResponse
@@ -82,11 +81,5 @@ func (e *Engine) handleIngest(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusTooManyRequests
 	}
-	writeJSON(w, status, resp)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	serve.WriteJSON(w, status, resp)
 }

@@ -72,7 +72,7 @@ type errorBody struct {
 
 // Handler returns the server's HTTP API:
 //
-//	POST   /jobs      submit a job   -> 202 JobInfo | 429 (saturated) | 400
+//	POST   /jobs      submit a job   -> 202 JobInfo | 429 (saturated) | 503 (closed) | 400
 //	GET    /jobs/{id} job status     -> 200 JobInfo | 404
 //	DELETE /jobs/{id} cancel a job   -> 200 JobInfo | 404
 //	GET    /stats     server stats   -> 200 Stats
@@ -119,72 +119,43 @@ func SpansHandler(log *obs.SpanLog) http.Handler {
 		for i, sp := range spans {
 			out[i] = sp.Info()
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !ReadJSON(w, r, &req) {
 		return
 	}
-	spec := Spec{
-		ID:       req.ID,
-		Kernel:   req.Kernel,
-		N:        req.N,
-		Tenant:   req.Tenant,
-		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
-	}
-	if req.DeadlineUnixMS > 0 {
-		spec.DeadlineAt = time.UnixMilli(req.DeadlineUnixMS)
-	}
-	j, err := s.Submit(spec)
+	j, err := s.Submit(req.Spec())
 	if err != nil {
-		var sat *SaturatedError
-		switch {
-		case errors.As(err, &sat):
-			// Backpressure: tell the client when to come back instead of
-			// queueing unboundedly.
-			secs := int64((sat.RetryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-			writeJSON(w, http.StatusTooManyRequests, errorBody{
-				Error:        err.Error(),
-				RetryAfterMS: sat.RetryAfter.Milliseconds(),
-			})
-		case errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			writeError(w, http.StatusBadRequest, err.Error())
-		}
+		WriteSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.Info(j))
+	WriteJSON(w, http.StatusAccepted, s.Info(j))
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	info, ok := s.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	info, err := s.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -193,13 +164,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !h.OK {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	WriteJSON(w, status, h)
 }
 
 func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req PollRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	resp := PollResponse{Jobs: make([]JobInfo, 0, len(req.IDs))}
@@ -210,17 +180,16 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 			resp.Missing = append(resp.Missing, id)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleWithdraw(w http.ResponseWriter, r *http.Request) {
 	var req WithdrawRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.Max < 1 {
-		writeError(w, http.StatusBadRequest, "max must be >= 1")
+		WriteError(w, http.StatusBadRequest, "max must be >= 1")
 		return
 	}
 	jobs := s.WithdrawQueued(req.Max)
@@ -238,15 +207,65 @@ func (s *Server) handleWithdraw(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Jobs[i] = wj
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// Spec is the one POST /jobs body -> Spec conversion every job surface
+// shares; an absolute DeadlineUnixMS takes precedence over DeadlineMS.
+func (req SubmitRequest) Spec() Spec {
+	spec := Spec{
+		ID:       req.ID,
+		Kernel:   req.Kernel,
+		N:        req.N,
+		Tenant:   req.Tenant,
+		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
+	}
+	if req.DeadlineUnixMS > 0 {
+		spec.DeadlineAt = time.UnixMilli(req.DeadlineUnixMS)
+	}
+	return spec
+}
+
+// WriteSubmitError answers a rejected submission under Submit's error
+// contract: 429 with a Retry-After hint for saturation, 503 for ErrClosed
+// (and any error that matches it), 400 for an invalid spec.
+func WriteSubmitError(w http.ResponseWriter, err error) {
+	var sat *SaturatedError
+	switch {
+	case errors.As(err, &sat):
+		// Backpressure: tell the client when to come back instead of
+		// queueing unboundedly.
+		secs := max(int64((sat.RetryAfter+time.Second-1)/time.Second), 1)
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+		WriteJSON(w, http.StatusTooManyRequests, errorBody{
+			Error:        err.Error(),
+			RetryAfterMS: sat.RetryAfter.Milliseconds(),
+		})
+	case errors.Is(err, ErrClosed):
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		WriteError(w, http.StatusBadRequest, err.Error())
+	}
+}
+
+// ReadJSON decodes a request body into v, answering 400 and returning
+// false when the body is not valid JSON for v.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return false
+	}
+	return true
+}
+
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorBody{Error: msg})
+// WriteError writes the JSON error envelope {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorBody{Error: msg})
 }

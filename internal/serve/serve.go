@@ -363,21 +363,33 @@ func (s *Server) Queued() int {
 // QueueCap returns the admission queue bound.
 func (s *Server) QueueCap() int { return s.q.cap }
 
-// Submit admits a job. It returns a *SaturatedError when the queue is at
-// capacity (carrying a Retry-After hint), ErrClosed after Close, and a
-// plain error for an invalid spec.
-func (s *Server) Submit(spec Spec) (*Job, error) {
+// CheckSpec is the admission check every submitter shares: a known kernel
+// (or a custom Fn body, named "custom" when unnamed), N >= 1, and the
+// "default" tenant when none is given. It returns spec with those
+// defaults filled in.
+func CheckSpec(spec Spec) (Spec, error) {
 	if spec.Fn == nil && !KernelValid(spec.Kernel) {
-		return nil, fmt.Errorf("serve: unknown kernel %q", spec.Kernel)
+		return spec, fmt.Errorf("serve: unknown kernel %q", spec.Kernel)
 	}
 	if spec.Fn != nil && spec.Kernel == "" {
 		spec.Kernel = "custom"
 	}
 	if spec.N < 1 {
-		return nil, fmt.Errorf("serve: job size %d, want >= 1", spec.N)
+		return spec, fmt.Errorf("serve: job size %d, want >= 1", spec.N)
 	}
 	if spec.Tenant == "" {
 		spec.Tenant = "default"
+	}
+	return spec, nil
+}
+
+// Submit admits a job. It returns a *SaturatedError when the queue is at
+// capacity (carrying a Retry-After hint), ErrClosed after Close, and a
+// plain error for an invalid spec.
+func (s *Server) Submit(spec Spec) (*Job, error) {
+	spec, err := CheckSpec(spec)
+	if err != nil {
+		return nil, err
 	}
 	// Tenant windows/instruments are created outside the server lock (see
 	// obs.go lock-order note); after the first submission this is a map hit.

@@ -119,17 +119,7 @@ func (r *Router) onShardDeadLocked(dead int) {
 	}
 	sort.Slice(victims, func(a, b int) bool { return victims[a].seq < victims[b].seq })
 	for _, j := range victims {
-		if j.sj != nil {
-			delete(r.byShard, j.sj)
-		}
-		j.sj, j.shard = nil, -1
-		j.spec.Span.Mark(obs.PhaseMigrated)
-		r.replaced++
-		if err := r.placeLocked(j); err != nil {
-			r.backlog = append(r.backlog, j)
-		} else {
-			r.watchLocked(j)
-		}
+		r.replaceLocked(j)
 	}
 	// Tear the handle down off the lock: it closes every orphaned job
 	// handle, whose watchers then stand down via the incarnation check

@@ -1,26 +1,18 @@
 package shard
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"pstlbench/internal/serve"
 )
 
-// errorBody mirrors serve's JSON error envelope.
-type errorBody struct {
-	Error        string `json:"error"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-// Handler returns the router's HTTP API — the same surface as a single
-// serve.Server, with shard placement visible in every JobInfo and a
+// Handler returns the router's HTTP API — a single serve.Server's job
+// surface, built from serve's own request decoder, submit-error contract,
+// and JSON writers, with shard placement visible in every JobInfo and a
 // per-shard breakdown in /stats:
 //
-//	POST   /jobs      submit a job   -> 202 JobInfo | 429 (saturated) | 400
+//	POST   /jobs      submit a job   -> 202 JobInfo | 429 (saturated) | 503 (closed or no live shard) | 400
 //	GET    /jobs/{id} job status     -> 200 JobInfo | 404
 //	DELETE /jobs/{id} cancel a job   -> 200 JobInfo | 404
 //	GET    /stats     router stats   -> 200 Stats
@@ -49,60 +41,38 @@ func (r *Router) Handler() http.Handler {
 
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var body serve.SubmitRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !serve.ReadJSON(w, req, &body) {
 		return
 	}
-	j, err := r.Submit(serve.Spec{
-		Kernel:   body.Kernel,
-		N:        body.N,
-		Tenant:   body.Tenant,
-		Deadline: time.Duration(body.DeadlineMS) * time.Millisecond,
-	})
+	j, err := r.Submit(body.Spec())
 	if err != nil {
-		var sat *serve.SaturatedError
-		switch {
-		case errors.As(err, &sat):
-			secs := int64((sat.RetryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-			writeJSON(w, http.StatusTooManyRequests, errorBody{
-				Error:        err.Error(),
-				RetryAfterMS: sat.RetryAfter.Milliseconds(),
-			})
-		case errors.Is(err, serve.ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			writeError(w, http.StatusBadRequest, err.Error())
-		}
+		serve.WriteSubmitError(w, err)
 		return
 	}
 	info, _ := r.Get(j.ID())
-	writeJSON(w, http.StatusAccepted, info)
+	serve.WriteJSON(w, http.StatusAccepted, info)
 }
 
 func (r *Router) handleGet(w http.ResponseWriter, req *http.Request) {
 	info, ok := r.Get(req.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job")
+		serve.WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	serve.WriteJSON(w, http.StatusOK, info)
 }
 
 func (r *Router) handleCancel(w http.ResponseWriter, req *http.Request) {
 	info, err := r.Cancel(req.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+		serve.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	serve.WriteJSON(w, http.StatusOK, info)
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Stats())
+	serve.WriteJSON(w, http.StatusOK, r.Stats())
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
@@ -112,7 +82,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		// A probe keys on the status code; the body still carries the why.
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	serve.WriteJSON(w, status, h)
 }
 
 // JoinRequest is the POST /cluster/join body: the base URL the router
@@ -128,12 +98,11 @@ type JoinResponse struct {
 
 func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
 	var body JoinRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !serve.ReadJSON(w, req, &body) {
 		return
 	}
 	if body.URL == "" {
-		writeError(w, http.StatusBadRequest, "url required")
+		serve.WriteError(w, http.StatusBadRequest, "url required")
 		return
 	}
 	r.joinMu.Lock()
@@ -144,40 +113,30 @@ func (r *Router) handleJoin(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
 	if i, ok := r.joined[body.URL]; ok {
 		r.mu.Unlock()
-		writeJSON(w, http.StatusOK, JoinResponse{Shard: i})
+		serve.WriteJSON(w, http.StatusOK, JoinResponse{Shard: i})
 		return
 	}
 	r.mu.Unlock()
 	h, err := r.cfg.Join(body.URL)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("cannot reach worker: %v", err))
+		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("cannot reach worker: %v", err))
 		return
 	}
 	// Probe before committing: a ring member that never answered anything
 	// would immediately walk the suspect->dead path and churn the ring.
 	if err := h.Ping(); err != nil {
 		h.Close()
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("worker not healthy: %v", err))
+		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("worker not healthy: %v", err))
 		return
 	}
 	i, err := r.AddShard(h)
 	if err != nil {
 		h.Close()
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		serve.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	r.mu.Lock()
 	r.joined[body.URL] = i
 	r.mu.Unlock()
-	writeJSON(w, http.StatusOK, JoinResponse{Shard: i})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorBody{Error: msg})
+	serve.WriteJSON(w, http.StatusOK, JoinResponse{Shard: i})
 }

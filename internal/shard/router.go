@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -160,8 +161,7 @@ type Router struct {
 	shards   []ShardHandle  // append-only; indices are stable member IDs
 	health   []*shardHealth // parallel to shards
 	jobs     map[string]*Job
-	byShard  map[JobHandle]*Job
-	backlog  []*Job // replayed jobs awaiting shard admission
+	backlog  []*Job // jobs no shard could admit, drained by Rebalance
 	doneRing []string
 	joined   map[string]int // worker URL -> shard index, for idempotent joins
 	nextID   int64
@@ -196,12 +196,11 @@ func New(cfg Config) (*Router, error) {
 		n = len(cfg.Handles)
 	}
 	r := &Router{
-		cfg:     cfg,
-		ring:    NewRing(n, cfg.Replicas),
-		jobs:    make(map[string]*Job),
-		byShard: make(map[JobHandle]*Job),
-		joined:  make(map[string]int),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		ring:   NewRing(n, cfg.Replicas),
+		jobs:   make(map[string]*Job),
+		joined: make(map[string]int),
+		stop:   make(chan struct{}),
 	}
 	if len(cfg.Handles) > 0 {
 		r.shards = append(r.shards, cfg.Handles...)
@@ -307,13 +306,6 @@ func (r *Router) Shard(i int) *serve.Server {
 	return nil
 }
 
-// Handle returns shard i's ShardHandle.
-func (r *Router) Handle(i int) ShardHandle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shards[i]
-}
-
 // Shards returns the shard count (dead members included — indices are
 // stable member IDs).
 func (r *Router) Shards() int {
@@ -323,7 +315,8 @@ func (r *Router) Shards() int {
 }
 
 // Submit admits a job through consistent-hash placement with load-aware
-// overflow. Error contract matches serve.Server.Submit.
+// overflow. Error contract matches serve.Server.Submit; a tier with no
+// live shard answers like a closed server.
 func (r *Router) Submit(spec serve.Spec) (*Job, error) {
 	if spec.Fn != nil {
 		// A custom Fn body is an in-process closure: it cannot be serialized
@@ -331,14 +324,9 @@ func (r *Router) Submit(spec serve.Spec) (*Job, error) {
 		// that need one (internal/flow) submit to a serve.Server directly.
 		return nil, fmt.Errorf("shard: custom Fn jobs are in-process only")
 	}
-	if !serve.KernelValid(spec.Kernel) {
-		return nil, fmt.Errorf("shard: unknown kernel %q", spec.Kernel)
-	}
-	if spec.N < 1 {
-		return nil, fmt.Errorf("shard: job size %d, want >= 1", spec.N)
-	}
-	if spec.Tenant == "" {
-		spec.Tenant = "default"
+	spec, err := serve.CheckSpec(spec)
+	if err != nil {
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -374,11 +362,18 @@ func (r *Router) Submit(spec serve.Spec) (*Job, error) {
 		return nil, err
 	}
 	// Logged only after a shard accepted: every acknowledged job is in the
-	// log, and nothing the client never heard of is.
+	// log, and nothing the client never heard of is. The deadline is logged
+	// as the budget left at admission, whether the client gave it relative
+	// or absolute; an already-expired budget logs as 1 ms so it still
+	// expires on replay.
+	var deadlineMS int64
+	if !j.spec.DeadlineAt.IsZero() {
+		deadlineMS = max(int64(j.spec.DeadlineAt.Sub(j.enq)/time.Millisecond), 1)
+	}
 	r.appendLocked(Record{
 		T: "submit", ID: j.id, Seq: j.seq,
 		Kernel: spec.Kernel, N: spec.N, Tenant: spec.Tenant,
-		DeadlineMS: int64(spec.Deadline / time.Millisecond),
+		DeadlineMS: deadlineMS,
 		Phases:     j.spec.Span.Phases(),
 	})
 	r.jobs[j.id] = j
@@ -387,8 +382,15 @@ func (r *Router) Submit(spec serve.Spec) (*Job, error) {
 	return j, nil
 }
 
-// errNoShards reports a tier whose live members are all gone.
-var errNoShards = errors.New("shard: no live shards")
+// errNoShards reports a tier whose live members are all gone. It matches
+// serve.ErrClosed, so HTTP answers 503 — the tier cannot take work, the
+// request is not at fault.
+var errNoShards error = noShardsError{}
+
+type noShardsError struct{}
+
+func (noShardsError) Error() string        { return "shard: no live shards" }
+func (noShardsError) Is(target error) bool { return target == serve.ErrClosed }
 
 // placeLocked picks a shard and submits j: the consistent-hash home
 // first, spilled to the least-loaded live shard when the home is suspect
@@ -427,8 +429,57 @@ func (r *Router) placeLocked(j *Job) error {
 	j.spec.Span.SetShard(target)
 	j.shard = target
 	j.sj = sj
-	r.byShard[sj] = j
 	return nil
+}
+
+// placeOrParkLocked is the one way an admitted job (re)enters the tier:
+// placed on a shard with its watcher started, or parked in the backlog for
+// the next Rebalance when no shard can take it now.
+func (r *Router) placeOrParkLocked(j *Job) {
+	if err := r.placeLocked(j); err != nil {
+		j.sj, j.shard = nil, -1
+		r.backlog = append(r.backlog, j)
+		return
+	}
+	r.watchLocked(j)
+}
+
+// replaceLocked re-places a job its shard lost (worker restart, shard
+// death): the job migrates, it does not end.
+func (r *Router) replaceLocked(j *Job) {
+	j.spec.Span.Mark(obs.PhaseMigrated)
+	r.replaced++
+	r.placeOrParkLocked(j)
+}
+
+// finishLocked is the one terminal transition: j takes its final snapshot,
+// bumps ctr, logs a complete record when logged (recovered records and
+// shutdown cancellations are not), wakes its waiters, and enters the
+// bounded done ring.
+func (r *Router) finishLocked(j *Job, info JobInfo, ctr *int64, logged bool) {
+	j.terminal = true
+	j.info = info
+	*ctr++
+	if logged {
+		rec := Record{T: "complete", ID: j.id, State: info.State}
+		if info.State == "done" {
+			rec.Checksum = info.Checksum
+		} else {
+			rec.Reason = info.Reason
+		}
+		r.appendLocked(rec)
+	}
+	close(j.done)
+	r.retireLocked(j)
+}
+
+// routerInfo is the snapshot of a job no shard holds: parked in the
+// backlog, recovered from the log, or finalized by the router itself.
+func (j *Job) routerInfo(state, reason string) JobInfo {
+	return JobInfo{JobInfo: serve.JobInfo{
+		ID: j.id, Kernel: j.spec.Kernel, N: j.spec.N, Tenant: j.spec.Tenant,
+		State: state, Reason: reason,
+	}, Shard: -1}
 }
 
 // retriablePlacement reports whether a submit failure is worth one retry
@@ -486,39 +537,22 @@ func (r *Router) watch(j *Job, sj JobHandle, shard int) {
 	if j.sj != sj {
 		return // migrated or re-placed: a newer incarnation owns this job
 	}
-	delete(r.byShard, sj)
 	info.ID = j.id
 	// A shard that lost the job (worker restart, dead-shard teardown) or
 	// shut down under a live router hands the job back, not a terminal
 	// state: the router re-places it on a surviving shard. The exactly-once
 	// guarantee holds because only the router delivers terminal states.
 	if !r.closed && info.State == "canceled" && (info.Reason == "lost" || info.Reason == "shutdown") {
-		j.sj, j.shard = nil, -1
-		j.spec.Span.Mark(obs.PhaseMigrated)
-		r.replaced++
-		if err := r.placeLocked(j); err != nil {
-			r.backlog = append(r.backlog, j)
-		} else {
-			r.watchLocked(j)
-		}
+		r.replaceLocked(j)
 		return
 	}
-	j.terminal = true
-	j.info = JobInfo{JobInfo: info, Shard: shard}
-	switch {
-	case info.State == "done":
-		r.completed++
-		r.appendLocked(Record{T: "complete", ID: j.id, State: "done", Checksum: info.Checksum})
-	case info.Reason == "shutdown":
-		// Crash-consistent shutdown: no record, so the job replays as
-		// pending on the next start instead of dying with the process.
-		r.canceled++
-	default:
-		r.canceled++
-		r.appendLocked(Record{T: "complete", ID: j.id, State: "canceled", Reason: info.Reason})
+	ctr := &r.canceled
+	if info.State == "done" {
+		ctr = &r.completed
 	}
-	close(j.done)
-	r.retireLocked(j)
+	// Crash-consistent shutdown: no record, so the job replays as pending
+	// on the next start instead of dying with the process.
+	r.finishLocked(j, JobInfo{JobInfo: info, Shard: shard}, ctr, info.Reason != "shutdown")
 }
 
 // appendLocked writes a log record; a nil (disabled) or severed (killed)
@@ -555,10 +589,8 @@ func (r *Router) Get(id string) (JobInfo, bool) {
 		return info, true
 	}
 	if j.sj == nil {
-		info := JobInfo{JobInfo: serve.JobInfo{
-			ID: j.id, Kernel: j.spec.Kernel, N: j.spec.N, Tenant: j.spec.Tenant,
-			State: "queued", QueueSeconds: time.Since(j.enq).Seconds(),
-		}, Shard: -1}
+		info := j.routerInfo("queued", "")
+		info.QueueSeconds = time.Since(j.enq).Seconds()
 		r.mu.Unlock()
 		return info, true
 	}
@@ -587,22 +619,14 @@ func (r *Router) Cancel(id string) (JobInfo, error) {
 	if j.sj == nil {
 		// Backlog job: never reached a shard, finalize right here.
 		r.dropBacklogLocked(j)
-		j.terminal = true
-		j.info = JobInfo{JobInfo: serve.JobInfo{
-			ID: j.id, Kernel: j.spec.Kernel, N: j.spec.N, Tenant: j.spec.Tenant,
-			State: "canceled", Reason: "canceled",
-			QueueSeconds: time.Since(j.enq).Seconds(),
-			TotalSeconds: time.Since(j.enq).Seconds(),
-		}, Shard: -1}
-		r.appendLocked(Record{T: "complete", ID: j.id, State: "canceled", Reason: "canceled"})
-		r.canceled++
+		info := j.routerInfo("canceled", "canceled")
+		info.QueueSeconds = time.Since(j.enq).Seconds()
+		info.TotalSeconds = info.QueueSeconds
 		if sp := j.spec.Span; sp != nil {
 			sp.Mark(obs.PhaseCanceled)
 			r.cfg.Spans.Add(sp)
 		}
-		close(j.done)
-		r.retireLocked(j)
-		info := j.info
+		r.finishLocked(j, info, &r.canceled, true)
 		r.mu.Unlock()
 		return info, nil
 	}
@@ -618,12 +642,7 @@ func (r *Router) Cancel(id string) (JobInfo, error) {
 }
 
 func (r *Router) dropBacklogLocked(j *Job) {
-	for i, b := range r.backlog {
-		if b == j {
-			r.backlog = append(r.backlog[:i], r.backlog[i+1:]...)
-			return
-		}
-	}
+	r.backlog = slices.DeleteFunc(r.backlog, func(b *Job) bool { return b == j })
 }
 
 // replayLocked reconstructs state from a previous incarnation's records:
@@ -660,29 +679,15 @@ func (r *Router) replayLocked(recs []Record) {
 			Deadline: time.Duration(rec.DeadlineMS) * time.Millisecond,
 		}
 		j := &Job{id: id, seq: rec.Seq, spec: spec, enq: time.Now(), shard: -1, done: make(chan struct{})}
+		r.jobs[id] = j
 		if c, ok := completes[id]; ok {
-			j.terminal = true
-			j.info = JobInfo{JobInfo: serve.JobInfo{
-				ID: id, Kernel: spec.Kernel, N: spec.N, Tenant: spec.Tenant,
-				State: c.State, Reason: c.Reason, Checksum: c.Checksum,
-			}, Shard: -1}
-			close(j.done)
-			r.jobs[id] = j
-			r.recovered++
-			r.retireLocked(j)
+			info := j.routerInfo(c.State, c.Reason)
+			info.Checksum = c.Checksum
+			r.finishLocked(j, info, &r.recovered, false)
 			continue
 		}
 		if cancels[id] {
-			j.terminal = true
-			j.info = JobInfo{JobInfo: serve.JobInfo{
-				ID: id, Kernel: spec.Kernel, N: spec.N, Tenant: spec.Tenant,
-				State: "canceled", Reason: "canceled",
-			}, Shard: -1}
-			close(j.done)
-			r.jobs[id] = j
-			r.recovered++
-			r.appendLocked(Record{T: "complete", ID: id, State: "canceled", Reason: "canceled"})
-			r.retireLocked(j)
+			r.finishLocked(j, j.routerInfo("canceled", "canceled"), &r.recovered, true)
 			continue
 		}
 		// Pending: resume. The deadline budget restarts from now — the
@@ -696,14 +701,8 @@ func (r *Router) replayLocked(recs []Record) {
 			sp.Mark(obs.PhaseReplayed)
 			j.spec.Span = sp
 		}
-		r.jobs[id] = j
 		r.replayed++
-		if err := r.placeLocked(j); err != nil {
-			j.sj, j.shard = nil, -1
-			r.backlog = append(r.backlog, j)
-		} else {
-			r.watchLocked(j)
-		}
+		r.placeOrParkLocked(j)
 	}
 }
 
@@ -769,48 +768,33 @@ func (r *Router) Rebalance() {
 		if j == nil || j.terminal {
 			continue
 		}
-		if j.sj != nil {
-			delete(r.byShard, j.sj)
-		}
 		if !hotLocal {
 			// A local withdraw marks the shared span inside serve; a remote
 			// worker's span is its own copy, so stamp the router's here.
 			j.spec.Span.Mark(obs.PhaseMigrated)
 		}
 		nsj, err := r.shards[cold].Submit(j.spec)
-		target := cold
 		if err != nil {
-			// Fall back to the shard we just freed a slot on; if even that
-			// fails, park in the backlog for the next pass.
-			if nsj, err = r.shards[hot].Submit(j.spec); err != nil {
-				j.sj, j.shard = nil, -1
-				r.backlog = append(r.backlog, j)
-				continue
-			}
-			target = hot
-		} else {
-			r.migrations++
+			// The cold shard refused after all: normal placement takes it
+			// (the hot shard just freed a slot), or the backlog does.
+			r.placeOrParkLocked(j)
+			continue
 		}
-		j.sj, j.shard = nsj, target
-		j.spec.Span.SetShard(target)
-		r.byShard[nsj] = j
+		r.migrations++
+		j.sj, j.shard = nsj, cold
+		j.spec.Span.SetShard(cold)
 		r.watchLocked(j)
 	}
 }
 
+// drainBacklogLocked offers every parked job to placement again, in
+// parking order; what still does not fit parks again.
 func (r *Router) drainBacklogLocked() {
-	if len(r.backlog) == 0 {
-		return
+	parked := r.backlog
+	r.backlog = nil
+	for _, j := range parked {
+		r.placeOrParkLocked(j)
 	}
-	var rest []*Job
-	for _, j := range r.backlog {
-		if err := r.placeLocked(j); err != nil {
-			rest = append(rest, j)
-		} else {
-			r.watchLocked(j)
-		}
-	}
-	r.backlog = rest
 }
 
 // ShardStats is one shard's slice of the router stats.
@@ -924,13 +908,7 @@ func (r *Router) Close() {
 	r.closed = true
 	close(r.stop)
 	for _, j := range r.backlog {
-		j.terminal = true
-		j.info = JobInfo{JobInfo: serve.JobInfo{
-			ID: j.id, Kernel: j.spec.Kernel, N: j.spec.N, Tenant: j.spec.Tenant,
-			State: "canceled", Reason: "shutdown",
-		}, Shard: -1}
-		close(j.done)
-		r.canceled++
+		r.finishLocked(j, j.routerInfo("canceled", "shutdown"), &r.canceled, false)
 	}
 	r.backlog = nil
 	shards := append([]ShardHandle(nil), r.shards...)
