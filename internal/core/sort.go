@@ -13,36 +13,113 @@ import (
 const sortLeafSize = 1 << 12
 
 // Sort sorts s in ascending order (std::sort with execution policy). The
-// parallel implementation is a stable mergesort — sequential leaf sorts
-// followed by log(p) rounds of parallel merges — whose limited scalability
-// is exactly the behaviour studied in the paper's X::sort experiments.
+// parallel implementation is a mergesort — unstable sequential leaf sorts
+// followed by log(p) rounds of stable parallel merges — whose limited
+// scalability is exactly the behaviour studied in the paper's X::sort
+// experiments. Like std::sort on a template, the comparison is compiled
+// into the leaf sort and the merge loop rather than called through a
+// function value. NaNs sort first, as under cmp.Less.
 func Sort[T cmp.Ordered](p Policy, s []T) {
-	SortFunc(p, s, func(a, b T) bool { return a < b })
+	if !p.parallel(len(s)) || len(s) <= sortLeafSize {
+		slices.Sort(s)
+		return
+	}
+	parallelSort(p, s, orderedKernels[T]{})
 }
 
 // SortFunc sorts s under the strict weak ordering less.
 func SortFunc[T any](p Policy, s []T, less func(a, b T) bool) {
-	n := len(s)
-	if !p.parallel(n) || n <= sortLeafSize {
+	if !p.parallel(len(s)) || len(s) <= sortLeafSize {
 		slices.SortFunc(s, lessToCmp(less))
 		return
 	}
-	tmp := make([]T, n)
-	parallelMergeSort(p, s, tmp, less, mergeDepth(p.workers()), false)
+	parallelSort(p, s, lessKernels[T]{less, false})
 }
 
 // StableSort sorts s preserving the relative order of equal elements
 // (std::stable_sort). The parallel mergesort is naturally stable; only the
 // leaf sort differs from SortFunc.
 func StableSort[T any](p Policy, s []T, less func(a, b T) bool) {
-	n := len(s)
-	if !p.parallel(n) || n <= sortLeafSize {
+	if !p.parallel(len(s)) || len(s) <= sortLeafSize {
 		slices.SortStableFunc(s, lessToCmp(less))
 		return
 	}
-	tmp := make([]T, n)
-	parallelMergeSort(p, s, tmp, less, mergeDepth(p.workers()), true)
+	parallelSort(p, s, lessKernels[T]{less, true})
 }
+
+// sortKernels is the element-level work under the parallel mergesort
+// recursion. The recursion stops splitting at sortLeafSize elements and
+// calls a kernel once per leaf, merge block or split point, so the
+// indirect call is amortised over thousands of elements while the
+// per-element comparison lives inside the kernel.
+type sortKernels[T any] interface {
+	leaf(s []T)                // sequential leaf sort
+	merge(dst, a, b []T)       // sequential stable merge of sorted a and b
+	lowerBound(s []T, v T) int // first i with !(s[i] < v)
+	upperBound(s []T, v T) int // first i with v < s[i]
+}
+
+// orderedKernels compare with cmp.Less inline. They carry no state, so
+// using them allocates nothing.
+type orderedKernels[T cmp.Ordered] struct{}
+
+func (orderedKernels[T]) leaf(s []T) { slices.Sort(s) }
+
+func (orderedKernels[T]) merge(dst, a, b []T) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if cmp.Less(b[j], a[i]) {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+}
+
+func (orderedKernels[T]) lowerBound(s []T, v T) int {
+	i, _ := slices.BinarySearch(s, v)
+	return i
+}
+
+// upperBound bisects rather than scanning forward from the lower bound,
+// which would cost O(duplicates).
+func (orderedKernels[T]) upperBound(s []T, v T) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if cmp.Less(v, s[h]) {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
+}
+
+// lessKernels call the caller's less for every comparison.
+type lessKernels[T any] struct {
+	less   func(a, b T) bool
+	stable bool
+}
+
+func (k lessKernels[T]) leaf(s []T) {
+	if k.stable {
+		slices.SortStableFunc(s, lessToCmp(k.less))
+	} else {
+		slices.SortFunc(s, lessToCmp(k.less))
+	}
+}
+
+func (k lessKernels[T]) merge(dst, a, b []T) { seqMerge(dst, a, b, k.less) }
+
+func (k lessKernels[T]) lowerBound(s []T, v T) int { return lowerBound(s, v, k.less) }
+
+func (k lessKernels[T]) upperBound(s []T, v T) int { return upperBound(s, v, k.less) }
 
 // lessToCmp adapts a less predicate to the three-way comparison the slices
 // package expects. Equality is reported as 0 via double negation, which is
@@ -70,26 +147,28 @@ func mergeDepth(workers int) int {
 	return d + 1 // one extra level so stealing has slack to balance
 }
 
+// parallelSort sorts s, which the caller has judged large enough to
+// parallelise, with a merge scratch buffer of the same length.
+func parallelSort[T any, K sortKernels[T]](p Policy, s []T, k K) {
+	parallelMergeSort(p, s, make([]T, len(s)), k, mergeDepth(p.workers()))
+}
+
 // parallelMergeSort sorts s in place using tmp (same length) as merge
 // scratch.
-func parallelMergeSort[T any](p Policy, s, tmp []T, less func(a, b T) bool, depth int, stable bool) {
+func parallelMergeSort[T any, K sortKernels[T]](p Policy, s, tmp []T, k K, depth int) {
 	if p.Canceled() {
 		return // abandon the subtree; the result is discarded by contract
 	}
 	if depth == 0 || len(s) <= sortLeafSize {
-		if stable {
-			slices.SortStableFunc(s, lessToCmp(less))
-		} else {
-			slices.SortFunc(s, lessToCmp(less))
-		}
+		k.leaf(s)
 		return
 	}
 	mid := len(s) / 2
 	p.pool().Do(
-		func() { parallelMergeSort(p, s[:mid], tmp[:mid], less, depth-1, stable) },
-		func() { parallelMergeSort(p, s[mid:], tmp[mid:], less, depth-1, stable) },
+		func() { parallelMergeSort(p, s[:mid], tmp[:mid], k, depth-1) },
+		func() { parallelMergeSort(p, s[mid:], tmp[mid:], k, depth-1) },
 	)
-	parallelMergeInto(p, tmp, s[:mid], s[mid:], less, depth)
+	parallelMergeInto(p, tmp, s[:mid], s[mid:], k, depth)
 	copyChunked(p, s, tmp)
 }
 
@@ -113,7 +192,7 @@ func Merge[T any](p Policy, dst, a, b []T, less func(x, y T) bool) {
 		seqMerge(dst, a, b, less)
 		return
 	}
-	parallelMergeInto(p, dst, a, b, less, mergeDepth(p.workers()))
+	parallelMergeInto(p, dst, a, b, lessKernels[T]{less: less}, mergeDepth(p.workers()))
 }
 
 // parallelMergeInto recursively splits the larger input at its median,
@@ -122,32 +201,32 @@ func Merge[T any](p Policy, dst, a, b []T, less func(x, y T) bool) {
 // Stability (equal elements of a before equal elements of b) is preserved
 // by the asymmetric split rules: splitting on a's median uses lower_bound
 // in b, splitting on b's median uses upper_bound in a.
-func parallelMergeInto[T any](p Policy, dst, a, b []T, less func(x, y T) bool, depth int) {
+func parallelMergeInto[T any, K sortKernels[T]](p Policy, dst, a, b []T, k K, depth int) {
 	if p.Canceled() {
 		return
 	}
 	if depth <= 0 || len(a)+len(b) <= sortLeafSize {
-		seqMerge(dst, a, b, less)
+		k.merge(dst, a, b)
 		return
 	}
 	if len(a) >= len(b) {
 		ma := len(a) / 2
 		pivot := a[ma]
-		mb := lowerBound(b, pivot, less) // b-elements equal to pivot go right of it
+		mb := k.lowerBound(b, pivot) // b-elements equal to pivot go right of it
 		dst[ma+mb] = pivot
 		p.pool().Do(
-			func() { parallelMergeInto(p, dst[:ma+mb], a[:ma], b[:mb], less, depth-1) },
-			func() { parallelMergeInto(p, dst[ma+mb+1:], a[ma+1:], b[mb:], less, depth-1) },
+			func() { parallelMergeInto(p, dst[:ma+mb], a[:ma], b[:mb], k, depth-1) },
+			func() { parallelMergeInto(p, dst[ma+mb+1:], a[ma+1:], b[mb:], k, depth-1) },
 		)
 		return
 	}
 	mb := len(b) / 2
 	pivot := b[mb]
-	ma := upperBound(a, pivot, less) // a-elements equal to pivot go left of it
+	ma := k.upperBound(a, pivot) // a-elements equal to pivot go left of it
 	dst[ma+mb] = pivot
 	p.pool().Do(
-		func() { parallelMergeInto(p, dst[:ma+mb], a[:ma], b[:mb], less, depth-1) },
-		func() { parallelMergeInto(p, dst[ma+mb+1:], a[ma:], b[mb+1:], less, depth-1) },
+		func() { parallelMergeInto(p, dst[:ma+mb], a[:ma], b[:mb], k, depth-1) },
+		func() { parallelMergeInto(p, dst[ma+mb+1:], a[ma:], b[mb+1:], k, depth-1) },
 	)
 }
 

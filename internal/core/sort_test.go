@@ -1,9 +1,16 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"pstlbench/internal/exec"
+	"pstlbench/internal/native"
 )
 
 func shuffledPermutation(rng *rand.Rand, n int) []int {
@@ -295,4 +302,245 @@ func TestSortLargeUnderFineGrain(t *testing.T) {
 			}
 		}
 	})
+}
+
+// sortParityPolicies are the policies the ordered-sort parity tests run
+// under: Seq, a 1-worker pool (which takes the sequential path), and 2- and
+// 4-worker pools (which run the parallel recursion).
+func sortParityPolicies() []policyCase {
+	cases := []policyCase{{"seq", func(*testing.T) Policy { return Seq() }}}
+	for _, w := range []int{1, 2, 4} {
+		cases = append(cases, policyCase{fmt.Sprintf("%dw", w), poolPolicy(native.StrategyStealing, w, exec.Auto)})
+	}
+	return cases
+}
+
+// sortParitySizes straddle the leaf size and reach two and eight levels of
+// parallel merging.
+var sortParitySizes = []int{0, 1, sortLeafSize - 1, sortLeafSize, sortLeafSize + 1, 1<<16 + 3, 1 << 20}
+
+// sortParityInputs returns named integer patterns of length n. At 2^20 only
+// the heavy-duplicate pattern runs, to keep the suite fast.
+func sortParityInputs(rng *rand.Rand, n int) map[string][]int {
+	gen := func(f func(i int) int) []int {
+		s := make([]int, n)
+		for i := range s {
+			s[i] = f(i)
+		}
+		return s
+	}
+	in := map[string][]int{"dups": gen(func(int) int { return rng.Intn(16) })}
+	if n < 1<<20 {
+		in["equal"] = gen(func(int) int { return 7 })
+		in["sorted"] = gen(func(i int) int { return i })
+		in["reversed"] = gen(func(i int) int { return n - i })
+	}
+	return in
+}
+
+// checkSortParity sorts a copy of in with Sort under p and compares it
+// element by element with want, in sorted by slices.Sort, using
+// cmp.Compare so that NaNs match NaNs.
+func checkSortParity[T cmp.Ordered](t *testing.T, p Policy, in, want []T) {
+	t.Helper()
+	got := slices.Clone(in)
+	Sort(p, got)
+	for i := range want {
+		if cmp.Compare(got[i], want[i]) != 0 {
+			t.Fatalf("n=%d: Sort[%d] = %v, slices.Sort = %v", len(in), i, got[i], want[i])
+		}
+	}
+}
+
+// slicesSorted returns a copy of s sorted by slices.Sort, the reference.
+func slicesSorted[T cmp.Ordered](s []T) []T {
+	s = slices.Clone(s)
+	slices.Sort(s)
+	return s
+}
+
+func TestSortOrderedMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	policies := sortParityPolicies()
+	for _, n := range sortParitySizes {
+		for kind, ints := range sortParityInputs(rng, n) {
+			floats := make([]float64, n)
+			strs := make([]string, n)
+			for i, v := range ints {
+				floats[i] = float64(v)
+				strs[i] = fmt.Sprintf("%08d", v)
+			}
+			wantInts, wantFloats, wantStrs := slicesSorted(ints), slicesSorted(floats), slicesSorted(strs)
+			for _, pc := range policies {
+				t.Run(fmt.Sprintf("n=%d/%s/%s", n, kind, pc.name), func(t *testing.T) {
+					p := pc.mk(t)
+					checkSortParity(t, p, ints, wantInts)
+					checkSortParity(t, p, floats, wantFloats)
+					checkSortParity(t, p, strs, wantStrs)
+				})
+			}
+		}
+	}
+}
+
+// TestSortOrderedNaNsFirst pins the cmp.Less order for floats: NaNs come
+// first, then the rest ascending with infinities at the ends.
+func TestSortOrderedNaNsFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, n := range sortParitySizes {
+		in := make([]float64, n)
+		nans := 0
+		for i := range in {
+			switch i % 11 {
+			case 0:
+				in[i] = math.NaN()
+				nans++
+			case 5:
+				in[i] = math.Inf(1 - 2*(i%2))
+			default:
+				in[i] = float64(rng.Intn(100))
+			}
+		}
+		want := slicesSorted(in)
+		for _, pc := range sortParityPolicies() {
+			t.Run(fmt.Sprintf("n=%d/%s", n, pc.name), func(t *testing.T) {
+				p := pc.mk(t)
+				checkSortParity(t, p, in, want)
+				s := slices.Clone(in)
+				Sort(p, s)
+				for i, v := range s {
+					if math.IsNaN(v) != (i < nans) {
+						t.Fatalf("s[%d] = %v with %d NaNs: NaNs must come first", i, v, nans)
+					}
+					if i > nans && s[i-1] > v {
+						t.Fatalf("s[%d] = %v after %v: not ascending", i, v, s[i-1])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSortAllocs pins that the ordered sort allocates nothing up to the leaf
+// size, and on the parallel path no more than SortFunc with a capture-free
+// less: the ordered kernels carry no state to allocate.
+func TestSortAllocs(t *testing.T) {
+	pool := native.New(2, native.StrategyStealing)
+	defer pool.Close()
+	par := Par(pool)
+	rng := rand.New(rand.NewSource(73))
+	fill := func(n int) (in, buf []float64) {
+		in = make([]float64, n)
+		for i := range in {
+			in[i] = rng.Float64()
+		}
+		return in, make([]float64, n)
+	}
+	for _, n := range []int{2, 100, sortLeafSize} {
+		in, buf := fill(n)
+		for name, p := range map[string]Policy{"seq": Seq(), "2w": par} {
+			if a := testing.AllocsPerRun(20, func() { copy(buf, in); Sort(p, buf) }); a != 0 {
+				t.Errorf("%s n=%d: Sort allocates %v per call, want 0", name, n, a)
+			}
+		}
+	}
+	in, buf := fill(1 << 16)
+	ordered := testing.AllocsPerRun(20, func() { copy(buf, in); Sort(par, buf) })
+	byFunc := testing.AllocsPerRun(20, func() {
+		copy(buf, in)
+		SortFunc(par, buf, func(a, b float64) bool { return a < b })
+	})
+	if ordered > byFunc {
+		t.Errorf("parallel Sort allocates %v per call, SortFunc %v", ordered, byFunc)
+	}
+}
+
+// fuzzFloats decodes fuzz bytes into a float slice: the first two bytes
+// give the length (up to 65535, past the parallel cut-off), the rest a
+// value pattern repeated to fill it. Pattern bytes 0xfc..0xff decode to
+// -0, -Inf, +Inf and NaN; the others to small integers, so duplicates are
+// common. Each repetition shifts the pattern by one so repeats differ.
+func fuzzFloats(data []byte) []float64 {
+	if len(data) < 3 {
+		return nil
+	}
+	n, pat := int(binary.LittleEndian.Uint16(data)), data[2:]
+	s := make([]float64, n)
+	for i := range s {
+		switch b := pat[i%len(pat)] + byte(i/len(pat)); b {
+		case 0xff:
+			s[i] = math.NaN()
+		case 0xfe:
+			s[i] = math.Inf(1)
+		case 0xfd:
+			s[i] = math.Inf(-1)
+		case 0xfc:
+			s[i] = math.Copysign(0, -1)
+		default:
+			s[i] = float64(int8(b))
+		}
+	}
+	return s
+}
+
+func FuzzSortOrdered(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 0xff, 1, 0xfe})                            // NaN, 1, +Inf
+	f.Add([]byte{0x03, 0x00, 0xff, 0xff, 0x80, 0x7f, 0xfd, 0xfe}) // NaN, NaN, -128
+	f.Add([]byte{0x00, 0x10, 0xff, 0xfe, 0xfd, 0xfc, 0, 1, 1, 2}) // 4096: leaf size
+	f.Add([]byte{0x01, 0x10, 7, 0xff, 7, 0xfc, 0})                // 4097: parallel
+	f.Add([]byte{0x34, 0x92, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0xfc}) // 37428: descending runs
+	f.Add([]byte{0xff, 0xff, 0x42})                               // 65535: every byte value
+	pool := native.New(2, native.StrategyStealing)
+	f.Cleanup(pool.Close)
+	p := Par(pool)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzFloats(data)
+		checkSortParity(t, p, in, slicesSorted(in))
+	})
+}
+
+// BenchmarkSort times ordered Sort against SortFunc with the same order at
+// three shapes: 2^10 on Seq, 2^16 on a 1-worker pool (a pstld sort job's
+// shape, which takes the sequential path), and 2^22 on 2 workers (the
+// parallel recursion beyond the last-level cache). Each iteration restores
+// the input inside the timed loop, because StopTimer's memstats read would
+// swamp the microsecond-scale calls.
+func BenchmarkSort(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		n, workers int
+	}{
+		{"seq/n=1024", 1 << 10, 0},
+		{"1w/n=65536", 1 << 16, 1},
+		{"2w/n=4194304", 1 << 22, 2},
+	} {
+		p := Seq()
+		if c.workers > 0 {
+			pool := native.New(c.workers, native.StrategyStealing)
+			defer pool.Close()
+			p = Par(pool)
+		}
+		rng := rand.New(rand.NewSource(79))
+		in := make([]float64, c.n)
+		for i := range in {
+			in[i] = rng.Float64()
+		}
+		buf := make([]float64, c.n)
+		for _, k := range []struct {
+			name string
+			sort func()
+		}{
+			{"ordered", func() { Sort(p, buf) }},
+			{"func", func() { SortFunc(p, buf, func(x, y float64) bool { return x < y }) }},
+		} {
+			b.Run(c.name+"/"+k.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(buf, in)
+					k.sort()
+				}
+				b.ReportMetric(float64(c.n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+			})
+		}
+	}
 }

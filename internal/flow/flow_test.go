@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -559,5 +560,59 @@ func TestFnJobSubmitPath(t *testing.T) {
 	}
 	if _, err := srv.Submit(serve.Spec{Kernel: "flow:test", N: 100}); err == nil {
 		t.Fatal("unknown kernel without Fn accepted")
+	}
+}
+
+// TestClosedStreamsReleaseBuffers pins that a closed stream, which the
+// engine keeps for Stats, drops its pending-window queue and open-window
+// index: heap growth over many add/close rounds stays below what the
+// PendingWindows-sized queues alone would add, and a closed stream still
+// answers Push, Flush and Stats without panicking or moving its counts.
+func TestClosedStreamsReleaseBuffers(t *testing.T) {
+	const streams = 256
+	// A closed stream keeps its struct, metric series and counters (about
+	// 20 KiB of heap in use); a retained 4096-slot queue alone adds 32 KiB.
+	const perStreamBound = 32 << 10
+	e, _ := newTestEngine(t, serve.Config{Workers: 2}, Config{ResultCap: -1})
+	heapInuse := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	before := heapInuse()
+	for i := 0; i < streams; i++ {
+		s, err := e.AddStream(StreamConfig{
+			Name:   "s" + strconv.Itoa(i),
+			Window: WindowSpec{Size: 100, Slide: 25}, Op: OpSpec{Kind: "reduce"},
+			PendingWindows: 4096,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ts := int64(0); ts < 1000; ts += 10 {
+			s.Push(Event{TS: ts, Val: 1})
+		}
+		s.Close()
+	}
+	if growth := heapInuse() - before; growth > streams*perStreamBound {
+		t.Fatalf("heap in use grew %d KiB over %d closed streams, bound %d KiB",
+			growth>>10, streams, streams*perStreamBound>>10)
+	}
+	for _, s := range e.Streams() {
+		want := s.Stats()
+		if got := s.Push(Event{TS: 5000, Val: 1}); got != PushPaused {
+			t.Fatalf("%s: push after close = %v, want PushPaused", want.Stream, got)
+		}
+		want.PausedEvents++
+		s.Flush()
+		got := s.Stats()
+		want.WatermarkLagSeconds, got.WatermarkLagSeconds = 0, 0
+		if got != want {
+			t.Fatalf("%s: stats moved after close:\n got %+v\nwant %+v", want.Stream, got, want)
+		}
+		if got.Events != 100 || got.WindowsClosed == 0 || got.Buffered != 0 {
+			t.Fatalf("%s: unexpected closed-stream stats %+v", want.Stream, got)
+		}
 	}
 }

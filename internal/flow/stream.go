@@ -462,6 +462,12 @@ func (s *Stream) Close() {
 	s.mu.Unlock()
 	s.drainWG.Wait()
 	s.jobWG.Wait()
+	// The engine keeps closed streams for Stats, so release the buffers
+	// only open streams use. Push returns on closed before touching them,
+	// and Flush finds no open windows to close or emit.
+	s.mu.Lock()
+	s.open, s.starts, s.scratch, s.closedQ = nil, nil, nil, nil
+	s.mu.Unlock()
 }
 
 // StreamStats is a consistent snapshot of one stream's accounting.
