@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: all vet build test perfbench race bench fusion serve shard obs cluster stream loadgen check
+.PHONY: all fmt vet build test perfbench race bench fusion serve shard obs cluster stream loadgen check
 
 all: check
+
+# Fails when any Go file is not gofmt-formatted; CI runs the same gate.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -87,4 +91,4 @@ loadgen:
 	$(GO) run ./cmd/pstld -loadgen -duration 2s -sched wfq \
 		-spec "big:1:sort:1048576:4,small:1:reduce:65536:2"
 
-check: vet build test perfbench race
+check: fmt vet build test perfbench race

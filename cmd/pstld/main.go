@@ -89,7 +89,6 @@ func main() {
 		maxConc  = flag.Int("max-concurrent", 1, "jobs running on the pool at once")
 		weights  = flag.String("weights", "", "per-tenant WFQ weights, e.g. gold=3,bronze=1")
 		smallMax = flag.Int("small-job-max", 0, "batch same-tenant jobs of n <= this into one pool submission (0 disables)")
-		batchMax = flag.Int("batch-max", 16, "max jobs coalesced into one batched submission")
 		shards   = flag.Int("shards", 1, "server shards behind the consistent-hash router (1 = single server, no router)")
 		joblog   = flag.String("joblog", "", "append-only job log path for restart-safe serving (enables the router)")
 		quota    = flag.Int("quota", 0, "per-tenant queued-job quota (0 disables)")
@@ -133,7 +132,6 @@ func main() {
 		MaxConcurrent: *maxConc,
 		Weights:       parseWeights(*weights),
 		SmallJobMax:   *smallMax,
-		BatchMax:      *batchMax,
 		TenantQuota:   *quota,
 		RetainDone:    *retain,
 		SLOObjective:  *slo,
@@ -181,7 +179,7 @@ func main() {
 			cm := obs.NewClusterMetrics(metrics)
 			dial := func(url string) (shard.ShardHandle, error) {
 				return cluster.NewRemoteShard(cluster.RemoteConfig{
-					Client: cluster.ClientConfig{BaseURL: url, Metrics: cm, Peer: url},
+					Client: cluster.ClientConfig{BaseURL: url, Metrics: cm},
 				}), nil
 			}
 			for _, u := range strings.Split(*peers, ",") {

@@ -36,18 +36,19 @@ type ClientConfig struct {
 	// gets (default 3). Non-idempotent requests (withdraw) never retry.
 	Retries int
 	// BackoffBase is the first retry's backoff (default 25ms); each
-	// further retry doubles it up to BackoffMax (default 1s), with equal
-	// jitter so synchronized retry storms decorrelate.
+	// further retry doubles it up to backoffMax, with equal jitter so
+	// synchronized retry storms decorrelate.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Transport, when non-nil, replaces http.DefaultTransport — the fault-
 	// injection hook the retry tests use.
 	Transport http.RoundTripper
-	// Metrics, when non-nil, receives the transport counters; Peer labels
-	// them (defaults to BaseURL).
+	// Metrics, when non-nil, receives the transport counters, labeled by
+	// BaseURL.
 	Metrics *obs.ClusterMetrics
-	Peer    string
 }
+
+// backoffMax caps the retry backoff.
+const backoffMax = time.Second
 
 // Client is a typed HTTP client for one worker's serve surface.
 type Client struct {
@@ -56,7 +57,6 @@ type Client struct {
 	timeout     time.Duration
 	retries     int
 	backoffBase time.Duration
-	backoffMax  time.Duration
 	retriesC    *obs.Counter
 	timeoutsC   *obs.Counter
 }
@@ -74,16 +74,9 @@ func NewClient(cfg ClientConfig) *Client {
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 25 * time.Millisecond
 	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = time.Second
-	}
 	tr := cfg.Transport
 	if tr == nil {
 		tr = http.DefaultTransport
-	}
-	peer := cfg.Peer
-	if peer == "" {
-		peer = cfg.BaseURL
 	}
 	return &Client{
 		base:        cfg.BaseURL,
@@ -91,9 +84,8 @@ func NewClient(cfg ClientConfig) *Client {
 		timeout:     cfg.Timeout,
 		retries:     cfg.Retries,
 		backoffBase: cfg.BackoffBase,
-		backoffMax:  cfg.BackoffMax,
-		retriesC:    cfg.Metrics.Retries(peer),
-		timeoutsC:   cfg.Metrics.Timeouts(peer),
+		retriesC:    cfg.Metrics.Retries(cfg.BaseURL),
+		timeoutsC:   cfg.Metrics.Timeouts(cfg.BaseURL),
 	}
 }
 
@@ -160,11 +152,11 @@ func (c *Client) once(method, path string, reqBody []byte) (int, []byte, error) 
 }
 
 // backoff returns the a'th retry's delay: exponential with equal jitter
-// (half fixed, half uniform), capped at BackoffMax.
+// (half fixed, half uniform), capped at backoffMax.
 func (c *Client) backoff(a int) time.Duration {
 	d := c.backoffBase << (a - 1)
-	if d > c.backoffMax || d <= 0 {
-		d = c.backoffMax
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	half := int64(d) / 2
 	return time.Duration(half + rand.Int63n(half+1))

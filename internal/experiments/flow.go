@@ -115,7 +115,7 @@ func flowReplayAudit(cfg Config, rep *Report) {
 		}
 	}
 	t := &report.Table{
-		Title: fmt.Sprintf("deterministic replay vs sequential oracle: %d-event out-of-order trace (jitter, every 97th event 4 windows late), exact comparison of all counts and per-window checksums", n),
+		Title:   fmt.Sprintf("deterministic replay vs sequential oracle: %d-event out-of-order trace (jitter, every 97th event 4 windows late), exact comparison of all counts and per-window checksums", n),
 		Headers: []string{"op", "windowing", "events", "late", "assigned", "windows", "empty", "peak buf", "checksum", "verdict"},
 	}
 	for _, r := range rows {

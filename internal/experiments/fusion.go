@@ -227,7 +227,7 @@ func fusionBatched(cfg Config, rep *Report) {
 	perJob := func(smallMax int) float64 {
 		s := serve.New(serve.Config{
 			Workers: 4, MaxConcurrent: 1, QueueCap: jobs + 8,
-			SmallJobMax: smallMax, BatchMax: 16,
+			SmallJobMax: smallMax,
 		})
 		defer s.Close()
 		// A short blocker lets the queue fill before dispatch decisions run.

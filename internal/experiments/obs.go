@@ -72,7 +72,7 @@ func obsAttribution(rep *Report) {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("attribution run skipped: %v", err))
 		return
 	}
-	ring := shard.NewRing(2, 0)
+	ring := shard.NewRing(2)
 	hot := tenantOn(ring, 0, "hot")
 	probe0 := tenantOn(ring, 0, "probe-hot")
 	probe1 := tenantOn(ring, 1, "probe-cold")

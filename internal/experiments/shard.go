@@ -48,8 +48,8 @@ func shardPlacement(rep *Report) {
 		Headers: []string{"shards", "min share", "max share", "ideal", "remapped to +1 shard", "ideal remap"},
 	}
 	for _, n := range []int{2, 4, 8} {
-		ring := shard.NewRing(n, 0)
-		grown := shard.NewRing(n+1, 0)
+		ring := shard.NewRing(n)
+		grown := shard.NewRing(n + 1)
 		counts := make([]int, n)
 		moved := 0
 		for i := 0; i < tenants; i++ {
@@ -117,7 +117,7 @@ func shardScaling(cfg Config, rep *Report) {
 	scale4 := 0.0
 	lightRatio4 := 0.0
 	for _, shards := range []int{1, 2, 4} {
-		ring := shard.NewRing(shards, 0)
+		ring := shard.NewRing(shards)
 		perShard := make([][]dsStream, shards)
 		for _, st := range streams {
 			home := ring.Shard(st.tenant)

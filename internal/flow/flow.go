@@ -228,13 +228,14 @@ func (e *Engine) Close() {
 func (e *Engine) submitWindow(s *Stream, w *Window) {
 	op := s.cfg.Op
 	evs := w.Events
+	// No ID: serve assigns a fresh one. A window start is not unique — an
+	// event in a flushed window's range reopens that start — and a reused
+	// ID would hit serve's dedup and report the flushed window's job.
 	spec := serve.Spec{
-		ID:       fmt.Sprintf("%s-w%d", s.cfg.Name, w.Start),
-		Kernel:   "flow:" + op.Kind,
-		N:        op.jobCost(len(evs)),
-		Tenant:   s.cfg.Tenant,
-		Deadline: s.cfg.JobDeadline,
-		Fn:       func(p core.Policy) float64 { return op.Apply(p, evs) },
+		Kernel: "flow:" + op.Kind,
+		N:      op.jobCost(len(evs)),
+		Tenant: s.cfg.Tenant,
+		Fn:     func(p core.Policy) float64 { return op.Apply(p, evs) },
 	}
 	var j *serve.Job
 	var err error
@@ -243,10 +244,10 @@ func (e *Engine) submitWindow(s *Stream, w *Window) {
 		if err == nil {
 			break
 		}
-		if sat, ok := err.(*serve.SaturatedError); ok && attempt < s.cfg.SubmitRetries {
+		if sat, ok := err.(*serve.SaturatedError); ok && attempt < submitRetries {
 			d := sat.RetryAfter
-			if d > s.cfg.RetrySleepMax {
-				d = s.cfg.RetrySleepMax
+			if d > retrySleepMax {
+				d = retrySleepMax
 			}
 			if d <= 0 {
 				d = time.Millisecond

@@ -3,6 +3,7 @@ package flow
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
@@ -68,9 +69,9 @@ func TestReplayMatchesAuditExactly(t *testing.T) {
 		{"tumbling-reduce", WindowSpec{Size: 100, Lateness: 20}, OpSpec{Kind: "reduce"}},
 		{"tumbling-scan", WindowSpec{Size: 100, Lateness: 20}, OpSpec{Kind: "scan"}},
 		{"tumbling-sort", WindowSpec{Size: 100, Lateness: 0}, OpSpec{Kind: "sort"}},
-		{"tumbling-topk", WindowSpec{Size: 100, Lateness: 20}, OpSpec{Kind: "topk", K: 4}},
+		{"tumbling-topk", WindowSpec{Size: 100, Lateness: 20}, OpSpec{Kind: "topk"}},
 		{"tumbling-wordcount", WindowSpec{Size: 100, Lateness: 20}, OpSpec{Kind: "wordcount"}},
-		{"tumbling-montecarlo", WindowSpec{Size: 200, Lateness: 20}, OpSpec{Kind: "montecarlo", Samples: 8}},
+		{"tumbling-montecarlo", WindowSpec{Size: 200, Lateness: 20}, OpSpec{Kind: "montecarlo"}},
 		{"sliding-reduce", WindowSpec{Size: 100, Slide: 25, Lateness: 20}, OpSpec{Kind: "reduce"}},
 		{"sliding-wordcount", WindowSpec{Size: 100, Slide: 50, Lateness: 10}, OpSpec{Kind: "wordcount"}},
 	} {
@@ -329,12 +330,52 @@ func TestStreamSharesPoolWithBatchTenant(t *testing.T) {
 	}
 }
 
+// TestFlushedWindowRangeReopens is the regression test for window job
+// identity: Flush leaves the stream usable, so an event inside a flushed
+// window's range opens a new window with the same start. That window is a
+// new job and must report its own events, not the flushed window's result.
+func TestFlushedWindowRangeReopens(t *testing.T) {
+	e, _ := newTestEngine(t, serve.Config{}, Config{})
+	s, err := e.AddStream(StreamConfig{
+		Name: "f", Window: WindowSpec{Size: 100}, Op: OpSpec{Kind: "reduce"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Push(Event{TS: 10, Val: 1})
+	s.Flush()
+	s.Push(Event{TS: 20, Val: 5})
+	s.Push(Event{TS: 30, Val: 7})
+	s.Close()
+
+	results := e.Results()
+	if len(results) != 2 {
+		t.Fatalf("%d window results, want 2: %+v", len(results), results)
+	}
+	sums := map[int]float64{}
+	for _, r := range results {
+		if r.Start != 0 || r.State != "done" || !r.Flushed {
+			t.Fatalf("window result %+v, want a done flushed window at start 0", r)
+		}
+		sums[r.Events] = r.Checksum
+	}
+	if sums[1] != 1 || sums[2] != 12 {
+		t.Fatalf("checksums by event count %v, want 1 event -> 1 and 2 events -> 12", sums)
+	}
+	if st := s.Stats(); st.WindowsDone != 2 || st.Checksum != 13 {
+		t.Fatalf("done %d checksum %v, want 2 and 13", st.WindowsDone, st.Checksum)
+	}
+}
+
 // TestDroppedWindowsDoNotPullLatencyDown overflows PendingWindows behind a
 // stalled server. The overflow drops windows about 0 µs after they close;
 // only done windows may feed the latency quantiles, or overload would
 // read as a latency improvement.
 func TestDroppedWindowsDoNotPullLatencyDown(t *testing.T) {
-	const stall = 50 * time.Millisecond
+	// Well inside the drainer's retry budget: three retries at the 20ms
+	// hint this backlog quotes, so the first window is admitted, not
+	// dropped, once the stall ends.
+	const stall = 30 * time.Millisecond
 	e, srv := newTestEngine(t, serve.Config{Workers: 1, MaxConcurrent: 1, QueueCap: 1}, Config{})
 	release := make(chan struct{})
 	blocker := func(core.Policy) float64 { <-release; return 0 }
@@ -347,7 +388,7 @@ func TestDroppedWindowsDoNotPullLatencyDown(t *testing.T) {
 	}
 	s, err := e.AddStream(StreamConfig{
 		Name: "o", Window: WindowSpec{Size: 10}, Op: OpSpec{Kind: "reduce"},
-		PendingWindows: 2, SubmitRetries: 1 << 20, RetrySleepMax: time.Millisecond,
+		PendingWindows: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -508,6 +549,61 @@ func TestHTTPIngest(t *testing.T) {
 	}
 }
 
+// ingestBody returns an IngestRequest of 1024 keyed events whose JSON
+// encoding is exactly size bytes.
+func ingestBody(t *testing.T, size int) []byte {
+	t.Helper()
+	evs := make([]Event, 1024)
+	for i := range evs {
+		evs[i] = Event{TS: 10, Val: 1}
+	}
+	body, _ := json.Marshal(IngestRequest{Events: evs})
+	key := strings.Repeat("k", (size-len(body))/len(evs)-len(`,"key":""`))
+	for i := range evs {
+		evs[i].Key = key
+	}
+	body, _ = json.Marshal(IngestRequest{Events: evs})
+	evs[0].Key += strings.Repeat("k", size-len(body))
+	body, _ = json.Marshal(IngestRequest{Events: evs})
+	if len(body) != size {
+		t.Fatalf("ingest body is %d bytes, want %d", len(body), size)
+	}
+	return body
+}
+
+// TestHTTPIngestBodyCap: a batch at serve.MaxBodyBytes is ingested whole;
+// one byte more is refused with 413 and pushes nothing.
+func TestHTTPIngestBodyCap(t *testing.T) {
+	e, _ := newTestEngine(t, serve.Config{}, Config{})
+	s, err := e.AddStream(StreamConfig{
+		Name: "big", Window: WindowSpec{Size: 100}, Op: OpSpec{Kind: "reduce"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+	post := func(body []byte) (int, IngestResponse) {
+		resp, err := srv.Client().Post(srv.URL+"/streams/big/events", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ing IngestResponse
+		json.NewDecoder(resp.Body).Decode(&ing)
+		return resp.StatusCode, ing
+	}
+	if status, ing := post(ingestBody(t, serve.MaxBodyBytes)); status != 200 || ing.Accepted != 1024 {
+		t.Fatalf("batch at the cap: status %d, accepted %d; want 200 and 1024", status, ing.Accepted)
+	}
+	if status, _ := post(ingestBody(t, serve.MaxBodyBytes+1)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch past the cap: status %d, want 413", status)
+	}
+	if st := s.Stats(); st.Events != 1024 {
+		t.Fatalf("events %d, want only the 1024 of the batch at the cap", st.Events)
+	}
+}
+
 // TestGeneratorHonorsBackpressure runs a wall-clock generator against a
 // tiny paused stream and checks the pause signal reaches the source.
 func TestGeneratorHonorsBackpressure(t *testing.T) {
@@ -523,10 +619,7 @@ func TestGeneratorHonorsBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &Generator{
-		Stream: s, Rate: 20000, Shape: ShapeSteady, Seed: 9,
-		PauseRetry: 100 * time.Microsecond, PauseBudget: 2,
-	}
+	g := &Generator{Stream: s, Rate: 20000, Shape: ShapeSteady, Seed: 9}
 	stop := make(chan struct{})
 	time.AfterFunc(150*time.Millisecond, func() { close(stop) })
 	st := g.Run(stop)

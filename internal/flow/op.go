@@ -15,13 +15,16 @@ type OpSpec struct {
 	// Kind is one of OpKinds: reduce, scan, sort, topk, wordcount,
 	// montecarlo.
 	Kind string
-	// K is the top-k depth (topk only; default 8).
-	K int
-	// Samples is the pseudo-random sample count per event (montecarlo
-	// only; default 64). It scales the per-event compute cost, which the
-	// WFQ admission cost accounts for via jobCost.
-	Samples int
 }
+
+const (
+	// topK is the topk operator's depth.
+	topK = 8
+	// mcSamples is the montecarlo operator's pseudo-random sample count
+	// per event. It scales the per-event compute cost, which the WFQ
+	// admission cost accounts for via jobCost.
+	mcSamples = 64
+)
 
 // OpKinds lists the windowed operators in stable order.
 func OpKinds() []string {
@@ -39,22 +42,16 @@ func (o OpSpec) withDefaults() (OpSpec, error) {
 	if !ok {
 		return o, fmt.Errorf("flow: unknown op %q (want one of %v)", o.Kind, OpKinds())
 	}
-	if o.K <= 0 {
-		o.K = 8
-	}
-	if o.Samples <= 0 {
-		o.Samples = 64
-	}
 	return o, nil
 }
 
 // jobCost is the WFQ cost estimate for a window of n events — element
-// count for the element-sweep operators, n×Samples for montecarlo, whose
+// count for the element-sweep operators, n×mcSamples for montecarlo, whose
 // service time scales with the sample loop, not the event count.
 func (o OpSpec) jobCost(n int) int {
 	c := n
 	if o.Kind == "montecarlo" {
-		c = n * o.Samples
+		c = n * mcSamples
 	}
 	if c < 1 {
 		c = 1
@@ -83,7 +80,7 @@ func (o OpSpec) Apply(p core.Policy, evs []Event) float64 {
 		values(evs).Sort(p, dst, func(a, b float64) bool { return a < b })
 		return dst[0] + dst[n/2] + dst[n-1]
 	case "topk":
-		k := o.K
+		k := topK
 		if k > n {
 			k = n
 		}
@@ -108,14 +105,13 @@ func (o OpSpec) Apply(p core.Policy, evs []Event) float64 {
 		}
 		return sum
 	case "montecarlo":
-		samples := o.Samples
 		// Per-event pi-estimator: each event seeds an LCG from its
-		// timestamp and draws `samples` points in the unit square; the
+		// timestamp and draws mcSamples points in the unit square; the
 		// checksum is the exact total hit count inside the quarter circle.
 		hits := pipeline.Sum(p, pipeline.Generate(n, func(i int) float64 {
 			state := uint64(evs[i].TS)*2862933555777941757 + uint64(i)*0x9E3779B97F4A7C15 + 1
 			h := 0
-			for s := 0; s < samples; s++ {
+			for s := 0; s < mcSamples; s++ {
 				state = state*6364136223846793005 + 1442695040888963407
 				x := float64(state>>40) / float64(1<<24)
 				state = state*6364136223846793005 + 1442695040888963407

@@ -108,12 +108,15 @@ type Generator struct {
 	// min-of-two-uniforms, so low-index words are ~2x more frequent —
 	// a mild skew for the wordcount operator.
 	Words int
-	// PauseRetry is the sleep after a PushPaused before retrying
-	// (default 200µs); PauseBudget bounds retries per event (default 50)
-	// before the event is abandoned as Paused.
-	PauseRetry  time.Duration
-	PauseBudget int
 }
+
+const (
+	// pauseRetry is the Generator's sleep after a PushPaused before
+	// retrying; pauseBudget bounds retries per event before the event is
+	// abandoned as Paused.
+	pauseRetry  = 200 * time.Microsecond
+	pauseBudget = 50
+)
 
 // Run generates until stop is closed and returns the totals. It runs in
 // the caller's goroutine; start one per stream.
@@ -123,12 +126,6 @@ func (g *Generator) Run(stop <-chan struct{}) GenStats {
 	}
 	if g.Burst <= 0 {
 		g.Burst = 4
-	}
-	if g.PauseRetry <= 0 {
-		g.PauseRetry = 200 * time.Microsecond
-	}
-	if g.PauseBudget <= 0 {
-		g.PauseBudget = 50
 	}
 	state := g.Seed
 	if state == 0 {
@@ -168,12 +165,12 @@ func (g *Generator) Run(stop <-chan struct{}) GenStats {
 			case PushPaused:
 				// Honor the backpressure: sleep and retry, bounded.
 				done := false
-				for r := 0; r < g.PauseBudget; r++ {
+				for r := 0; r < pauseBudget; r++ {
 					select {
 					case <-stop:
 						st.Paused++
 						return st
-					case <-time.After(g.PauseRetry):
+					case <-time.After(pauseRetry):
 					}
 					st.PauseRetries++
 					if s := g.Stream.Push(ev); s != PushPaused {

@@ -77,15 +77,15 @@ type StreamConfig struct {
 	// PendingWindows bounds closed windows awaiting admission (default
 	// 32); past it, newly closed windows are dropped and accounted.
 	PendingWindows int
-	// SubmitRetries bounds admission retries on a saturated server before
-	// a closed window is dropped (default 3).
-	SubmitRetries int
-	// RetrySleepMax clamps the per-retry sleep (default 25ms).
-	RetrySleepMax time.Duration
-	// JobDeadline, when positive, bounds each window job's time in the
-	// server; an expired window job counts canceled, not done.
-	JobDeadline time.Duration
 }
+
+const (
+	// submitRetries bounds admission retries on a saturated server before
+	// a closed window is dropped.
+	submitRetries = 3
+	// retrySleepMax clamps the per-retry sleep.
+	retrySleepMax = 25 * time.Millisecond
+)
 
 func (c StreamConfig) withDefaults() (StreamConfig, error) {
 	if c.Name == "" {
@@ -110,14 +110,6 @@ func (c StreamConfig) withDefaults() (StreamConfig, error) {
 	}
 	if c.PendingWindows <= 0 {
 		c.PendingWindows = 32
-	}
-	if c.SubmitRetries < 0 {
-		c.SubmitRetries = 0
-	} else if c.SubmitRetries == 0 {
-		c.SubmitRetries = 3
-	}
-	if c.RetrySleepMax <= 0 {
-		c.RetrySleepMax = 25 * time.Millisecond
 	}
 	return c, nil
 }

@@ -60,11 +60,11 @@ type job struct {
 	body   func(worker, lo, hi int)
 	cancel *exec.Cancel // nil = uncancellable; checked before every chunk
 	n      int          // iteration space size
-	chunks int  // total chunk count
-	parts  int  // scheduled parts (kindStatic / kindBand)
-	base   int  // linear partition: chunk size floor
-	rem    int  // linear partition: first rem chunks get one extra
-	guided bool // guided partition: ranges come from grain.ChunkAt
+	chunks int          // total chunk count
+	parts  int          // scheduled parts (kindStatic / kindBand)
+	base   int          // linear partition: chunk size floor
+	rem    int          // linear partition: first rem chunks get one extra
+	guided bool         // guided partition: ranges come from grain.ChunkAt
 	grain  exec.Grain
 	gw     int // worker count the partition was computed for
 	bands  []chunkBand

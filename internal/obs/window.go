@@ -13,8 +13,6 @@ type WindowConfig struct {
 	Width time.Duration
 	// Count is the number of windows retained (default 16).
 	Count int
-	// Buckets are the histogram upper bounds (default LatencyBuckets).
-	Buckets []float64
 	// Now returns the current time in nanoseconds; defaults to the wall
 	// clock. Tests inject a fake clock to step windows deterministically.
 	Now func() int64
@@ -31,10 +29,9 @@ type WindowConfig struct {
 // Observe takes a short mutex (slot rotation must be atomic with the
 // write) and allocates nothing. A nil *Windows is disabled.
 type Windows struct {
-	width  int64
-	n      int
-	now    func() int64
-	bounds []float64
+	width int64
+	n     int
+	now   func() int64
 
 	mu    sync.Mutex
 	slots []wslot
@@ -55,21 +52,17 @@ func NewWindows(cfg WindowConfig) *Windows {
 	if cfg.Count <= 0 {
 		cfg.Count = 16
 	}
-	if len(cfg.Buckets) == 0 {
-		cfg.Buckets = LatencyBuckets
-	}
 	if cfg.Now == nil {
 		cfg.Now = func() int64 { return time.Now().UnixNano() }
 	}
 	w := &Windows{
-		width:  int64(cfg.Width),
-		n:      cfg.Count,
-		now:    cfg.Now,
-		bounds: cfg.Buckets,
-		slots:  make([]wslot, cfg.Count),
+		width: int64(cfg.Width),
+		n:     cfg.Count,
+		now:   cfg.Now,
+		slots: make([]wslot, cfg.Count),
 	}
 	for i := range w.slots {
-		w.slots[i] = wslot{epoch: -1, counts: make([]int64, len(cfg.Buckets)+1)}
+		w.slots[i] = wslot{epoch: -1, counts: make([]int64, len(LatencyBuckets)+1)}
 	}
 	return w
 }
@@ -99,7 +92,7 @@ func (w *Windows) Observe(v float64) {
 		}
 	}
 	i := 0
-	for i < len(w.bounds) && v > w.bounds[i] {
+	for i < len(LatencyBuckets) && v > LatencyBuckets[i] {
 		i++
 	}
 	s.counts[i]++
@@ -117,8 +110,8 @@ func (w *Windows) Snapshot() HistSnapshot {
 	epoch := w.now() / w.width
 	oldest := epoch - int64(w.n) + 1
 	out := HistSnapshot{
-		Bounds: w.bounds,
-		Counts: make([]int64, len(w.bounds)+1),
+		Bounds: LatencyBuckets,
+		Counts: make([]int64, len(LatencyBuckets)+1),
 	}
 	w.mu.Lock()
 	for si := range w.slots {

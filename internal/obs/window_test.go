@@ -13,11 +13,7 @@ func (c *fakeClock) now() int64              { return c.ns.Load() }
 func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
 
 func testWindows(width time.Duration, count int, clk *fakeClock) *Windows {
-	return NewWindows(WindowConfig{
-		Width: width, Count: count,
-		Buckets: []float64{0.001, 0.01, 0.1, 1, 10},
-		Now:     clk.now,
-	})
+	return NewWindows(WindowConfig{Width: width, Count: count, Now: clk.now})
 }
 
 // TestWindowsLoadStep is the satellite guarantee: a latency step shows up

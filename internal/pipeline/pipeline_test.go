@@ -83,7 +83,7 @@ func TestPropFusedEqualsStagedComposition(t *testing.T) {
 		for i := range src {
 			src[i] = rng.Int63n(1 << 20)
 		}
-		gen := func(i int) int64 { return int64(i)*2654435761 % (1 << 20) }
+		gen := func(i int) int64 { return int64(i) * 2654435761 % (1 << 20) }
 
 		stages := make([]stageSpec, rng.Intn(5))
 		for i := range stages {

@@ -26,7 +26,7 @@ func submitBlocker(t testing.TB, s *Server, n int) *Job {
 func TestBatchedDispatchCorrectness(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 4, MaxConcurrent: 1, QueueCap: 128,
-		SmallJobMax: 1 << 14, BatchMax: 8,
+		SmallJobMax: 1 << 14,
 	})
 	blocker := submitBlocker(t, s, 1<<19)
 	const n = 1 << 10
@@ -61,7 +61,7 @@ func TestBatchedDispatchCorrectness(t *testing.T) {
 func TestBatchRespectsTenantAndSize(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 4, MaxConcurrent: 1, QueueCap: 128,
-		SmallJobMax: 1 << 10, BatchMax: 16,
+		SmallJobMax: 1 << 10,
 	})
 	blocker := submitBlocker(t, s, 1<<19)
 	var jobs []*Job
@@ -96,7 +96,7 @@ func TestBatchRespectsTenantAndSize(t *testing.T) {
 func TestBatchedCancelSemantics(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 4, MaxConcurrent: 1, QueueCap: 128,
-		SmallJobMax: 1 << 12, BatchMax: 16,
+		SmallJobMax: 1 << 12,
 	})
 	blocker := submitBlocker(t, s, 1<<19)
 	var jobs []*Job
@@ -136,7 +136,7 @@ func TestBatchedCancelSemantics(t *testing.T) {
 func TestBatchedSubmitCancelStress(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 4, MaxConcurrent: 2, QueueCap: 64,
-		SmallJobMax: 1 << 13, BatchMax: 8,
+		SmallJobMax: 1 << 13,
 	})
 	const clients = 8
 	iters := 30
@@ -194,7 +194,7 @@ func BenchmarkBatchedDispatch(b *testing.B) {
 	run := func(b *testing.B, smallMax int) {
 		s := New(Config{
 			Workers: 4, MaxConcurrent: 1, QueueCap: 4096,
-			SmallJobMax: smallMax, BatchMax: 16,
+			SmallJobMax: smallMax,
 		})
 		defer s.Close()
 		const jobs = 256

@@ -248,14 +248,25 @@ func WriteSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// ReadJSON decodes a request body into v, answering 400 and returning
-// false when the body is not valid JSON for v.
+// MaxBodyBytes bounds every JSON request body, so one oversized POST
+// cannot exhaust the daemon's memory.
+const MaxBodyBytes = 4 << 20
+
+// ReadJSON decodes a request body into v. It answers 413 and returns false
+// when the body exceeds MaxBodyBytes, and 400 when it is not valid JSON
+// for v.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, status, fmt.Sprintf("bad request body: %v", err))
+	return false
 }
 
 // WriteJSON writes v as a JSON response with the given status.

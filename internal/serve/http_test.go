@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -91,6 +92,29 @@ func TestHTTPBadRequests(t *testing.T) {
 	g.Body.Close()
 	if g.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job status %d, want 404", g.StatusCode)
+	}
+}
+
+// TestHTTPOversizedBodyRejected: a POST body past MaxBodyBytes is refused
+// with 413 and the JSON error envelope, and never becomes a job.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	srv, ts := httpServer(t, Config{})
+	body, _ := json.Marshal(SubmitRequest{Kernel: "reduce", N: 1 << 10,
+		Tenant: strings.Repeat("t", MaxBodyBytes)})
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit status %d, want 413", resp.StatusCode)
+	}
+	var e errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("413 body: %+v, %v; want the error envelope", e, err)
+	}
+	if st := srv.Stats(); st.Accepted != 0 {
+		t.Fatalf("accepted %d jobs from an oversized body", st.Accepted)
 	}
 }
 

@@ -23,11 +23,7 @@ package serve
 // its own lock held, so the GaugeFunc closures below may take Server.mu
 // freely.
 
-import (
-	"time"
-
-	"pstlbench/internal/obs"
-)
+import "pstlbench/internal/obs"
 
 // tenantObs is the per-tenant observability state: cumulative histograms
 // plus the rolling latency windows.
@@ -48,7 +44,6 @@ func (s *Server) initObs(cfg Config) {
 	s.spans = cfg.Spans
 	s.tenantObsM = make(map[string]*tenantObs)
 	s.sloObjective = cfg.SLOObjective
-	s.sloObjectives = cfg.SLOObjectives
 	s.sloTarget = cfg.SLOTarget
 	if s.sloTarget <= 0 || s.sloTarget >= 1 {
 		s.sloTarget = 0.99
@@ -92,14 +87,6 @@ func (s *Server) initObs(cfg Config) {
 		"Jobs coalesced per batched dispatch.", obs.SizeBuckets, l...)
 }
 
-// sloFor returns tenant's latency objective (0 disables).
-func (s *Server) sloFor(tenant string) time.Duration {
-	if d, ok := s.sloObjectives[tenant]; ok {
-		return d
-	}
-	return s.sloObjective
-}
-
 // ensureTenantObs creates the tenant's windows and metric instruments.
 // Called on the submit path BEFORE the server lock so registration never
 // nests inside Server.mu; one map hit after the first call. The entry is
@@ -112,7 +99,7 @@ func (s *Server) ensureTenantObs(tenant string) *tenantObs {
 	}
 	to := &tenantObs{
 		windows: obs.NewWindows(s.winCfg),
-		slo:     obs.SLO{Objective: s.sloFor(tenant).Seconds(), Target: s.sloTarget},
+		slo:     obs.SLO{Objective: s.sloObjective.Seconds(), Target: s.sloTarget},
 	}
 	m := s.metrics
 	l := append(append([]string(nil), s.mlabels...), "tenant", tenant)

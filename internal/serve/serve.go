@@ -43,9 +43,8 @@ type Config struct {
 	// TenantQuota bounds the queued jobs of any single tenant (0 disables):
 	// a tenant at its quota is rejected with a SaturatedError even while the
 	// global queue has room, so one flooding tenant cannot consume the whole
-	// admission budget. TenantQuotas overrides the bound per tenant.
-	TenantQuota  int
-	TenantQuotas map[string]int
+	// admission budget. The one bound applies to every tenant.
+	TenantQuota int
 
 	// RetainDone bounds how many terminal (done/canceled) job records the
 	// server keeps for status queries; older ones are evicted oldest-first
@@ -55,15 +54,9 @@ type Config struct {
 	// bound QueueCap + MaxConcurrent + RetainDone job records holds.
 	RetainDone int
 
-	// RetryAfterMax caps the Retry-After backpressure hint (default 30s).
-	// The hint is backlog x observed service time, so one slow job through
-	// the EMA can otherwise quote minutes — and loadgen clients that honor
-	// the hint would never come back.
-	RetryAfterMax time.Duration
-
 	// SmallJobMax, when positive, enables the batched small-job fast path:
 	// when the next job to run is small (N <= SmallJobMax), up to
-	// BatchMax-1 further queued small jobs from the SAME tenant are
+	// batchMax-1 further queued small jobs from the SAME tenant are
 	// coalesced with it into one pool submission occupying ONE concurrency
 	// slot. Tiny kernels are dominated by per-job admission and dispatch
 	// overhead, not compute (the small-n regime of the paper, where the
@@ -73,8 +66,6 @@ type Config struct {
 	// unit of parallelism. 0 disables batching (the default: single-job
 	// dispatch is the behavior the ext-serve experiment validates).
 	SmallJobMax int
-	// BatchMax caps jobs per batch (default 16).
-	BatchMax int
 
 	// Metrics receives the server's Prometheus instruments (queue depth,
 	// running, load, admission counters, per-tenant latency and
@@ -93,13 +84,12 @@ type Config struct {
 	// the server creates one per job.
 	Spans *obs.SpanLog
 
-	// SLOObjective is the per-tenant latency objective backing the burn-
-	// rate gauges and /stats SLO fields (0 disables). SLOObjectives
-	// overrides it per tenant; SLOTarget is the fraction of jobs that must
-	// meet the objective (default 0.99).
-	SLOObjective  time.Duration
-	SLOObjectives map[string]time.Duration
-	SLOTarget     float64
+	// SLOObjective is the latency objective, applied to every tenant,
+	// backing the burn-rate gauges and /stats SLO fields (0 disables);
+	// SLOTarget is the fraction of jobs that must meet the objective
+	// (default 0.99).
+	SLOObjective time.Duration
+	SLOTarget    float64
 
 	// WindowWidth x WindowCount size the rolling latency windows behind
 	// the windowed /stats quantiles (defaults 5s x 16).
@@ -110,6 +100,16 @@ type Config struct {
 	// step windows deterministically); nil means wall clock.
 	windowNow func() int64
 }
+
+const (
+	// retryAfterMax caps the Retry-After backpressure hint. The hint is
+	// backlog x observed service time, so one slow job through the EMA can
+	// otherwise quote minutes — and clients that honor the hint would
+	// never come back.
+	retryAfterMax = 30 * time.Second
+	// batchMax caps the jobs coalesced into one batched dispatch.
+	batchMax = 16
+)
 
 // SaturatedError is the admission-control rejection: the queue is at
 // capacity. RetryAfter is the server's backoff hint, derived from the
@@ -239,11 +239,8 @@ type Server struct {
 
 	maxConcurrent int
 	smallJobMax   int
-	batchMax      int
 	retainDone    int
-	retryMax      time.Duration
 	quota         int
-	quotas        map[string]int
 
 	mu      sync.Mutex
 	q       *FairQueue
@@ -260,17 +257,16 @@ type Server struct {
 	// Observability strands (see obs.go). tenantObsM is guarded by obsMu,
 	// never by mu: the finish path reads it while holding mu, the submit
 	// path populates it before taking mu.
-	metrics       *obs.Registry
-	mlabels       []string
-	spans         *obs.SpanLog
-	batchHist     *obs.Histogram
-	sloObjective  time.Duration
-	sloObjectives map[string]time.Duration
-	sloTarget     float64
-	winCfg        obs.WindowConfig
-	obsMu         sync.Mutex
-	tenantObsM    map[string]*tenantObs
-	nextBatch     int64
+	metrics      *obs.Registry
+	mlabels      []string
+	spans        *obs.SpanLog
+	batchHist    *obs.Histogram
+	sloObjective time.Duration
+	sloTarget    float64
+	winCfg       obs.WindowConfig
+	obsMu        sync.Mutex
+	tenantObsM   map[string]*tenantObs
+	nextBatch    int64
 
 	accepted, rejected, completed, canceled, expired int64
 	batches, batchedJobs, withdrawn                  int64
@@ -316,17 +312,9 @@ func New(cfg Config) *Server {
 	if maxc <= 0 {
 		maxc = 1
 	}
-	batchMax := cfg.BatchMax
-	if batchMax <= 0 {
-		batchMax = 16
-	}
 	retain := cfg.RetainDone
 	if retain == 0 {
 		retain = 1024
-	}
-	retryMax := cfg.RetryAfterMax
-	if retryMax <= 0 {
-		retryMax = 30 * time.Second
 	}
 	q := NewQueue(cfg.Discipline, qcap)
 	for t, w := range cfg.Weights {
@@ -340,11 +328,8 @@ func New(cfg Config) *Server {
 		ownPool:       own,
 		maxConcurrent: maxc,
 		smallJobMax:   cfg.SmallJobMax,
-		batchMax:      batchMax,
 		retainDone:    retain,
-		retryMax:      retryMax,
 		quota:         cfg.TenantQuota,
-		quotas:        cfg.TenantQuotas,
 		q:             q,
 		jobs:          make(map[string]*Job),
 		tenants:       make(map[string]*tenantCounts),
@@ -411,7 +396,7 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 	s.noteAdmissionLocked()
 	// Per-tenant quota: a flooding tenant is bounded before it can consume
 	// the shared admission budget.
-	if quota := s.quotaFor(spec.Tenant); quota > 0 && s.q.TenantLen(spec.Tenant) >= quota {
+	if s.quota > 0 && s.q.TenantLen(spec.Tenant) >= s.quota {
 		s.rejected++
 		s.tenant(spec.Tenant).rejected++
 		retry := s.retryAfterLocked()
@@ -485,7 +470,7 @@ func parseJobNum(id string) (int64, bool) {
 }
 
 // retryAfterLocked estimates when a queue slot will free: the backlog
-// drained at the observed per-job service time, clamped to RetryAfterMax —
+// drained at the observed per-job service time, clamped to retryAfterMax —
 // one slow job through the EMA must not quote an hours-long hint that an
 // obedient client would honor and never return from.
 func (s *Server) retryAfterLocked() time.Duration {
@@ -497,18 +482,10 @@ func (s *Server) retryAfterLocked() time.Duration {
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}
-	if d > s.retryMax {
-		d = s.retryMax
+	if d > retryAfterMax {
+		d = retryAfterMax
 	}
 	return d
-}
-
-// quotaFor returns tenant's queued-job quota (0 = unbounded).
-func (s *Server) quotaFor(tenant string) int {
-	if q, ok := s.quotas[tenant]; ok {
-		return q
-	}
-	return s.quota
 }
 
 // noteAdmissionLocked folds the instantaneous queue occupancy into the
@@ -585,7 +562,7 @@ func (s *Server) drainLocked() {
 		batch := []*Job{j}
 		if s.smallJobMax > 0 && j.spec.N <= s.smallJobMax {
 			tenant := j.spec.Tenant
-			for _, bi := range s.q.TakeMatching(s.batchMax-1, func(q Item) bool {
+			for _, bi := range s.q.TakeMatching(batchMax-1, func(q Item) bool {
 				return q.Tenant == tenant && q.Value.(*Job).spec.N <= s.smallJobMax
 			}) {
 				batch = append(batch, bi.Value.(*Job))

@@ -140,7 +140,7 @@ func (r *Router) rebuildRingLocked() {
 			members = append(members, i)
 		}
 	}
-	r.ring = NewRingOf(members, r.cfg.Replicas)
+	r.ring = NewRingOf(members)
 }
 
 // AddShard grows the tier under live traffic: h joins the ring as a new

@@ -12,7 +12,7 @@ import (
 )
 
 // TestJoblogFsyncInstrumentation pins the group-commit accounting: with
-// FsyncEvery=2 and a long interval, four appends produce exactly two
+// every=2 and a long interval, four appends produce exactly two
 // barriers, each committing two records — visible in the histograms'
 // counts, sums, and bucket placement.
 func TestJoblogFsyncInstrumentation(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 )
 
 // Ring is a consistent-hash ring mapping tenant names to shard indices.
-// Each shard owns Replicas virtual points on a uint64 ring; a tenant maps
+// Each shard owns replicas virtual points on a uint64 ring; a tenant maps
 // to the shard owning the first point at or after the tenant's hash.
 // Virtual points keep per-shard load shares near 1/N, and changing the
 // shard count remaps only the tenants whose nearest point changed —
@@ -35,9 +35,11 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring over shards shards with replicas virtual points
-// each (replicas <= 0 selects the default 64).
-func NewRing(shards, replicas int) *Ring {
+// replicas is the number of virtual points each shard owns on the ring.
+const replicas = 64
+
+// NewRing builds a ring over shards shards.
+func NewRing(shards int) *Ring {
 	if shards < 1 {
 		shards = 1
 	}
@@ -45,7 +47,7 @@ func NewRing(shards, replicas int) *Ring {
 	for i := range members {
 		members[i] = i
 	}
-	return NewRingOf(members, replicas)
+	return NewRingOf(members)
 }
 
 // NewRingOf builds a ring over an explicit member set. Point names are
@@ -54,10 +56,7 @@ func NewRing(shards, replicas int) *Ring {
 // only the changed member's arc remaps (the ~1/(N+1) fraction). A router
 // with non-contiguous live shards (one died) rebuilds the ring through
 // this form.
-func NewRingOf(members []int, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
+func NewRingOf(members []int) *Ring {
 	r := &Ring{shards: len(members), points: make([]ringPoint, 0, len(members)*replicas)}
 	for _, s := range members {
 		for v := 0; v < replicas; v++ {

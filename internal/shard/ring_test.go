@@ -10,7 +10,7 @@ const ringTenants = 10000
 // TestRingDeterministic pins that placement is a pure function of the
 // tenant name and ring shape — the property replay relies on.
 func TestRingDeterministic(t *testing.T) {
-	a, b := NewRing(4, 64), NewRing(4, 64)
+	a, b := NewRing(4), NewRing(4)
 	for i := 0; i < ringTenants; i++ {
 		name := fmt.Sprintf("tenant-%d", i)
 		if a.Shard(name) != b.Shard(name) {
@@ -22,7 +22,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingBalance checks virtual points keep shard shares near 1/N.
 func TestRingBalance(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
-		ring := NewRing(shards, 64)
+		ring := NewRing(shards)
 		counts := make([]int, shards)
 		for i := 0; i < ringTenants; i++ {
 			counts[ring.Shard(fmt.Sprintf("tenant-%d", i))]++
@@ -43,7 +43,7 @@ func TestRingBalance(t *testing.T) {
 // trade tenants with each other.
 func TestRingStability(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
-		before, after := NewRing(n, 64), NewRing(n+1, 64)
+		before, after := NewRing(n), NewRing(n+1)
 		moved := 0
 		for i := 0; i < ringTenants; i++ {
 			name := fmt.Sprintf("tenant-%d", i)

@@ -21,15 +21,10 @@ type Config struct {
 	// its own pool (Workers workers each), so one shard's load never
 	// steals another shard's cores through a shared substrate.
 	Serve serve.Config
-	// Replicas is the ring's virtual points per shard (default 64).
-	Replicas int
 
 	// LogPath enables the append-only job log; "" runs without durability.
-	// FsyncEvery/FsyncInterval bound the group-commit batch (defaults 32
-	// records / 5ms; see Log).
-	LogPath       string
-	FsyncEvery    int
-	FsyncInterval time.Duration
+	// The group-commit batch is OpenLog's default (32 records / 5ms).
+	LogPath string
 
 	// SpillThreshold is the home-shard Load above which a new job spills to
 	// the least-loaded shard instead (default 0.75) — admission-time
@@ -41,8 +36,6 @@ type Config struct {
 	// hottest's load — the expensive half, for jobs that already queued
 	// before the imbalance showed.
 	MigrateThreshold float64
-	// MigrateBatch caps jobs moved per rebalance pass (default 4).
-	MigrateBatch int
 	// RebalanceEvery is the rebalancer cadence (default 25ms; < 0 disables
 	// the background loop — tests drive Rebalance directly).
 	RebalanceEvery time.Duration
@@ -83,6 +76,9 @@ type Config struct {
 	Spans *obs.SpanLog
 }
 
+// migrateBatch caps the jobs moved per rebalance pass.
+const migrateBatch = 4
+
 func (c Config) withDefaults() Config {
 	if c.Shards < 1 {
 		c.Shards = 1
@@ -92,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MigrateThreshold <= 0 {
 		c.MigrateThreshold = 0.9
-	}
-	if c.MigrateBatch <= 0 {
-		c.MigrateBatch = 4
 	}
 	if c.RebalanceEvery == 0 {
 		c.RebalanceEvery = 25 * time.Millisecond
@@ -197,7 +190,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:    cfg,
-		ring:   NewRing(n, cfg.Replicas),
+		ring:   NewRing(n),
 		jobs:   make(map[string]*Job),
 		joined: make(map[string]int),
 		stop:   make(chan struct{}),
@@ -220,7 +213,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.initMetrics(cfg.Metrics)
 	if cfg.LogPath != "" {
-		log, recs, err := OpenLog(cfg.LogPath, cfg.FsyncEvery, cfg.FsyncInterval)
+		log, recs, err := OpenLog(cfg.LogPath, 0, 0)
 		if err != nil {
 			for _, s := range r.shards {
 				s.Close()
@@ -752,7 +745,7 @@ func (r *Router) Rebalance() {
 	// The router is the only submitter, so the room observed here cannot
 	// be taken by anyone else before the resubmits below.
 	room := r.shards[cold].QueueCap() - r.shards[cold].Queued()
-	batch := r.cfg.MigrateBatch
+	batch := migrateBatch
 	if batch > room {
 		batch = room
 	}

@@ -194,7 +194,6 @@ func TestRebalanceMigratesQueuedJobs(t *testing.T) {
 		Shards:         2,
 		Serve:          serve.Config{Workers: 1, QueueCap: 8, MaxConcurrent: 1},
 		SpillThreshold: 2, // disable admission spill; force everything home
-		MigrateBatch:   4,
 		RebalanceEvery: -1,
 	})
 	if err != nil {

@@ -28,8 +28,6 @@ func TestKillReplayStress(t *testing.T) {
 		Shards:         2,
 		Serve:          serve.Config{Workers: 2, QueueCap: 64, MaxConcurrent: 2},
 		LogPath:        path,
-		FsyncEvery:     8,
-		FsyncInterval:  time.Millisecond,
 		RebalanceEvery: 5 * time.Millisecond,
 	}
 	r, err := New(cfg)
