@@ -45,8 +45,8 @@ func main() {
 	// Second moment as a fused pipeline: center and square run in one
 	// pass over prices, never materializing the deviations.
 	variance := pipeline.Sum(p, pipeline.From(prices).
-		Map(func(v float64) float64 { return v - mean }).
-		Map(func(d float64) float64 { return d * d }), 0) / n
+		Transform(func(v float64) float64 { return v - mean }).
+		Transform(func(d float64) float64 { return d * d }), 0) / n
 	fmt.Printf("series:  n=%d  min=%.2f@%d  max=%.2f@%d\n", n, prices[lo], lo, prices[hi], hi)
 	fmt.Printf("moments: mean=%.3f  stddev=%.3f\n", mean, math.Sqrt(variance))
 

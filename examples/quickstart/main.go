@@ -75,8 +75,8 @@ func main() {
 	// sum(g(f(x))) below streams three arrays through memory; the fused
 	// form reads the source once.
 	pl := pipeline.From(data).
-		Map(func(v float64) float64 { return v*3 + 1 }).
-		Map(func(v float64) float64 { return v * 0.5 })
+		Transform(func(v float64) float64 { return v*3 + 1 }).
+		Transform(func(v float64) float64 { return v * 0.5 })
 
 	start = time.Now()
 	fusedSum := pipeline.Sum(par, pl, 0)

@@ -49,36 +49,29 @@ func CopyIf[T any](p Policy, dst, src []T, pred func(T) bool) int {
 		}
 		return w
 	}
-	chunks := p.Chunks(n)
-	counts := make([]int, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := 0
-		for _, v := range src[chunks.At(ci).Lo:chunks.At(ci).Hi] {
-			if pred(v) {
-				c++
-			}
-		}
-		counts[ci] = c
-	})
-	offsets := make([]int, chunks.Len()+1)
-	for ci, c := range counts {
-		offsets[ci+1] = offsets[ci] + c
-	}
-	total := offsets[chunks.Len()]
-	if total > cap(dst) {
+	return ScanChunks(p, n, 0, true, addInt, copyIfScan[T]{matchCount[T]{src, pred}, dst[:cap(dst)]})
+}
+
+// copyIfScan scatters a chunk's matches of CopyIf to dst from the chunk's
+// output offset.
+type copyIfScan[T any] struct {
+	matchCount[T]
+	dst []T
+}
+
+func (s copyIfScan[T]) Reserve(total int) {
+	if total > len(s.dst) {
 		panic("core.CopyIf: dst capacity too small")
 	}
-	dst = dst[:cap(dst)]
-	p.ForEachChunk(chunks, func(ci int) {
-		w := offsets[ci]
-		for _, v := range src[chunks.At(ci).Lo:chunks.At(ci).Hi] {
-			if pred(v) {
-				dst[w] = v
-				w++
-			}
+}
+
+func (s copyIfScan[T]) Rescan(lo, hi, w int, _ bool) {
+	for _, v := range s.src[lo:hi] {
+		if s.pred(v) {
+			s.dst[w] = v
+			w++
 		}
-	})
-	return total
+	}
 }
 
 // RemoveCopyIf appends the elements of src that do NOT satisfy pred to
@@ -136,34 +129,37 @@ func Unique[T comparable](p Policy, s []T) int {
 		}
 		return w
 	}
-	keep := func(i int) bool { return i == 0 || s[i] != s[i-1] }
-	chunks := p.Chunks(n)
-	counts := make([]int, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		cnt := 0
-		c := chunks.At(ci)
-		for i := c.Lo; i < c.Hi; i++ {
-			if keep(i) {
-				cnt++
-			}
+	u := &uniqueScan[T]{s: s}
+	ScanChunks(p, n, 0, true, addInt, u)
+	Copy(p, s, u.tmp)
+	return len(u.tmp)
+}
+
+// uniqueScan compacts the elements of Unique that differ from their
+// predecessor into tmp, which Reserve sizes to the survivor count.
+type uniqueScan[T comparable] struct {
+	s, tmp []T
+}
+
+func (u *uniqueScan[T]) keep(i int) bool { return i == 0 || u.s[i] != u.s[i-1] }
+
+func (u *uniqueScan[T]) Fold(lo, hi int) int {
+	c := 0
+	for i := lo; i < hi; i++ {
+		if u.keep(i) {
+			c++
 		}
-		counts[ci] = cnt
-	})
-	offsets := make([]int, chunks.Len()+1)
-	for ci, c := range counts {
-		offsets[ci+1] = offsets[ci] + c
 	}
-	tmp := make([]T, offsets[chunks.Len()])
-	p.ForEachChunk(chunks, func(ci int) {
-		w := offsets[ci]
-		c := chunks.At(ci)
-		for i := c.Lo; i < c.Hi; i++ {
-			if keep(i) {
-				tmp[w] = s[i]
-				w++
-			}
+	return c
+}
+
+func (u *uniqueScan[T]) Reserve(total int) { u.tmp = make([]T, total) }
+
+func (u *uniqueScan[T]) Rescan(lo, hi, w int, _ bool) {
+	for i := lo; i < hi; i++ {
+		if u.keep(i) {
+			u.tmp[w] = u.s[i]
+			w++
 		}
-	})
-	Copy(p, s, tmp)
-	return len(tmp)
+	}
 }

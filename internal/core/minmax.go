@@ -14,39 +14,45 @@ func MaxElement[T any](p Policy, s []T, less func(a, b T) bool) int {
 
 // extremeElement finds the first index holding the extreme value. For max,
 // C++ returns the *first* of equal maxima, which the strict "is better"
-// predicate below preserves across chunk combination.
+// predicate preserves across chunk combination. The combination starts
+// from -1, which every chunk result replaces.
 func extremeElement[T any](p Policy, s []T, less func(a, b T) bool, wantMax bool) int {
 	n := len(s)
 	if n == 0 {
 		return -1
 	}
-	better := func(a, b T) bool { // a strictly better than b
-		if wantMax {
-			return less(b, a)
-		}
-		return less(a, b)
+	f := extremeFold[T]{s, less, wantMax}
+	if !p.parallel(n) {
+		return f.Fold(0, n)
 	}
-	seqScan := func(lo, hi int) int {
-		best := lo
-		for i := lo + 1; i < hi; i++ {
-			if better(s[i], s[best]) {
-				best = i
-			}
+	return ReduceChunks(p, n, -1, func(best, idx int) int {
+		if best < 0 || f.better(s[idx], s[best]) {
+			return idx
 		}
 		return best
+	}, f)
+}
+
+// extremeFold finds the first extreme index of a range.
+type extremeFold[T any] struct {
+	s       []T
+	less    func(a, b T) bool
+	wantMax bool
+}
+
+// better reports whether a is strictly better than b.
+func (f extremeFold[T]) better(a, b T) bool {
+	if f.wantMax {
+		return f.less(b, a)
 	}
-	if !p.parallel(n) {
-		return seqScan(0, n)
-	}
-	chunks := p.Chunks(n)
-	partial := make([]int, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		partial[ci] = seqScan(chunks.At(ci).Lo, chunks.At(ci).Hi)
-	})
-	best := partial[0]
-	for _, idx := range partial[1:] {
-		if better(s[idx], s[best]) {
-			best = idx
+	return f.less(a, b)
+}
+
+func (f extremeFold[T]) Fold(lo, hi int) int {
+	best := lo
+	for i := lo + 1; i < hi; i++ {
+		if f.better(f.s[i], f.s[best]) {
+			best = i
 		}
 	}
 	return best
@@ -60,36 +66,49 @@ func MinMaxElement[T any](p Policy, s []T, less func(a, b T) bool) (minIdx, maxI
 	if n == 0 {
 		return -1, -1
 	}
-	type mm struct{ lo, hi int }
-	seqScan := func(lo, hi int) mm {
-		r := mm{lo, lo}
-		for i := lo + 1; i < hi; i++ {
-			if less(s[i], s[r.lo]) {
-				r.lo = i
-			}
-			if !less(s[i], s[r.hi]) { // last max: ties move forward
-				r.hi = i
-			}
+	f := minMaxFold[T]{s, less}
+	var r minMax
+	if !p.parallel(n) {
+		r = f.Fold(0, n)
+	} else {
+		r = ReduceChunks(p, n, minMax{-1, -1}, f.combine, f)
+	}
+	return r.lo, r.hi
+}
+
+// minMax holds the first-minimum and last-maximum indices of a range.
+type minMax struct{ lo, hi int }
+
+// minMaxFold finds the minMax of a range.
+type minMaxFold[T any] struct {
+	s    []T
+	less func(a, b T) bool
+}
+
+func (f minMaxFold[T]) Fold(lo, hi int) minMax {
+	r := minMax{lo, lo}
+	for i := lo + 1; i < hi; i++ {
+		if f.less(f.s[i], f.s[r.lo]) {
+			r.lo = i
 		}
+		if !f.less(f.s[i], f.s[r.hi]) { // last max: ties move forward
+			r.hi = i
+		}
+	}
+	return r
+}
+
+// combine merges the minMax of a later range into best; -1 is the empty
+// start, which every range's indices replace.
+func (f minMaxFold[T]) combine(best, r minMax) minMax {
+	if best.lo < 0 {
 		return r
 	}
-	if !p.parallel(n) {
-		r := seqScan(0, n)
-		return r.lo, r.hi
+	if f.less(f.s[r.lo], f.s[best.lo]) {
+		best.lo = r.lo
 	}
-	chunks := p.Chunks(n)
-	partial := make([]mm, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		partial[ci] = seqScan(chunks.At(ci).Lo, chunks.At(ci).Hi)
-	})
-	best := partial[0]
-	for _, r := range partial[1:] {
-		if less(s[r.lo], s[best.lo]) {
-			best.lo = r.lo
-		}
-		if !less(s[r.hi], s[best.hi]) {
-			best.hi = r.hi
-		}
+	if !f.less(f.s[r.hi], f.s[best.hi]) {
+		best.hi = r.hi
 	}
-	return best.lo, best.hi
+	return best
 }

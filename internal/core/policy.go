@@ -159,9 +159,9 @@ func (p Policy) grain(n int) exec.Grain {
 // [0, n) under a policy: chunk ranges are computed on demand from the grain
 // arithmetic (exec.Grain.ChunkAt) instead of materializing a []exec.Range
 // per call, keeping the multi-phase algorithms off the allocator for the
-// decomposition itself. Exported, together with Chunks/ForEachChunk/
-// ParallelFor, as the dispatch surface layered executors build on — the
-// fused pipelines of internal/pipeline compile onto exactly this.
+// decomposition itself. Exported with Chunks so that tests can restate a
+// call's decomposition; layered executors dispatch through ParallelFor,
+// ReduceChunks and ScanChunks.
 type ChunkSet struct {
 	grain exec.Grain
 	n     int
@@ -224,10 +224,10 @@ func (p Policy) ParallelFor(n int, body func(worker, lo, hi int)) {
 	p.dispatch(n, p.grain(n), body)
 }
 
-// ForEachChunk runs body over the chunk set on the policy's pool. It is
+// forEachChunk runs body over the chunk set on the policy's pool. It is
 // the building block for the multi-phase algorithms, which need an explicit
 // chunk decomposition rather than ParallelFor's implicit partition.
-func (p Policy) ForEachChunk(chunks ChunkSet, body func(ci int)) {
+func (p Policy) forEachChunk(chunks ChunkSet, body func(ci int)) {
 	p.dispatch(chunks.count, exec.Grain{ChunksPerWorker: 1, MaxChunk: 1}, func(_, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			body(ci)

@@ -36,22 +36,27 @@ func CountIf[T any](p Policy, s []T, pred func(T) bool) int {
 		}
 		return c
 	}
-	chunks := p.Chunks(n)
-	partial := make([]int, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := 0
-		for _, e := range s[chunks.At(ci).Lo:chunks.At(ci).Hi] {
-			if pred(e) {
-				c++
-			}
+	return ReduceChunks(p, n, 0, addInt, matchCount[T]{s, pred})
+}
+
+// addInt combines per-chunk counts and compaction offsets.
+func addInt(a, b int) int { return a + b }
+
+// matchCount counts the elements satisfying pred: the chunk fold of
+// CountIf and phase 1 of CopyIf.
+type matchCount[T any] struct {
+	src  []T
+	pred func(T) bool
+}
+
+func (f matchCount[T]) Fold(lo, hi int) int {
+	c := 0
+	for _, e := range f.src[lo:hi] {
+		if f.pred(e) {
+			c++
 		}
-		partial[ci] = c
-	})
-	total := 0
-	for _, c := range partial {
-		total += c
 	}
-	return total
+	return c
 }
 
 // Mismatch returns the first index at which a and b differ, or -1 if one is

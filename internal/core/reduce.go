@@ -25,34 +25,28 @@ type Number interface {
 // TransformReduce applies transform to every element and reduces the
 // results with op starting from init (std::transform_reduce, unary form).
 func TransformReduce[T, U any](p Policy, s []T, init U, op func(a, b U) U, transform func(T) U) U {
-	n := len(s)
-	if !p.parallel(n) {
+	if !p.parallel(len(s)) {
 		acc := init
 		for _, e := range s {
 			acc = op(acc, transform(e))
 		}
 		return acc
 	}
-	chunks := p.Chunks(n)
-	partial := make([]U, chunks.Len())
-	hasVal := make([]bool, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		acc := transform(s[c.Lo])
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(s[i]))
-		}
-		partial[ci] = acc
-		hasVal[ci] = true
-	})
-	acc := init
-	for ci := range partial {
-		if hasVal[ci] {
-			acc = op(acc, partial[ci])
-		}
+	return ReduceChunks(p, len(s), init, op, transformFold[T, U]{s, op, transform})
+}
+
+// transformFold is the left fold of op over transform(src[i]), the chunk
+// fold of TransformReduce and the phase-1 fold of the transform scans.
+type transformFold[T, U any] struct {
+	src       []T
+	op        func(a, b U) U
+	transform func(T) U
+}
+
+func (f transformFold[T, U]) Fold(lo, hi int) U {
+	acc := f.transform(f.src[lo])
+	for i := lo + 1; i < hi; i++ {
+		acc = f.op(acc, f.transform(f.src[i]))
 	}
 	return acc
 }
@@ -64,34 +58,28 @@ func TransformReduceBinary[T, V, U any](p Policy, a []T, b []V, init U, op func(
 	if len(a) != len(b) {
 		panic("core.TransformReduceBinary: length mismatch")
 	}
-	n := len(a)
-	if !p.parallel(n) {
+	if !p.parallel(len(a)) {
 		acc := init
 		for i := range a {
 			acc = op(acc, transform(a[i], b[i]))
 		}
 		return acc
 	}
-	chunks := p.Chunks(n)
-	partial := make([]U, chunks.Len())
-	hasVal := make([]bool, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		acc := transform(a[c.Lo], b[c.Lo])
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(a[i], b[i]))
-		}
-		partial[ci] = acc
-		hasVal[ci] = true
-	})
-	acc := init
-	for ci := range partial {
-		if hasVal[ci] {
-			acc = op(acc, partial[ci])
-		}
+	return ReduceChunks(p, len(a), init, op, binaryFold[T, V, U]{a, b, op, transform})
+}
+
+// binaryFold is the left fold of op over transform(a[i], b[i]).
+type binaryFold[T, V, U any] struct {
+	a         []T
+	b         []V
+	op        func(x, y U) U
+	transform func(T, V) U
+}
+
+func (f binaryFold[T, V, U]) Fold(lo, hi int) U {
+	acc := f.transform(f.a[lo], f.b[lo])
+	for i := lo + 1; i < hi; i++ {
+		acc = f.op(acc, f.transform(f.a[i], f.b[i]))
 	}
 	return acc
 }

@@ -1,11 +1,9 @@
 package core
 
-// The scans are the textbook two-phase parallel prefix: phase 1 reduces
-// every chunk, a short sequential pass turns the chunk sums into chunk
-// offsets, and phase 2 rescans every chunk starting from its offset. The
-// parallel version therefore performs ~2x the work of the sequential scan,
-// which is why the paper's X::inclusive_scan only pays off once the input
-// exceeds the last-level cache (Fig. 5).
+// The parallel scans are ScanChunks, the textbook two-phase prefix, which
+// performs ~2x the work of the sequential scan. That is why the paper's
+// X::inclusive_scan only pays off once the input exceeds the last-level
+// cache (Fig. 5).
 
 // InclusiveScan writes the inclusive prefix combination of src into dst
 // using op (std::inclusive_scan): dst[i] = src[0] op ... op src[i].
@@ -40,41 +38,28 @@ func TransformInclusiveScan[T, U any](p Policy, dst []U, src []T, op func(a, b U
 		}
 		return
 	}
-	chunks := p.Chunks(n)
-	sums := make([]U, chunks.Len())
-	// Phase 1: reduce every chunk.
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		acc := transform(src[c.Lo])
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(src[i]))
-		}
-		sums[ci] = acc
-	})
-	// Sequential pass: exclusive prefix of the chunk sums.
-	offsets := make([]U, chunks.Len())
-	for ci := 1; ci < chunks.Len(); ci++ {
-		if ci == 1 {
-			offsets[1] = sums[0]
-		} else {
-			offsets[ci] = op(offsets[ci-1], sums[ci-1])
-		}
+	var none U
+	ScanChunks(p, n, none, false, op, inclusiveScan[T, U]{transformFold[T, U]{src, op, transform}, dst})
+}
+
+// inclusiveScan rescans a chunk of TransformInclusiveScan from its carry.
+type inclusiveScan[T, U any] struct {
+	transformFold[T, U]
+	dst []U
+}
+
+func (inclusiveScan[T, U]) Reserve(U) {}
+
+func (s inclusiveScan[T, U]) Rescan(lo, hi int, carry U, hasCarry bool) {
+	acc := s.transform(s.src[lo])
+	if hasCarry {
+		acc = s.op(carry, acc)
 	}
-	// Phase 2: rescan every chunk from its offset.
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		var acc U
-		if ci == 0 {
-			acc = transform(src[c.Lo])
-		} else {
-			acc = op(offsets[ci], transform(src[c.Lo]))
-		}
-		dst[c.Lo] = acc
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(src[i]))
-			dst[i] = acc
-		}
-	})
+	s.dst[lo] = acc
+	for i := lo + 1; i < hi; i++ {
+		acc = s.op(acc, s.transform(s.src[i]))
+		s.dst[i] = acc
+	}
 }
 
 // ExclusiveScan writes the exclusive prefix combination of src into dst
@@ -104,30 +89,25 @@ func TransformExclusiveScan[T, U any](p Policy, dst []U, src []T, init U, op fun
 		}
 		return
 	}
-	chunks := p.Chunks(n)
-	sums := make([]U, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		acc := transform(src[c.Lo])
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(src[i]))
-		}
-		sums[ci] = acc
-	})
-	offsets := make([]U, chunks.Len())
-	offsets[0] = init
-	for ci := 1; ci < chunks.Len(); ci++ {
-		offsets[ci] = op(offsets[ci-1], sums[ci-1])
+	ScanChunks(p, n, init, true, op, exclusiveScan[T, U]{transformFold[T, U]{src, op, transform}, dst})
+}
+
+// exclusiveScan rescans a chunk of TransformExclusiveScan from its carry,
+// which always exists: the scan's init is the carry-in.
+type exclusiveScan[T, U any] struct {
+	transformFold[T, U]
+	dst []U
+}
+
+func (exclusiveScan[T, U]) Reserve(U) {}
+
+func (s exclusiveScan[T, U]) Rescan(lo, hi int, carry U, _ bool) {
+	acc := carry
+	for i := lo; i < hi; i++ {
+		next := s.op(acc, s.transform(s.src[i]))
+		s.dst[i] = acc
+		acc = next
 	}
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		acc := offsets[ci]
-		for i := c.Lo; i < c.Hi; i++ {
-			next := op(acc, transform(src[i]))
-			dst[i] = acc
-			acc = next
-		}
-	})
 }
 
 // AdjacentDifference writes dst[0] = src[0] and dst[i] = op(src[i],

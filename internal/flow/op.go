@@ -133,35 +133,29 @@ func values(evs []Event) *pipeline.Pipeline[float64] {
 }
 
 // wordCounts groups events by Key, counting occurrences — the wordcount
-// shuffle. Parallel runs build one map per chunk and merge; int counts
-// make the merged result independent of chunk boundaries.
+// shuffle. Parallel runs build one map per chunk and merge them in chunk
+// order; int counts make the merged result independent of chunk
+// boundaries.
 func wordCounts(p core.Policy, evs []Event) map[string]int64 {
-	n := len(evs)
-	if !p.ShouldParallelize(n) {
-		m := make(map[string]int64)
-		for i := range evs {
-			m[evs[i].Key]++
-		}
-		return m
+	f := keyCounts(evs)
+	if !p.ShouldParallelize(len(evs)) {
+		return f.Fold(0, len(evs))
 	}
-	chunks := p.Chunks(n)
-	parts := make([]map[string]int64, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		m := make(map[string]int64)
-		for i := c.Lo; i < c.Hi; i++ {
-			m[evs[i].Key]++
-		}
-		parts[ci] = m
-	})
-	out := make(map[string]int64)
-	for _, m := range parts {
+	return core.ReduceChunks(p, len(evs), make(map[string]int64), func(acc, m map[string]int64) map[string]int64 {
 		for k, v := range m {
-			out[k] += v
+			acc[k] += v
 		}
+		return acc
+	}, f)
+}
+
+// keyCounts counts the events of a range per Key.
+type keyCounts []Event
+
+func (evs keyCounts) Fold(lo, hi int) map[string]int64 {
+	m := make(map[string]int64)
+	for i := lo; i < hi; i++ {
+		m[evs[i].Key]++
 	}
-	return out
+	return m
 }

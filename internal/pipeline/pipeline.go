@@ -18,53 +18,44 @@
 // evaluates f∘g per element inside ONE chunk-granular loop: one pool
 // submission, one memory sweep, no intermediate arrays. Chains compile
 // down to the same exported core dispatch surface the staged algorithms
-// use (Policy.ParallelFor / Chunks / ForEachChunk), so per-chunk
+// use (Policy.ParallelFor, core.ReduceChunks, core.ScanChunks), so per-chunk
 // cancellation, grain sources, and the seq-threshold gate behave
 // identically — every fused chain is element-wise equivalent to its
 // staged core.* composition, which the property tests pin.
 //
-// Fusion rules: only 1:1 element-wise stages fuse (Transform/Map,
-// TransformIndexed, and the type-changing MapTo). Terminals that need a
-// global view are barriers: Scan needs two passes (the second pass
-// re-evaluates the chain rather than materializing it), Sort must
-// materialize before comparing, and cardinality-changing stages (filter,
-// unique) are deliberately absent — they end a chain via CopyIf on a
-// materialized buffer. See DESIGN.md §9.
+// Fusion rules: only 1:1 element-wise stages fuse (Transform and the
+// type-changing MapTo). Terminals that need a global view are barriers:
+// Scan needs two passes (the second pass re-evaluates the chain rather
+// than materializing it), Sort must materialize before comparing, and
+// cardinality-changing stages (filter, unique) are deliberately absent —
+// they end a chain via CopyIf on a materialized buffer. See DESIGN.md §9.
 package pipeline
 
-import (
-	"strings"
-
-	"pstlbench/internal/core"
-	"pstlbench/internal/tune"
-)
+import "pstlbench/internal/core"
 
 // Pipeline is a lazy chain of element-wise stages over a logical index
-// domain [0, n). Nothing executes until a terminal (Reduce, Copy, Scan,
-// Sort, Each, Count) is called with a core.Policy. The zero value is an
-// empty pipeline; build one with From or Generate.
+// domain [0, n). Nothing executes until a terminal (Reduce, Sum, Copy,
+// Scan, Sort) is called with a core.Policy. The zero value is an empty
+// pipeline; build one with From or Generate.
 //
 // Go methods cannot introduce new type parameters, so in-chain stages are
 // T→T; type-changing maps are the free function MapTo.
 type Pipeline[T any] struct {
-	n      int
-	src    []T           // From source (nil for Generate)
-	gen    func(i int) T // Generate source (nil for From)
-	stages []func(i int, v T) T
-	// plain[k] is stage k's index-free form when it has one (Transform/
-	// Map), nil for TransformIndexed. All-plain chains over a slice source
-	// compile to loops that call the user functions directly — one
-	// indirect call per stage per element, nothing else — which is what
-	// keeps the fused pass cheaper than the staged one even where the
-	// generic-dictionary call overhead rivals the DRAM cost per element.
-	plain []func(v T) T
-	names []string // signature parts: source, then one per stage
-	tuner *tune.Tuner
+	n   int
+	src []T           // From source (nil for Generate)
+	gen func(i int) T // Generate source (nil for From)
+	// stages run in order on every element. Chains of up to three stages
+	// over a source compile to loops that call the user functions
+	// directly — one indirect call per stage per element, nothing else —
+	// which is what keeps the fused pass cheaper than the staged one even
+	// where the generic-dictionary call overhead rivals the DRAM cost per
+	// element.
+	stages []func(v T) T
 }
 
 // From starts a pipeline that reads its elements from src.
 func From[T any](src []T) *Pipeline[T] {
-	return &Pipeline[T]{n: len(src), src: src, names: []string{"from"}}
+	return &Pipeline[T]{n: len(src), src: src}
 }
 
 // Generate starts a pipeline whose element i is produced by gen(i) — a
@@ -74,7 +65,7 @@ func Generate[T any](n int, gen func(i int) T) *Pipeline[T] {
 	if n < 0 {
 		n = 0
 	}
-	return &Pipeline[T]{n: n, gen: gen, names: []string{"gen"}}
+	return &Pipeline[T]{n: n, gen: gen}
 }
 
 // Len returns the pipeline's element count.
@@ -83,57 +74,12 @@ func (pl *Pipeline[T]) Len() int { return pl.n }
 // Transform appends an element-wise stage computing f(v) — fused into the
 // same pass as its neighbours (std::transform without the intermediate
 // array). f must be pure: it may run concurrently and, under a Scan
-// terminal, more than once per element.
+// terminal, more than once per element. The stage is appended in place
+// and the receiver returned: chains are built-and-consumed values, not
+// persistent structures.
 func (pl *Pipeline[T]) Transform(f func(v T) T) *Pipeline[T] {
-	return pl.push("map", func(_ int, v T) T { return f(v) }, f)
-}
-
-// Map is Transform under its functional-programming name.
-func (pl *Pipeline[T]) Map(f func(v T) T) *Pipeline[T] { return pl.Transform(f) }
-
-// TransformIndexed appends an element-wise stage that also sees the
-// element index — enough to express iota-style and position-dependent
-// kernels without a materialized index array.
-func (pl *Pipeline[T]) TransformIndexed(f func(i int, v T) T) *Pipeline[T] {
-	return pl.push("mapi", f, nil)
-}
-
-// WithTuner attaches an adaptive grain tuner: every terminal derives a
-// tune site from the chain's Signature and executes under
-// p.WithGrainSource(tuner.Site(sig)), so `--grain=adaptive` works on fused
-// loops exactly as on the staged algorithms. The fused chain gets its OWN
-// tune key — its bytes-per-element and instruction mix differ from any
-// single stage, so it must not share a site with them.
-func (pl *Pipeline[T]) WithTuner(t *tune.Tuner) *Pipeline[T] {
-	pl.tuner = t
-	return pl
-}
-
-// push appends a stage in place and returns the receiver: chains are
-// built-and-consumed values, not persistent structures.
-func (pl *Pipeline[T]) push(name string, f func(i int, v T) T, p func(v T) T) *Pipeline[T] {
 	pl.stages = append(pl.stages, f)
-	pl.plain = append(pl.plain, p)
-	pl.names = append(pl.names, name)
 	return pl
-}
-
-// allPlain reports whether every stage has an index-free form.
-func (pl *Pipeline[T]) allPlain() bool {
-	for _, p := range pl.plain {
-		if p == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// Signature identifies the fused chain's shape, e.g.
-// "pipeline:from+map+map". Terminals append their own tag
-// ("…+reduce") to form the tune site and trace label, so chains with the
-// same stage mix share tuning state across call sites.
-func (pl *Pipeline[T]) Signature() string {
-	return "pipeline:" + strings.Join(pl.names, "+")
 }
 
 // MapTo fuses a type-changing stage onto the chain, starting a new
@@ -142,12 +88,7 @@ func (pl *Pipeline[T]) Signature() string {
 // T-chain followed by f.
 func MapTo[T, U any](pl *Pipeline[T], f func(v T) U) *Pipeline[U] {
 	ev := pl.eval()
-	return &Pipeline[U]{
-		n:     pl.n,
-		gen:   func(i int) U { return f(ev(i)) },
-		names: append(append([]string{}, pl.names...), "mapto"),
-		tuner: pl.tuner,
-	}
+	return &Pipeline[U]{n: pl.n, gen: func(i int) U { return f(ev(i)) }}
 }
 
 // eval compiles the chain into a single per-element evaluator. Short
@@ -156,35 +97,33 @@ func MapTo[T, U any](pl *Pipeline[T], f func(v T) U) *Pipeline[U] {
 // walk — which is what lets the fused pass win on memory traffic instead
 // of giving the saving back as call overhead.
 func (pl *Pipeline[T]) eval() func(i int) T {
-	if pl.allPlain() {
-		if src := pl.src; src != nil {
-			switch len(pl.stages) {
-			case 0:
-				return func(i int) T { return src[i] }
-			case 1:
-				f0 := pl.plain[0]
-				return func(i int) T { return f0(src[i]) }
-			case 2:
-				f0, f1 := pl.plain[0], pl.plain[1]
-				return func(i int) T { return f1(f0(src[i])) }
-			case 3:
-				f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
-				return func(i int) T { return f2(f1(f0(src[i]))) }
-			}
-		} else if gen := pl.gen; gen != nil {
-			switch len(pl.stages) {
-			case 0:
-				return gen
-			case 1:
-				f0 := pl.plain[0]
-				return func(i int) T { return f0(gen(i)) }
-			case 2:
-				f0, f1 := pl.plain[0], pl.plain[1]
-				return func(i int) T { return f1(f0(gen(i))) }
-			case 3:
-				f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
-				return func(i int) T { return f2(f1(f0(gen(i)))) }
-			}
+	if src := pl.src; src != nil {
+		switch len(pl.stages) {
+		case 0:
+			return func(i int) T { return src[i] }
+		case 1:
+			f0 := pl.stages[0]
+			return func(i int) T { return f0(src[i]) }
+		case 2:
+			f0, f1 := pl.stages[0], pl.stages[1]
+			return func(i int) T { return f1(f0(src[i])) }
+		case 3:
+			f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
+			return func(i int) T { return f2(f1(f0(src[i]))) }
+		}
+	} else if gen := pl.gen; gen != nil {
+		switch len(pl.stages) {
+		case 0:
+			return gen
+		case 1:
+			f0 := pl.stages[0]
+			return func(i int) T { return f0(gen(i)) }
+		case 2:
+			f0, f1 := pl.stages[0], pl.stages[1]
+			return func(i int) T { return f1(f0(gen(i))) }
+		case 3:
+			f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
+			return func(i int) T { return f2(f1(f0(gen(i)))) }
 		}
 	}
 	load := pl.gen
@@ -195,27 +134,13 @@ func (pl *Pipeline[T]) eval() func(i int) T {
 		var zero T
 		load = func(int) T { return zero }
 	}
-	switch len(pl.stages) {
-	case 0:
-		return load
-	case 1:
-		f0 := pl.stages[0]
-		return func(i int) T { return f0(i, load(i)) }
-	case 2:
-		f0, f1 := pl.stages[0], pl.stages[1]
-		return func(i int) T { return f1(i, f0(i, load(i))) }
-	case 3:
-		f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
-		return func(i int) T { return f2(i, f1(i, f0(i, load(i)))) }
-	default:
-		fns := pl.stages
-		return func(i int) T {
-			v := load(i)
-			for _, f := range fns {
-				v = f(i, v)
-			}
-			return v
+	fns := pl.stages
+	return func(i int) T {
+		v := load(i)
+		for _, f := range fns {
+			v = f(v)
 		}
+		return v
 	}
 }
 
@@ -225,11 +150,11 @@ func (pl *Pipeline[T]) eval() func(i int) T {
 // states) and the striping breaks the loop-carried dependence through the
 // non-inlinable op call, which otherwise serializes one call+ALU latency
 // per element. The stripe layout is fixed, so results stay deterministic
-// for a fixed policy. Slice-source all-plain chains get fully specialized
+// for a fixed policy. Chains of up to three stages get fully specialized
 // loops that call the user stages directly: one indirect call per stage
 // per element is the entire per-element cost beyond the memory sweep.
 func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
-	if pl.src != nil && pl.allPlain() {
+	if pl.src != nil {
 		src := pl.src
 		switch len(pl.stages) {
 		case 0:
@@ -256,7 +181,7 @@ func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
 				return acc
 			}
 		case 1:
-			f0 := pl.plain[0]
+			f0 := pl.stages[0]
 			return func(lo, hi int) T {
 				if hi-lo < 8 {
 					acc := f0(src[lo])
@@ -280,7 +205,7 @@ func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
 				return acc
 			}
 		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
+			f0, f1 := pl.stages[0], pl.stages[1]
 			return func(lo, hi int) T {
 				if hi-lo < 8 {
 					acc := f1(f0(src[lo]))
@@ -304,7 +229,7 @@ func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
 				return acc
 			}
 		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
+			f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
 			return func(lo, hi int) T {
 				if hi-lo < 8 {
 					acc := f2(f1(f0(src[lo])))
@@ -329,7 +254,7 @@ func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
 			}
 		}
 	}
-	if pl.gen != nil && pl.allPlain() {
+	if pl.gen != nil {
 		gen := pl.gen
 		switch len(pl.stages) {
 		case 0:
@@ -356,7 +281,7 @@ func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
 				return acc
 			}
 		case 1:
-			f0 := pl.plain[0]
+			f0 := pl.stages[0]
 			return func(lo, hi int) T {
 				if hi-lo < 8 {
 					acc := f0(gen(lo))
@@ -380,7 +305,7 @@ func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
 				return acc
 			}
 		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
+			f0, f1 := pl.stages[0], pl.stages[1]
 			return func(lo, hi int) T {
 				if hi-lo < 8 {
 					acc := f1(f0(gen(lo)))
@@ -404,7 +329,7 @@ func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
 				return acc
 			}
 		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
+			f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
 			return func(lo, hi int) T {
 				if hi-lo < 8 {
 					acc := f2(f1(f0(gen(lo))))
@@ -458,27 +383,27 @@ func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
 // same direct-call specializations as folder (no striping: element writes
 // are independent, so the CPU overlaps them on its own).
 func (pl *Pipeline[T]) copier(dst []T) func(lo, hi int) {
-	if pl.src != nil && pl.allPlain() {
+	if pl.src != nil {
 		src := pl.src
 		switch len(pl.stages) {
 		case 0:
 			return func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) }
 		case 1:
-			f0 := pl.plain[0]
+			f0 := pl.stages[0]
 			return func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					dst[i] = f0(src[i])
 				}
 			}
 		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
+			f0, f1 := pl.stages[0], pl.stages[1]
 			return func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					dst[i] = f1(f0(src[i]))
 				}
 			}
 		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
+			f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
 			return func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					dst[i] = f2(f1(f0(src[i])))
@@ -486,7 +411,7 @@ func (pl *Pipeline[T]) copier(dst []T) func(lo, hi int) {
 			}
 		}
 	}
-	if pl.gen != nil && pl.allPlain() {
+	if pl.gen != nil {
 		gen := pl.gen
 		switch len(pl.stages) {
 		case 0:
@@ -496,21 +421,21 @@ func (pl *Pipeline[T]) copier(dst []T) func(lo, hi int) {
 				}
 			}
 		case 1:
-			f0 := pl.plain[0]
+			f0 := pl.stages[0]
 			return func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					dst[i] = f0(gen(i))
 				}
 			}
 		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
+			f0, f1 := pl.stages[0], pl.stages[1]
 			return func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					dst[i] = f1(f0(gen(i)))
 				}
 			}
 		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
+			f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
 			return func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					dst[i] = f2(f1(f0(gen(i))))
@@ -526,26 +451,15 @@ func (pl *Pipeline[T]) copier(dst []T) func(lo, hi int) {
 	}
 }
 
-// policyFor derives the execution policy of a terminal: the caller's
-// policy, plus the chain-signature tune site when a tuner is attached.
-func (pl *Pipeline[T]) policyFor(p core.Policy, terminal string) (core.Policy, string) {
-	sig := pl.Signature() + "+" + terminal
-	if pl.tuner != nil {
-		p = p.WithGrainSource(pl.tuner.Site(sig))
-	}
-	return p, sig
-}
-
 // Reduce executes the chain and folds the results with op starting from
 // init (std::transform_reduce over the whole fused chain). op must be
 // associative: like std::reduce the combination order is unspecified
 // (within a chunk the fold runs fixed accumulator stripes, across chunks
-// partials fold in chunk order), but it is deterministic for a fixed
-// policy. Under a
-// canceled policy the result is incomplete and must be discarded
-// (p.Canceled() is the source of truth), exactly as with the staged form.
+// core.ReduceChunks combines results in chunk order), but it is
+// deterministic for a fixed policy. Under a canceled policy the result is
+// incomplete and must be discarded (p.Canceled() is the source of truth),
+// exactly as with the staged form.
 func (pl *Pipeline[T]) Reduce(p core.Policy, init T, op func(a, b T) T) T {
-	p, _ = pl.policyFor(p, "reduce")
 	n := pl.n
 	if n == 0 {
 		return init
@@ -554,25 +468,13 @@ func (pl *Pipeline[T]) Reduce(p core.Policy, init T, op func(a, b T) T) T {
 	if !p.ShouldParallelize(n) {
 		return op(init, fold(0, n))
 	}
-	chunks := p.Chunks(n)
-	partial := make([]T, chunks.Len())
-	hasVal := make([]bool, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		partial[ci] = fold(c.Lo, c.Hi)
-		hasVal[ci] = true
-	})
-	acc := init
-	for ci := range partial {
-		if hasVal[ci] {
-			acc = op(acc, partial[ci])
-		}
-	}
-	return acc
+	return core.ReduceChunks(p, n, init, op, rangeFold[T](fold))
 }
+
+// rangeFold adapts a compiled range fold to core.ChunkFolder.
+type rangeFold[T any] func(lo, hi int) T
+
+func (f rangeFold[T]) Fold(lo, hi int) T { return f(lo, hi) }
 
 // Sum folds a numeric chain with +, the fused counterpart of core.Sum
 // (the common std::reduce case the paper benchmarks). A free function
@@ -581,7 +483,6 @@ func (pl *Pipeline[T]) Reduce(p core.Policy, init T, op func(a, b T) T) T {
 // element, only the user stages, so a fused sum chain runs at the speed of
 // its source sweep plus one indirect call per stage.
 func Sum[T core.Number](p core.Policy, pl *Pipeline[T], init T) T {
-	p, _ = pl.policyFor(p, "reduce")
 	n := pl.n
 	if n == 0 {
 		return init
@@ -590,27 +491,13 @@ func Sum[T core.Number](p core.Policy, pl *Pipeline[T], init T) T {
 	if !p.ShouldParallelize(n) {
 		return init + fold(0, n)
 	}
-	chunks := p.Chunks(n)
-	partial := make([]T, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		partial[ci] = fold(c.Lo, c.Hi)
-	})
-	acc := init
-	for _, v := range partial {
-		acc += v
-	}
-	return acc
+	return core.ReduceChunks(p, n, init, func(a, b T) T { return a + b }, rangeFold[T](fold))
 }
 
 // sumFolder is folder specialized to the + operator: same striping, no op
-// callback. Empty chunks contribute the zero value, which is the identity
-// of +, so no has-value tracking is needed.
+// callback.
 func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
-	if pl.src != nil && pl.allPlain() {
+	if pl.src != nil {
 		src := pl.src
 		switch len(pl.stages) {
 		case 0:
@@ -630,7 +517,7 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 				return acc
 			}
 		case 1:
-			f0 := pl.plain[0]
+			f0 := pl.stages[0]
 			return func(lo, hi int) T {
 				var a0, a1, a2, a3 T
 				i := lo
@@ -647,7 +534,7 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 				return acc
 			}
 		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
+			f0, f1 := pl.stages[0], pl.stages[1]
 			return func(lo, hi int) T {
 				var a0, a1, a2, a3 T
 				i := lo
@@ -664,7 +551,7 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 				return acc
 			}
 		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
+			f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
 			return func(lo, hi int) T {
 				var a0, a1, a2, a3 T
 				i := lo
@@ -682,7 +569,7 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 			}
 		}
 	}
-	if pl.gen != nil && pl.allPlain() {
+	if pl.gen != nil {
 		gen := pl.gen
 		switch len(pl.stages) {
 		case 0:
@@ -702,7 +589,7 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 				return acc
 			}
 		case 1:
-			f0 := pl.plain[0]
+			f0 := pl.stages[0]
 			return func(lo, hi int) T {
 				var a0, a1, a2, a3 T
 				i := lo
@@ -719,7 +606,7 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 				return acc
 			}
 		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
+			f0, f1 := pl.stages[0], pl.stages[1]
 			return func(lo, hi int) T {
 				var a0, a1, a2, a3 T
 				i := lo
@@ -736,7 +623,7 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 				return acc
 			}
 		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
+			f0, f1, f2 := pl.stages[0], pl.stages[1], pl.stages[2]
 			return func(lo, hi int) T {
 				var a0, a1, a2, a3 T
 				i := lo
@@ -777,7 +664,6 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 // and must not alias a From source unless element-wise overwrite is
 // intended (i is written only after being read, within the same index).
 func (pl *Pipeline[T]) Copy(p core.Policy, dst []T) {
-	p, _ = pl.policyFor(p, "copy")
 	n := pl.n
 	_ = dst[:n] // bounds check once, like core.Transform
 	write := pl.copier(dst)
@@ -790,59 +676,6 @@ func (pl *Pipeline[T]) Copy(p core.Policy, dst []T) {
 	})
 }
 
-// Each executes the chain and calls fn(i, value) per element. fn runs
-// concurrently across chunks and must synchronize any shared writes.
-func (pl *Pipeline[T]) Each(p core.Policy, fn func(i int, v T)) {
-	p, _ = pl.policyFor(p, "each")
-	n := pl.n
-	ev := pl.eval()
-	if !p.ShouldParallelize(n) {
-		for i := 0; i < n; i++ {
-			fn(i, ev(i))
-		}
-		return
-	}
-	p.ParallelFor(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i, ev(i))
-		}
-	})
-}
-
-// Count executes the chain and returns how many elements satisfy pred —
-// the fused transform+count_if.
-func (pl *Pipeline[T]) Count(p core.Policy, pred func(v T) bool) int {
-	p, _ = pl.policyFor(p, "count")
-	n := pl.n
-	ev := pl.eval()
-	if !p.ShouldParallelize(n) {
-		total := 0
-		for i := 0; i < n; i++ {
-			if pred(ev(i)) {
-				total++
-			}
-		}
-		return total
-	}
-	chunks := p.Chunks(n)
-	partial := make([]int, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		count := 0
-		for i := c.Lo; i < c.Hi; i++ {
-			if pred(ev(i)) {
-				count++
-			}
-		}
-		partial[ci] = count
-	})
-	total := 0
-	for _, c := range partial {
-		total += c
-	}
-	return total
-}
-
 // Scan executes the chain and writes its inclusive prefix combination
 // under op into dst (fused transform_inclusive_scan). Scan is a fusion
 // BARRIER: a prefix needs every earlier element, so the parallel form is
@@ -853,7 +686,6 @@ func (pl *Pipeline[T]) Count(p core.Policy, pred func(v T) bool) int {
 // Copy-then-core.InclusiveScan can be cheaper. Both phases derive from ONE
 // chunk decomposition, so adaptive grain sources cannot shear the phases.
 func (pl *Pipeline[T]) Scan(p core.Policy, dst []T, op func(a, b T) T) {
-	p, _ = pl.policyFor(p, "scan")
 	n := pl.n
 	_ = dst[:n]
 	ev := pl.eval()
@@ -869,48 +701,33 @@ func (pl *Pipeline[T]) Scan(p core.Policy, dst []T, op func(a, b T) T) {
 		}
 		return
 	}
-	chunks := p.Chunks(n)
-	fold := pl.folder(op)
-	sums := make([]T, chunks.Len())
-	hasVal := make([]bool, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		sums[ci] = fold(c.Lo, c.Hi)
-		hasVal[ci] = true
-	})
-	offsets := make([]T, chunks.Len())
-	hasOff := make([]bool, chunks.Len())
-	for ci := 1; ci < chunks.Len(); ci++ {
-		hasOff[ci] = hasOff[ci-1] || hasVal[ci-1]
-		if !hasOff[ci] {
-			continue
-		}
-		if hasOff[ci-1] {
-			offsets[ci] = op(offsets[ci-1], sums[ci-1])
-		} else {
-			offsets[ci] = sums[ci-1]
-		}
+	var none T
+	core.ScanChunks(p, n, none, false, op, scanner[T]{pl.folder(op), ev, dst, op})
+}
+
+// scanner is Scan's per-chunk work: the striped fold for phase 1, a
+// re-evaluating inclusive rescan for phase 2.
+type scanner[T any] struct {
+	fold func(lo, hi int) T
+	ev   func(i int) T
+	dst  []T
+	op   func(a, b T) T
+}
+
+func (s scanner[T]) Fold(lo, hi int) T { return s.fold(lo, hi) }
+
+func (scanner[T]) Reserve(T) {}
+
+func (s scanner[T]) Rescan(lo, hi int, carry T, hasCarry bool) {
+	acc := s.ev(lo)
+	if hasCarry {
+		acc = s.op(carry, acc)
 	}
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		var acc T
-		if hasOff[ci] {
-			acc = op(offsets[ci], ev(c.Lo))
-		} else {
-			acc = ev(c.Lo)
-		}
-		dst[c.Lo] = acc
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, ev(i))
-			dst[i] = acc
-		}
-	})
+	s.dst[lo] = acc
+	for i := lo + 1; i < hi; i++ {
+		acc = s.op(acc, s.ev(i))
+		s.dst[i] = acc
+	}
 }
 
 // Sort executes the chain into dst and sorts it ascending under less.
@@ -920,8 +737,7 @@ func (pl *Pipeline[T]) Scan(p core.Policy, dst []T, op func(a, b T) T) {
 // length ≥ n.
 func (pl *Pipeline[T]) Sort(p core.Policy, dst []T, less func(a, b T) bool) {
 	pl.Copy(p, dst)
-	pol, _ := pl.policyFor(p, "sort")
-	core.SortFunc(pol, dst[:pl.n], less)
+	core.SortFunc(p, dst[:pl.n], less)
 }
 
 // ---------------------------------------------------------------------------
@@ -943,8 +759,8 @@ type Traffic struct {
 }
 
 // ModelTraffic returns the modeled DRAM traffic of this chain under a
-// given terminal ("reduce", "copy", "scan", "sort", "count", "each"),
-// assuming elemBytes per element and an n too large to cache. The fused
+// given terminal ("reduce", "copy", "scan" or "sort"; anything else is
+// costed as "reduce"), assuming elemBytes per element and an n too large to cache. The fused
 // execution touches only source and sink; the staged execution streams
 // every intermediate through memory.
 func (pl *Pipeline[T]) ModelTraffic(elemBytes int, terminal string) Traffic {
@@ -966,16 +782,13 @@ func (pl *Pipeline[T]) ModelTraffic(elemBytes int, terminal string) Traffic {
 	staged += stages * 3 * e // per stage: read in + write out + wa
 	var fused int64
 	switch terminal {
-	case "reduce", "count", "each":
-		staged += e
-		fused = srcRead
 	case "copy", "sort":
 		staged += 3 * e // read last + write dst + wa
 		fused = srcRead + 2*e
 	case "scan":
 		staged += 4 * e // pass1 read, pass2 read + write + wa
 		fused = 2*srcRead + 2*e
-	default:
+	default: // reduce: the terminal reads the last array once
 		staged += e
 		fused = srcRead
 	}
