@@ -243,7 +243,7 @@ func BenchmarkCancelOverhead(b *testing.B) {
 			pool := native.New(workers, native.StrategyStealing)
 			defer pool.Close()
 			body := func(worker, lo, hi int) {}
-			chunks := exec.Fine.ChunkCount(n, workers)
+			chunks := exec.Fine.Chunks(n, workers).Len()
 			c := &exec.Cancel{}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -124,7 +124,9 @@ type plainPool struct{}
 
 func (plainPool) Workers() int { return 2 }
 func (plainPool) ForChunks(n int, g exec.Grain, body func(worker, lo, hi int)) {
-	g.ForEachChunk(n, 2, func(_ int, r exec.Range) { body(0, r.Lo, r.Hi) })
+	for _, r := range g.Partition(n, 2) {
+		body(0, r.Lo, r.Hi)
+	}
 }
 func (plainPool) Do(fns ...func()) {
 	for _, fn := range fns {

@@ -46,8 +46,9 @@ type chunkResult[R any] struct {
 func ReduceChunks[R any, F ChunkFolder[R]](p Policy, n int, init R, op func(a, b R) R, f F) R {
 	chunks := p.Chunks(n)
 	parts := make([]chunkResult[R], chunks.Len())
-	p.forEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
+	p.forEachChunk(chunks.Len(), func(ci int) {
+		cs := chunks // a local copy keeps the closure's capture off the heap
+		c := cs.At(ci)
 		parts[ci] = chunkResult[R]{f.Fold(c.Lo, c.Hi), true}
 	})
 	acc := init
@@ -69,8 +70,9 @@ func ReduceChunks[R any, F ChunkFolder[R]](p Policy, n int, init R, op func(a, b
 func ScanChunks[R any, S ChunkScanner[R]](p Policy, n int, carry R, hasCarry bool, op func(a, b R) R, s S) R {
 	chunks := p.Chunks(n)
 	parts := make([]chunkResult[R], chunks.Len())
-	p.forEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
+	p.forEachChunk(chunks.Len(), func(ci int) {
+		cs := chunks // a local copy keeps the closure's capture off the heap
+		c := cs.At(ci)
 		parts[ci] = chunkResult[R]{s.Fold(c.Lo, c.Hi), true}
 	})
 	for ci, r := range parts {
@@ -85,8 +87,9 @@ func ScanChunks[R any, S ChunkScanner[R]](p Policy, n int, carry R, hasCarry boo
 		}
 	}
 	s.Reserve(carry)
-	p.forEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
+	p.forEachChunk(chunks.Len(), func(ci int) {
+		cs := chunks // a local copy keeps the closure's capture off the heap
+		c := cs.At(ci)
 		s.Rescan(c.Lo, c.Hi, parts[ci].v, parts[ci].ok)
 	})
 	return carry

@@ -155,34 +155,14 @@ func (p Policy) grain(n int) exec.Grain {
 	return p.Grain
 }
 
-// ChunkSet is an index-addressable view of the chunk decomposition of
-// [0, n) under a policy: chunk ranges are computed on demand from the grain
-// arithmetic (exec.Grain.ChunkAt) instead of materializing a []exec.Range
-// per call, keeping the multi-phase algorithms off the allocator for the
-// decomposition itself. Exported with Chunks so that tests can restate a
-// call's decomposition; layered executors dispatch through ParallelFor,
-// ReduceChunks and ScanChunks.
-type ChunkSet struct {
-	grain exec.Grain
-	n     int
-	w     int
-	count int
-}
-
-// Len returns the number of chunks in the decomposition.
-func (cs ChunkSet) Len() int { return cs.count }
-
-// At returns chunk ci of the decomposition.
-func (cs ChunkSet) At(ci int) exec.Range { return cs.grain.ChunkAt(ci, cs.n, cs.w) }
-
 // Chunks returns the chunk decomposition of [0, n) under this policy.
 // All multi-phase algorithms (scan, stable partition, copy-if) derive every
 // phase from the same decomposition so per-chunk intermediate results line
-// up across phases.
-func (p Policy) Chunks(n int) ChunkSet {
-	w := p.workers()
-	g := p.grain(n)
-	return ChunkSet{grain: g, n: n, w: w, count: g.ChunkCount(n, w)}
+// up across phases. Exported so that tests can restate a call's
+// decomposition; layered executors dispatch through ParallelFor,
+// ReduceChunks and ScanChunks.
+func (p Policy) Chunks(n int) exec.Chunks {
+	return p.grain(n).Chunks(n, p.workers())
 }
 
 // dispatch runs one parallel loop over [0, n) with grain g on the policy's
@@ -224,11 +204,12 @@ func (p Policy) ParallelFor(n int, body func(worker, lo, hi int)) {
 	p.dispatch(n, p.grain(n), body)
 }
 
-// forEachChunk runs body over the chunk set on the policy's pool. It is
-// the building block for the multi-phase algorithms, which need an explicit
-// chunk decomposition rather than ParallelFor's implicit partition.
-func (p Policy) forEachChunk(chunks ChunkSet, body func(ci int)) {
-	p.dispatch(chunks.count, exec.Grain{ChunksPerWorker: 1, MaxChunk: 1}, func(_, lo, hi int) {
+// forEachChunk runs body for every chunk index in [0, chunks) on the
+// policy's pool. It is the building block for the multi-phase algorithms,
+// which need an explicit chunk decomposition rather than ParallelFor's
+// implicit partition.
+func (p Policy) forEachChunk(chunks int, body func(ci int)) {
+	p.dispatch(chunks, exec.Grain{ChunksPerWorker: 1, MaxChunk: 1}, func(_, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			body(ci)
 		}

@@ -36,7 +36,7 @@ func Includes[T any](p Policy, a, b []T, less func(x, y T) bool) bool {
 	}
 	bounds[chunks.Len()] = len(b)
 	var failed atomic.Bool
-	p.forEachChunk(chunks, func(ci int) {
+	p.forEachChunk(chunks.Len(), func(ci int) {
 		lo, hi := bounds[ci], bounds[ci+1]
 		if lo >= hi {
 			return

@@ -14,64 +14,124 @@ var chunkGrains = []Grain{
 	{ChunksPerWorker: guidedMarker, MinChunk: 64},
 }
 
-// TestChunkAtMatchesPartition pins the index-based access path to the
-// materializing one: ChunkCount, ChunkAt and ForEachChunk must agree with
-// Partition exactly for every grain, size and worker count.
+// oracleChunks restates the decomposition as plain loops, independently of
+// Grain.Chunks: the linear grains clamp workers*ChunksPerWorker to at most
+// ceil(n/MinChunk) and n and at least ceil(n/MaxChunk), then give the first
+// n%chunks chunks one extra iteration; Guided walks the recurrence
+// size = remaining/workers, floored at MinChunk and capped at the end.
+// Chunks is compared with it, never with Partition, which loops over
+// Chunks.
+func oracleChunks(g Grain, n, workers int) []Range {
+	if n <= 0 {
+		return nil
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	minChunk := g.MinChunk
+	if minChunk < 1 {
+		minChunk = 1
+	}
+	var out []Range
+	if g.ChunksPerWorker == guidedMarker {
+		for lo := 0; lo < n; {
+			size := (n - lo) / workers
+			if size < minChunk {
+				size = minChunk
+			}
+			if size > n-lo {
+				size = n - lo
+			}
+			out = append(out, Range{Lo: lo, Hi: lo + size})
+			lo += size
+		}
+		return out
+	}
+	cpw := g.ChunksPerWorker
+	if cpw < 1 {
+		cpw = 1
+	}
+	chunks := workers * cpw
+	if byMin := (n + minChunk - 1) / minChunk; chunks > byMin {
+		chunks = byMin
+	}
+	if g.MaxChunk > 0 {
+		if byMax := (n + g.MaxChunk - 1) / g.MaxChunk; chunks < byMax {
+			chunks = byMax
+		}
+	}
+	if chunks > n {
+		chunks = n
+	}
+	lo := 0
+	for i := 0; i < chunks; i++ {
+		hi := lo + n/chunks
+		if i < n%chunks {
+			hi++
+		}
+		out = append(out, Range{Lo: lo, Hi: hi})
+		lo = hi
+	}
+	return out
+}
+
+// TestChunkAtMatchesPartition pins the decomposition to the oracle: Len and
+// every At must equal oracleChunks, and Partition must materialize exactly
+// the same list, for every grain, size and worker count.
 func TestChunkAtMatchesPartition(t *testing.T) {
 	for _, g := range chunkGrains {
 		for _, n := range []int{0, 1, 2, 7, 64, 1000, 65536} {
 			for _, w := range []int{1, 2, 3, 8, 17, 128} {
-				want := g.Partition(n, w)
-				if got := g.ChunkCount(n, w); got != len(want) {
-					t.Fatalf("grain %+v n=%d w=%d: ChunkCount=%d, Partition len=%d",
-						g, n, w, got, len(want))
+				want := oracleChunks(g, n, w)
+				cs := g.Chunks(n, w)
+				if cs.Len() != len(want) {
+					t.Fatalf("grain %+v n=%d w=%d: Len()=%d, oracle has %d chunks",
+						g, n, w, cs.Len(), len(want))
 				}
 				for i, r := range want {
-					if got := g.ChunkAt(i, n, w); got != r {
-						t.Fatalf("grain %+v n=%d w=%d: ChunkAt(%d)=%+v, want %+v",
+					if got := cs.At(i); got != r {
+						t.Fatalf("grain %+v n=%d w=%d: At(%d)=%+v, oracle %+v",
 							g, n, w, i, got, r)
 					}
 				}
-				seen := 0
-				g.ForEachChunk(n, w, func(ci int, r Range) {
-					if ci != seen {
-						t.Fatalf("grain %+v n=%d w=%d: ForEachChunk index %d, want %d",
-							g, n, w, ci, seen)
+				got := g.Partition(n, w)
+				if len(got) != len(want) {
+					t.Fatalf("grain %+v n=%d w=%d: Partition has %d chunks, oracle %d",
+						g, n, w, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("grain %+v n=%d w=%d: Partition[%d]=%+v, oracle %+v",
+							g, n, w, i, got[i], want[i])
 					}
-					if r != want[ci] {
-						t.Fatalf("grain %+v n=%d w=%d: ForEachChunk chunk %d=%+v, want %+v",
-							g, n, w, ci, r, want[ci])
-					}
-					seen++
-				})
-				if seen != len(want) {
-					t.Fatalf("grain %+v n=%d w=%d: ForEachChunk visited %d chunks, want %d",
-						g, n, w, seen, len(want))
 				}
 			}
 		}
 	}
 }
 
-// TestGuidedChunkCountNoAlloc verifies the guided count satellite fix:
-// counting chunks must not materialize the partition.
+// TestGuidedChunkCountNoAlloc pins that building a decomposition and
+// reading its chunks never materializes the partition, guided included.
 func TestGuidedChunkCountNoAlloc(t *testing.T) {
 	g := Guided
 	allocs := testing.AllocsPerRun(100, func() {
-		if g.ChunkCount(1<<20, 64) == 0 {
-			t.Fatal("zero chunks")
+		cs := g.Chunks(1<<20, 64)
+		if cs.Len() == 0 || cs.At(cs.Len()-1).Hi != 1<<20 {
+			t.Fatal("bad guided decomposition")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("guided ChunkCount allocates %v per call, want 0", allocs)
+		t.Fatalf("guided Chunks allocates %v per call, want 0", allocs)
 	}
 }
 
 func TestChunkAtOutOfRange(t *testing.T) {
-	if r := Auto.ChunkAt(999, 100, 4); !r.Empty() {
-		t.Fatalf("out-of-range ChunkAt = %+v, want empty", r)
+	auto := Auto.Chunks(100, 4)
+	if r := auto.At(999); !r.Empty() {
+		t.Fatalf("out-of-range At = %+v, want empty", r)
 	}
-	if r := Guided.ChunkAt(999, 100, 4); !r.Empty() {
-		t.Fatalf("guided out-of-range ChunkAt = %+v, want empty", r)
+	guided := Guided.Chunks(100, 4)
+	if r := guided.At(999); !r.Empty() {
+		t.Fatalf("guided out-of-range At = %+v, want empty", r)
 	}
 }

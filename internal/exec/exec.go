@@ -11,9 +11,12 @@
 //     into chunks, and
 //   - the execution substrate (Pool): what runs those chunks.
 //
-// Both the real goroutine pools and the discrete-event simulator consume
-// the chunk lists produced by Partition, so the schedule that is simulated
-// is the schedule the library actually runs.
+// Grain.Chunks is the one chunk decomposition both planes read: the native
+// pools dispatch its chunks by index, the skeletons turn its Partition into
+// the discrete-event simulator's tasks, and both the stealing pool and the
+// simulator split the chunk indices into per-worker home bands with
+// Static.Chunks. The schedule that is simulated is therefore the schedule
+// the library actually runs.
 package exec
 
 // Range is a half-open interval [Lo, Hi) of an iteration space.
@@ -62,183 +65,109 @@ var Fine = Grain{ChunksPerWorker: 32}
 // chunks last for load balance.
 var Guided = Grain{ChunksPerWorker: guidedMarker}
 
-// guidedMarker selects the guided partitioning path in Partition.
+// guidedMarker selects the guided decomposition in Grain.Chunks.
 const guidedMarker = -1
 
-// IsGuided reports whether the grain uses the guided (geometrically
-// decreasing) partition, whose chunk ranges cannot be computed in O(1).
-// Schedulers use this to pick between the closed-form linear chunk lookup
-// and ChunkAt's replay.
-func (g Grain) IsGuided() bool { return g.ChunksPerWorker == guidedMarker }
-
-// ChunkCount returns the number of chunks Partition will produce for an
-// iteration space of n elements on the given number of workers. It never
-// allocates; the guided count is computed by replaying the size recurrence
-// arithmetically instead of materializing the partition.
-func (g Grain) ChunkCount(n, workers int) int {
-	if n <= 0 {
-		return 0
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if g.ChunksPerWorker == guidedMarker {
-		return guidedChunkCount(n, workers, g.MinChunk)
-	}
-	cpw := g.ChunksPerWorker
-	if cpw < 1 {
-		cpw = 1
-	}
-	chunks := workers * cpw
-	minChunk := g.MinChunk
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	if maxByMin := (n + minChunk - 1) / minChunk; chunks > maxByMin {
-		chunks = maxByMin
-	}
-	if g.MaxChunk > 0 {
-		if minByMax := (n + g.MaxChunk - 1) / g.MaxChunk; chunks < minByMax {
-			chunks = minByMax
-		}
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > n {
-		chunks = n
-	}
-	return chunks
-}
-
-// Partition cuts [0, n) into the chunk list prescribed by the grain policy
-// for the given worker count. Chunks are contiguous, non-overlapping, and
-// cover [0, n) exactly; except for the guided policy they differ in size
-// by at most one iteration.
-func (g Grain) Partition(n, workers int) []Range {
-	if g.ChunksPerWorker == guidedMarker {
-		return guidedPartition(n, workers, g.MinChunk)
-	}
-	chunks := g.ChunkCount(n, workers)
-	if chunks == 0 {
-		return nil
-	}
-	out := make([]Range, 0, chunks)
-	base := n / chunks
-	rem := n % chunks
-	lo := 0
-	for i := 0; i < chunks; i++ {
-		hi := lo + base
-		if i < rem {
-			hi++
-		}
-		out = append(out, Range{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	return out
-}
-
-// ChunkAt returns the i-th chunk of the partition of [0, n), identical to
-// Partition(n, workers)[i] but without materializing the slice. It is the
-// index-based access path the native scheduler uses for zero-allocation
-// chunk dispatch. For the linear grains the lookup is O(1); for Guided the
-// chunk sizes form a recurrence, so the lookup replays the i leading sizes
-// (O(i), with small guided chunk counts in practice).
+// Chunks is the chunk decomposition a grain prescribes for [0, n) on a
+// worker count: Len() contiguous, non-overlapping, non-empty chunks that
+// cover [0, n) in index order. It is the one place the split arithmetic
+// lives; the native pools, core's multi-phase algorithms, the skeletons
+// (through Partition) and the simulator's band model all read it.
 //
-// i outside [0, ChunkCount(n, workers)) returns the zero Range, for the
-// linear and guided grains alike.
-func (g Grain) ChunkAt(i, n, workers int) Range {
-	if workers < 1 {
-		workers = 1
+// A Chunks is a small value that never allocates. Hot paths call At
+// through a pointer (a struct field or a local) so the value is not copied
+// for every chunk.
+type Chunks struct {
+	n, count int
+	// Linear grains: the first rem chunks hold base+1 iterations, the
+	// rest base.
+	base, rem int
+	// Guided grains (workers > 0): each chunk is remaining/workers
+	// iterations, never below minChunk.
+	workers, minChunk int
+}
+
+// Chunks returns the decomposition of [0, n) for the given worker count.
+// The linear grains cut Len() chunks whose sizes differ by at most one
+// iteration. Guided chunks shrink geometrically while remaining/workers is
+// at least MinChunk (the head), then run at exactly MinChunk with the last
+// one capped at n (the tail).
+func (g Grain) Chunks(n, workers int) Chunks {
+	if n <= 0 {
+		return Chunks{}
 	}
+	workers = max(workers, 1)
+	minChunk := max(g.MinChunk, 1)
 	if g.ChunksPerWorker == guidedMarker {
-		if i < 0 || n <= 0 {
-			return Range{}
-		}
-		minChunk := g.MinChunk
-		if minChunk < 1 {
-			minChunk = 1
-		}
-		// Replay only the geometric head. Once the fixed-size tail regime
-		// starts, every remaining chunk is exactly minChunk wide (last one
-		// capped at n), so the target index — or its out-of-range-ness —
-		// resolves in O(1), mirroring guidedChunkCount. This bounds the
-		// walk by the head length instead of O(n/minChunk).
-		lo := 0
-		for k := 0; lo < n; k++ {
+		// The integer floors make the head's length data-dependent, so it
+		// is replayed exactly (O(workers * log n) steps); the tail's
+		// length is a division.
+		c := Chunks{n: n, workers: workers, minChunk: minChunk}
+		for lo := 0; ; c.count++ {
 			size := (n - lo) / workers
 			if size < minChunk {
-				if i < k {
-					return Range{} // head index; already handled above
-				}
-				tlo := lo + (i-k)*minChunk
-				if tlo >= n {
-					return Range{}
-				}
-				thi := tlo + minChunk
-				if thi > n {
-					thi = n
-				}
-				return Range{Lo: tlo, Hi: thi}
-			}
-			if k == i {
-				return Range{Lo: lo, Hi: lo + size}
+				c.count += (n - lo + minChunk - 1) / minChunk
+				return c
 			}
 			lo += size
 		}
-		return Range{}
 	}
-	chunks := g.ChunkCount(n, workers)
-	if chunks == 0 || i < 0 || i >= chunks {
-		return Range{}
+	// Never more than n chunks: ceil(n/MinChunk) and ceil(n/MaxChunk) are
+	// both at most n.
+	chunks := min(workers*max(g.ChunksPerWorker, 1), (n+minChunk-1)/minChunk)
+	if g.MaxChunk > 0 {
+		chunks = max(chunks, (n+g.MaxChunk-1)/g.MaxChunk)
 	}
-	base := n / chunks
-	rem := n % chunks
-	// The first rem chunks carry one extra iteration.
-	var lo int
-	if i < rem {
-		lo = i * (base + 1)
-		return Range{Lo: lo, Hi: lo + base + 1}
-	}
-	lo = rem*(base+1) + (i-rem)*base
-	return Range{Lo: lo, Hi: lo + base}
+	return Chunks{n: n, count: chunks, base: n / chunks, rem: n % chunks}
 }
 
-// ForEachChunk invokes fn(ci, r) for every chunk of the partition of [0, n)
-// in ascending order, without allocating the chunk list. It is equivalent to
-// ranging over Partition(n, workers).
-func (g Grain) ForEachChunk(n, workers int, fn func(ci int, r Range)) {
-	if n <= 0 {
-		return
+// Len returns the number of chunks; 0 when n <= 0.
+func (c Chunks) Len() int { return c.count }
+
+// At returns chunk i, or the zero Range when i is outside [0, Len()). It
+// is O(1) for the linear grains; for Guided it replays the geometric head
+// up to chunk i, and a tail index resolves by a multiplication.
+func (c *Chunks) At(i int) Range {
+	if uint(i) >= uint(c.count) { // also rejects i < 0
+		return Range{}
 	}
-	if workers < 1 {
-		workers = 1
+	if c.workers > 0 {
+		return c.guidedAt(i)
 	}
-	if g.ChunksPerWorker == guidedMarker {
-		minChunk := g.MinChunk
-		if minChunk < 1 {
-			minChunk = 1
-		}
-		lo := 0
-		for ci := 0; lo < n; ci++ {
-			size := guidedSize(n, lo, workers, minChunk)
-			fn(ci, Range{Lo: lo, Hi: lo + size})
-			lo += size
-		}
-		return
+	lo := i*c.base + min(i, c.rem)
+	if i < c.rem {
+		return Range{Lo: lo, Hi: lo + c.base + 1}
 	}
-	chunks := g.ChunkCount(n, workers)
-	base := n / chunks
-	rem := n % chunks
+	return Range{Lo: lo, Hi: lo + c.base}
+}
+
+func (c *Chunks) guidedAt(i int) Range {
 	lo := 0
-	for ci := 0; ci < chunks; ci++ {
-		hi := lo + base
-		if ci < rem {
-			hi++
+	for k := 0; ; k++ {
+		size := (c.n - lo) / c.workers
+		if size < c.minChunk {
+			lo += (i - k) * c.minChunk
+			return Range{Lo: lo, Hi: min(lo+c.minChunk, c.n)}
 		}
-		fn(ci, Range{Lo: lo, Hi: hi})
-		lo = hi
+		if k == i {
+			return Range{Lo: lo, Hi: lo + size}
+		}
+		lo += size
 	}
+}
+
+// Partition materializes the decomposition as a slice, for consumers that
+// keep the whole chunk list (the simulator's skeletons); nil when n <= 0.
+func (g Grain) Partition(n, workers int) []Range {
+	cs := g.Chunks(n, workers)
+	if cs.Len() == 0 {
+		return nil
+	}
+	out := make([]Range, cs.Len())
+	for i := range out {
+		out[i] = cs.At(i)
+	}
+	return out
 }
 
 // Pool is an execution substrate for parallel loops and task groups.
@@ -287,68 +216,4 @@ func (Serial) Do(fns ...func()) {
 	for _, fn := range fns {
 		fn()
 	}
-}
-
-// guidedSize is one step of the schedule(guided) size recurrence: the chunk
-// starting at lo is remaining/workers iterations, never below minChunk, and
-// never beyond the end of the iteration space.
-func guidedSize(n, lo, workers, minChunk int) int {
-	size := (n - lo) / workers
-	if size < minChunk {
-		size = minChunk
-	}
-	if size > n-lo {
-		size = n - lo
-	}
-	return size
-}
-
-// guidedChunkCount counts schedule(guided) chunks without materializing
-// them. The size sequence has two regimes: a geometric head while
-// remaining/workers >= minChunk, then a fixed-size tail of minChunk chunks
-// (the integer floors make the head lengths data-dependent, so the head is
-// replayed exactly rather than approximated with logarithms; it is
-// O(workers * log(n)) steps and allocation-free).
-func guidedChunkCount(n, workers, minChunk int) int {
-	if n <= 0 {
-		return 0
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	count := 0
-	lo := 0
-	for lo < n {
-		size := (n - lo) / workers
-		if size < minChunk {
-			// Tail regime: every remaining chunk is exactly minChunk
-			// (capped at the end), so the rest of the count is a division.
-			return count + (n-lo+minChunk-1)/minChunk
-		}
-		count++
-		lo += size
-	}
-	return count
-}
-
-// guidedPartition implements OpenMP's schedule(guided): each chunk is
-// remaining/workers iterations, never below minChunk.
-func guidedPartition(n, workers, minChunk int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	out := make([]Range, 0, guidedChunkCount(n, workers, minChunk))
-	lo := 0
-	for lo < n {
-		size := guidedSize(n, lo, workers, minChunk)
-		out = append(out, Range{Lo: lo, Hi: lo + size})
-		lo += size
-	}
-	return out
 }

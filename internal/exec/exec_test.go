@@ -71,10 +71,12 @@ func TestPartitionChunkCountMatches(t *testing.T) {
 	g := Grain{ChunksPerWorker: 4, MinChunk: 16, MaxChunk: 4096}
 	for _, n := range []int{1, 15, 16, 17, 100000} {
 		for _, w := range []int{1, 8, 64} {
-			want := g.ChunkCount(n, w)
-			got := len(g.Partition(n, w))
-			if got != want {
-				t.Fatalf("n=%d w=%d: ChunkCount=%d len(Partition)=%d", n, w, want, got)
+			want := len(oracleChunks(g, n, w))
+			if got := g.Chunks(n, w).Len(); got != want {
+				t.Fatalf("n=%d w=%d: Len()=%d, oracle has %d chunks", n, w, got, want)
+			}
+			if got := len(g.Partition(n, w)); got != want {
+				t.Fatalf("n=%d w=%d: len(Partition)=%d, oracle has %d chunks", n, w, got, want)
 			}
 		}
 	}
@@ -205,8 +207,8 @@ func TestGuidedPartition(t *testing.T) {
 			t.Fatalf("floored chunk %d below MinChunk: %d", i, c.Len())
 		}
 	}
-	if got := Guided.ChunkCount(1000, 4); got != len(chunks) {
-		t.Fatalf("guided ChunkCount %d != %d", got, len(chunks))
+	if got := Guided.Chunks(1000, 4).Len(); got != len(chunks) {
+		t.Fatalf("guided Len() %d != %d", got, len(chunks))
 	}
 	if Guided.Partition(0, 4) != nil {
 		t.Fatal("guided n=0 should be nil")

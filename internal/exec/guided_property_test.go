@@ -7,9 +7,9 @@ import (
 
 // TestGuidedAgreementRandomized is a randomized property test: for guided
 // grains across random n/workers/MinChunk — biased so the fixed-size tail
-// regime is always exercised — Partition, ChunkAt and ForEachChunk must
-// agree chunk-for-chunk, cover [0, n) exactly, and respect MinChunk except
-// on the final capped chunk.
+// regime is always exercised — Chunks must match the oracle chunk for
+// chunk, cover [0, n) exactly, and respect MinChunk except on the final
+// capped chunk.
 func TestGuidedAgreementRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
@@ -23,25 +23,26 @@ func TestGuidedAgreementRandomized(t *testing.T) {
 		}
 		g := Grain{ChunksPerWorker: guidedMarker, MinChunk: minChunk}
 
-		want := g.Partition(n, workers)
-		count := g.ChunkCount(n, workers)
+		want := oracleChunks(g, n, workers)
+		cs := g.Chunks(n, workers)
+		count := cs.Len()
 		if count != len(want) {
-			t.Fatalf("n=%d w=%d min=%d: ChunkCount=%d, Partition len=%d",
+			t.Fatalf("n=%d w=%d min=%d: Len()=%d, oracle has %d chunks",
 				n, workers, minChunk, count, len(want))
 		}
 
 		lo := 0
 		for i, r := range want {
 			if r.Lo != lo || r.Empty() || r.Hi > n {
-				t.Fatalf("n=%d w=%d min=%d: Partition[%d]=%+v does not tile at %d",
+				t.Fatalf("n=%d w=%d min=%d: oracle[%d]=%+v does not tile at %d",
 					n, workers, minChunk, i, r, lo)
 			}
 			if r.Len() < minChunk && r.Hi != n {
-				t.Fatalf("n=%d w=%d min=%d: Partition[%d]=%+v below MinChunk before the end",
+				t.Fatalf("n=%d w=%d min=%d: oracle[%d]=%+v below MinChunk before the end",
 					n, workers, minChunk, i, r)
 			}
-			if got := g.ChunkAt(i, n, workers); got != r {
-				t.Fatalf("n=%d w=%d min=%d: ChunkAt(%d)=%+v, want %+v",
+			if got := cs.At(i); got != r {
+				t.Fatalf("n=%d w=%d min=%d: At(%d)=%+v, want %+v",
 					n, workers, minChunk, i, got, r)
 			}
 			lo = r.Hi
@@ -51,48 +52,33 @@ func TestGuidedAgreementRandomized(t *testing.T) {
 				n, workers, minChunk, lo, n)
 		}
 
-		visited := 0
-		g.ForEachChunk(n, workers, func(ci int, r Range) {
-			if ci != visited || r != want[ci] {
-				t.Fatalf("n=%d w=%d min=%d: ForEachChunk(%d)=%+v, want index %d %+v",
-					n, workers, minChunk, ci, r, visited, want[visited])
-			}
-			visited++
-		})
-		if visited != count {
-			t.Fatalf("n=%d w=%d min=%d: ForEachChunk visited %d, want %d",
-				n, workers, minChunk, visited, count)
-		}
-
 		// Out-of-range indices return the zero Range, same as the linear
 		// grains.
 		for _, i := range []int{-1, count, count + 1, count + rng.Intn(1000)} {
-			if r := g.ChunkAt(i, n, workers); !r.Empty() {
-				t.Fatalf("n=%d w=%d min=%d: ChunkAt(%d)=%+v, want empty",
+			if r := cs.At(i); !r.Empty() {
+				t.Fatalf("n=%d w=%d min=%d: At(%d)=%+v, want empty",
 					n, workers, minChunk, i, r)
 			}
 		}
 	}
 }
 
-// TestGuidedChunkAtOutOfRangeBounded pins the satellite fix: an
-// out-of-range lookup must resolve via the tail closed form, not by
-// walking all O(n/minChunk) chunks. With n=1<<20 and MinChunk=1 the old
-// code walked ~64k chunks; the bounded walk stops within the geometric
-// head (O(workers * log n) steps).
+// TestGuidedChunkAtOutOfRangeBounded pins that an out-of-range lookup
+// resolves against the count instead of walking all O(n/minChunk) chunks:
+// with n=1<<20 and MinChunk=1 a walk would take ~64k steps per call.
 func TestGuidedChunkAtOutOfRangeBounded(t *testing.T) {
-	g := Guided
 	const n = 1 << 20
-	count := g.ChunkCount(n, 4)
+	cs := Guided.Chunks(n, 4)
+	count := cs.Len()
 	// Out-of-range far beyond the count, repeated enough that an O(n)
 	// walk would be visibly slow under -race; mostly this documents the
 	// contract, the agreement test above checks correctness.
 	for i := 0; i < 1000; i++ {
-		if r := g.ChunkAt(count+i, n, 4); !r.Empty() {
-			t.Fatalf("ChunkAt(%d) = %+v, want empty", count+i, r)
+		if r := cs.At(count + i); !r.Empty() {
+			t.Fatalf("At(%d) = %+v, want empty", count+i, r)
 		}
 	}
-	if r := g.ChunkAt(-1, n, 4); !r.Empty() {
-		t.Fatalf("ChunkAt(-1) = %+v, want empty", r)
+	if r := cs.At(-1); !r.Empty() {
+		t.Fatalf("At(-1) = %+v, want empty", r)
 	}
 }

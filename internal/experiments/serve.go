@@ -196,7 +196,7 @@ func serveCancellation(cfg Config, rep *Report) {
 
 	n := 1 << 16
 	g := exec.Grain{MinChunk: 64, MaxChunk: 64}
-	chunks := g.ChunkCount(n, workers)
+	chunks := g.Chunks(n, workers).Len()
 	spin := func(lo, hi int) float64 {
 		s := 0.0
 		for i := lo; i < hi; i++ {

@@ -38,20 +38,25 @@ func TestForChunksSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestGrainDispatchNoRangeSlice pins the satellite fix on the partitioning
-// side: scheduling via chunk indices must not rebuild []Range per call even
-// for the guided grain.
+// TestGrainDispatchNoRangeSlice pins the partitioning side of the
+// zero-allocation dispatch: every strategy schedules by chunk index and
+// reads ranges from the job's exec.Chunks, so no []Range is built per call,
+// even for the guided grain.
 func TestGrainDispatchNoRangeSlice(t *testing.T) {
-	p := New(4, StrategyForkJoin)
-	defer p.Close()
-	body := func(worker, lo, hi int) {}
-	for i := 0; i < 50; i++ {
-		p.ForChunks(1<<15, exec.Guided, body)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		p.ForChunks(1<<15, exec.Guided, body)
-	})
-	if allocs > 2.0 {
-		t.Fatalf("guided ForChunks allocates %.1f/call", allocs)
+	for _, s := range allStrategies {
+		t.Run(s.String(), func(t *testing.T) {
+			p := New(4, s)
+			defer p.Close()
+			body := func(worker, lo, hi int) {}
+			for i := 0; i < 50; i++ {
+				p.ForChunks(1<<15, exec.Guided, body)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				p.ForChunks(1<<15, exec.Guided, body)
+			})
+			if allocs > 2.0 {
+				t.Fatalf("guided ForChunks allocates %.1f/call", allocs)
+			}
+		})
 	}
 }

@@ -59,14 +59,8 @@ type job struct {
 	// Chunk loops.
 	body   func(worker, lo, hi int)
 	cancel *exec.Cancel // nil = uncancellable; checked before every chunk
-	n      int          // iteration space size
-	chunks int          // total chunk count
+	chunks exec.Chunks  // the loop's decomposition, read in place through j
 	parts  int          // scheduled parts (kindStatic / kindBand)
-	base   int          // linear partition: chunk size floor
-	rem    int          // linear partition: first rem chunks get one extra
-	guided bool         // guided partition: ranges come from grain.ChunkAt
-	grain  exec.Grain
-	gw     int // worker count the partition was computed for
 	bands  []chunkBand
 
 	// Thunk groups.
@@ -115,21 +109,6 @@ func (b *chunkBand) stealHalf() (lo, hi int32, ok bool) {
 			return bhi - take, bhi, true
 		}
 	}
-}
-
-// chunkRange returns chunk i of the job's partition. O(1) for the linear
-// grains via the precomputed base/rem split; guided grains delegate to the
-// grain's replay (guided chunk counts are small).
-func (j *job) chunkRange(i int) exec.Range {
-	if j.guided {
-		return j.grain.ChunkAt(i, j.n, j.gw)
-	}
-	if i < j.rem {
-		lo := i * (j.base + 1)
-		return exec.Range{Lo: lo, Hi: lo + j.base + 1}
-	}
-	lo := j.rem*(j.base+1) + (i-j.rem)*j.base
-	return exec.Range{Lo: lo, Hi: lo + j.base}
 }
 
 // reset prepares a recycled job for a new use with n pending tasks.
@@ -194,11 +173,11 @@ func (j *job) runTask(arg int32, worker int) {
 	defer func() { j.finish(recover()) }()
 	switch j.kind {
 	case kindStatic:
-		for i := int(arg); i < j.chunks; i += j.parts {
+		for i := int(arg); i < j.chunks.Len(); i += j.parts {
 			if j.cancel.Canceled() {
 				return
 			}
-			r := j.chunkRange(i)
+			r := j.chunks.At(i)
 			j.runChunk(worker, r.Lo, r.Hi)
 		}
 	case kindBand:
@@ -207,7 +186,7 @@ func (j *job) runTask(arg int32, worker int) {
 		if j.cancel.Canceled() {
 			return
 		}
-		r := j.chunkRange(int(arg))
+		r := j.chunks.At(int(arg))
 		j.runChunk(worker, r.Lo, r.Hi)
 	case kindThunk:
 		p := j.pool
@@ -241,7 +220,7 @@ func (j *job) runBand(part, worker int) {
 			return
 		}
 		if i, ok := own.take(); ok {
-			r := j.chunkRange(int(i))
+			r := j.chunks.At(int(i))
 			j.runChunk(worker, r.Lo, r.Hi)
 			continue
 		}

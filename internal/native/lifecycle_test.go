@@ -89,7 +89,7 @@ func TestForChunksCancelMidLoop(t *testing.T) {
 			c.Cancel()
 		})
 		p.Close()
-		total := int64(g.ChunkCount(n, 4))
+		total := int64(g.Chunks(n, 4).Len())
 		if got := chunks.Load(); got >= total/2 {
 			t.Errorf("%v: %d of %d chunks ran after mid-loop cancel", s, got, total)
 		}

@@ -331,8 +331,8 @@ func (p *Pool) ForChunksCancel(n int, g exec.Grain, c *exec.Cancel, body func(wo
 		return
 	}
 	P := len(p.ws)
-	chunks := g.ChunkCount(n, P)
-	if chunks <= 1 {
+	cs := g.Chunks(n, P)
+	if cs.Len() <= 1 {
 		body(P, 0, n)
 		return
 	}
@@ -340,21 +340,15 @@ func (p *Pool) ForChunksCancel(n int, g exec.Grain, c *exec.Cancel, body func(wo
 	defer p.releaseJob(j)
 	j.body = body
 	j.cancel = c
-	j.n = n
-	j.chunks = chunks
-	j.grain = g
-	j.gw = P
-	j.guided = g.IsGuided()
-	j.base = n / chunks
-	j.rem = n % chunks
+	j.chunks = cs
 
 	switch p.strategy {
 	case StrategyStealing:
-		p.submitBands(j, chunks)
+		p.submitBands(j, cs.Len())
 	case StrategyCentralQueue:
-		p.submitQueue(j, chunks)
+		p.submitQueue(j, cs.Len())
 	default: // StrategyForkJoin
-		p.submitStatic(j, chunks)
+		p.submitStatic(j, cs.Len())
 	}
 	p.wait(j)
 	j.rethrow()
@@ -378,8 +372,9 @@ func (p *Pool) submitStatic(j *job, chunks int) {
 }
 
 // submitBands gives each of min(P, chunks) parts a contiguous band of chunk
-// indices pinned to its home worker; exhausted parts steal half of a
-// sibling band (job.runBand).
+// indices pinned to its home worker, the bands being Static's split of the
+// chunk indices (simexec's home bands read the same split); exhausted parts
+// steal half of a sibling band (job.runBand).
 func (p *Pool) submitBands(j *job, chunks int) {
 	parts := len(p.ws)
 	if parts > chunks {
@@ -391,16 +386,10 @@ func (p *Pool) submitBands(j *job, chunks int) {
 	} else {
 		j.bands = j.bands[:parts]
 	}
-	per := chunks / parts
-	rem := chunks % parts
-	lo := 0
-	for i := 0; i < parts; i++ {
-		hi := lo + per
-		if i < rem {
-			hi++
-		}
-		j.bands[i].state.Store(packBand(int32(lo), int32(hi)))
-		lo = hi
+	split := exec.Static.Chunks(chunks, parts)
+	for i := range j.bands {
+		b := split.At(i)
+		j.bands[i].state.Store(packBand(int32(b.Lo), int32(b.Hi)))
 	}
 	j.reset(kindBand, parts)
 	for part := 0; part < parts; part++ {

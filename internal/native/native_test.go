@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,27 +24,59 @@ func withPools(t *testing.T, workers int, fn func(t *testing.T, p *Pool)) {
 	}
 }
 
+// TestForChunksCoversIterationSpace checks that every strategy runs exactly
+// the grain's decomposition: the body sees each index once, and the set of
+// (lo, hi) ranges it receives is g.Chunks(n, P).At(i) for every i. A
+// decomposition of one chunk runs inline as [0, n).
 func TestForChunksCoversIterationSpace(t *testing.T) {
-	withPools(t, 4, func(t *testing.T, p *Pool) {
-		for _, n := range []int{0, 1, 3, 64, 1000, 100000} {
-			for _, g := range []exec.Grain{exec.Static, exec.Auto, exec.Fine} {
-				hits := make([]int32, n)
-				p.ForChunks(n, g, func(worker, lo, hi int) {
-					if worker < 0 || worker > p.Workers() {
-						t.Errorf("worker index %d out of range", worker)
-					}
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&hits[i], 1)
-					}
-				})
-				for i, h := range hits {
-					if h != 1 {
-						t.Fatalf("n=%d grain=%+v: index %d visited %d times", n, g, i, h)
+	grains := []exec.Grain{exec.Static, exec.Auto, exec.Fine, exec.Guided,
+		{MinChunk: 7}, {MinChunk: 64, MaxChunk: 64}}
+	for _, s := range allStrategies {
+		t.Run(s.String(), func(t *testing.T) {
+			for _, workers := range []int{1, 2, 3, 4, 7} {
+				p := New(workers, s)
+				for _, n := range []int{0, 1, 3, 64, 1000, 100000} {
+					for _, g := range grains {
+						checkRunsDecomposition(t, p, n, g)
 					}
 				}
+				p.Close()
 			}
+		})
+	}
+}
+
+func checkRunsDecomposition(t *testing.T, p *Pool, n int, g exec.Grain) {
+	t.Helper()
+	P := p.Workers()
+	hits := make([]int32, n)
+	var mu sync.Mutex
+	var got []exec.Range
+	p.ForChunks(n, g, func(worker, lo, hi int) {
+		if worker < 0 || worker > P {
+			t.Errorf("worker index %d out of range", worker)
 		}
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
+		mu.Lock()
+		got = append(got, exec.Range{Lo: lo, Hi: hi})
+		mu.Unlock()
 	})
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("P=%d n=%d grain=%+v: index %d visited %d times", P, n, g, i, h)
+		}
+	}
+	cs := g.Chunks(n, P) // one chunk, when there is one, is [0, n)
+	var want []exec.Range
+	for i := 0; i < cs.Len(); i++ {
+		want = append(want, cs.At(i))
+	}
+	slices.SortFunc(got, func(a, b exec.Range) int { return a.Lo - b.Lo })
+	if !slices.Equal(got, want) {
+		t.Fatalf("P=%d n=%d grain=%+v: body ran %v, decomposition is %v", P, n, g, got, want)
+	}
 }
 
 func TestForChunksParallelSum(t *testing.T) {

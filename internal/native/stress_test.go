@@ -37,7 +37,7 @@ func TestNestedDoInsideForChunksStress(t *testing.T) {
 				t.Fatalf("index %d visited %d times", i, h)
 			}
 		}
-		chunks := exec.Fine.ChunkCount(n, p.Workers())
+		chunks := exec.Fine.Chunks(n, p.Workers()).Len()
 		if want := int64(chunks) << depth; leaves.Load() != want {
 			t.Fatalf("leaves = %d, want %d", leaves.Load(), want)
 		}

@@ -19,6 +19,7 @@ import (
 	"pstlbench/internal/allocsim"
 	"pstlbench/internal/backend"
 	"pstlbench/internal/counters"
+	"pstlbench/internal/exec"
 	"pstlbench/internal/machine"
 	"pstlbench/internal/memsys"
 	"pstlbench/internal/skeleton"
@@ -225,6 +226,7 @@ type runTask struct {
 	remaining float64 // elements left
 	startAt   float64 // when compute begins (after spawn costs)
 	core      int
+	home      int // core whose band holds the task
 	idx       int
 	running   bool
 	done      bool
@@ -349,12 +351,18 @@ func runPhase(cfg Config, ph skeleton.Phase, tr backend.OpTraits, parallel bool,
 	queueAt := 0.0
 	next := 0 // next unassigned task (FIFO in chunk order)
 
-	// Home bands: under the band partition, core c owns the contiguous
-	// chunk range [c*tpc, (c+1)*tpc). homeCore classifies dispatches as
-	// local or remote steals; under NUMASteal it also drives the
-	// locality-ordered victim scan and the traffic attribution.
-	tpc := (len(tasks) + threads - 1) / threads
-	homeCore := func(ti int) int { return ti / tpc }
+	// Home bands: core c owns the contiguous chunk range bands.At(c), the
+	// split the native stealing pool gives its workers. A task's home
+	// classifies dispatches as local or remote steals; under NUMASteal it
+	// also drives the locality-ordered victim scan and the traffic
+	// attribution.
+	bands := exec.Static.Chunks(len(tasks), threads)
+	for c := 0; c < bands.Len(); c++ {
+		band := bands.At(c)
+		for ti := band.Lo; ti < band.Hi; ti++ {
+			tasks[ti].home = c
+		}
+	}
 	numaSteal := b.NUMASteal && b.Strategy == backend.StrategyStealing &&
 		parallel && len(tasks) > 1
 	var victimOrder [][]int
@@ -400,11 +408,8 @@ func runPhase(cfg Config, ph skeleton.Phase, tr backend.OpTraits, parallel bool,
 					// the node-ordered victim scan the native pool runs
 					// under a topology.
 					for _, vc := range victimOrder[c] {
-						blo, bhi := vc*tpc, (vc+1)*tpc
-						if bhi > len(tasks) {
-							bhi = len(tasks)
-						}
-						for i := blo; i < bhi; i++ {
+						band := bands.At(vc)
+						for i := band.Lo; i < band.Hi; i++ {
 							if !tasks[i].done && !tasks[i].running {
 								ti = i
 								break
@@ -439,7 +444,7 @@ func runPhase(cfg Config, ph skeleton.Phase, tr backend.OpTraits, parallel bool,
 					if tb := st.buf(c); tb != nil {
 						tb.Instant(trace.KindSteal, st.at(phaseOffset+forkCost+now), -1, trace.TierLocal)
 					}
-				} else if hc := homeCore(ti); hc != c {
+				} else if hc := tasks[ti].home; hc != c {
 					tier := int64(trace.TierLocal)
 					if m.NodeOf(hc) != m.NodeOf(c) {
 						ctr.RemoteSteals++
@@ -480,7 +485,7 @@ func runPhase(cfg Config, ph skeleton.Phase, tr backend.OpTraits, parallel bool,
 				// traffic only for the (now rare) remote steals. The
 				// AffinityMatch calibration models uniform random
 				// stealing's decorrelation, which this policy removes.
-				t.traffic = allocsim.TaskTraffic(placement, m.NodeOf(homeCore(ti)), 1, alloc)
+				t.traffic = allocsim.TaskTraffic(placement, m.NodeOf(tasks[ti].home), 1, alloc)
 			} else {
 				t.traffic = allocsim.TaskTraffic(placement, m.NodeOf(c), tr.AffinityMatch, alloc)
 			}

@@ -170,7 +170,7 @@ func maxChunkFor(k Key) int {
 // autoChunkFor returns the chunk size equivalent to exec.Auto — the
 // starting point of every climb.
 func autoChunkFor(k Key) int {
-	chunks := exec.Auto.ChunkCount(k.N, k.Workers)
+	chunks := exec.Auto.Chunks(k.N, k.Workers).Len()
 	if chunks < 1 {
 		return 1
 	}

@@ -28,8 +28,8 @@ func TestProposeStartsAtAuto(t *testing.T) {
 	tn := tune.New(tune.Options{})
 	k := tune.Key{Site: "for_each", N: 1 << 16, Workers: 8}
 	g := tn.Propose(k)
-	want := exec.Auto.ChunkCount(k.N, k.Workers)
-	if got := g.ChunkCount(k.N, k.Workers); got != want {
+	want := exec.Auto.Chunks(k.N, k.Workers).Len()
+	if got := g.Chunks(k.N, k.Workers).Len(); got != want {
 		t.Fatalf("first proposal yields %d chunks, want auto's %d", got, want)
 	}
 	if tn.Converged(k) {
@@ -232,19 +232,20 @@ func TestProposalsAlwaysTile(t *testing.T) {
 // contiguously with no overlap.
 func checkTiling(t *testing.T, g exec.Grain, n, workers int) {
 	t.Helper()
-	chunks := g.ChunkCount(n, workers)
+	cs := g.Chunks(n, workers)
+	chunks := cs.Len()
 	if n == 0 {
 		if chunks != 0 {
-			t.Fatalf("n=0: ChunkCount=%d, want 0", chunks)
+			t.Fatalf("n=0: Len()=%d, want 0", chunks)
 		}
 		return
 	}
 	if chunks < 1 {
-		t.Fatalf("n=%d w=%d grain %+v: ChunkCount=%d", n, workers, g, chunks)
+		t.Fatalf("n=%d w=%d grain %+v: Len()=%d", n, workers, g, chunks)
 	}
 	pos := 0
 	for ci := 0; ci < chunks; ci++ {
-		r := g.ChunkAt(ci, n, workers)
+		r := cs.At(ci)
 		if r.Lo != pos {
 			t.Fatalf("n=%d w=%d grain %+v: chunk %d starts at %d, want %d", n, workers, g, ci, r.Lo, pos)
 		}
@@ -296,8 +297,8 @@ func TestSourceKeysBySize(t *testing.T) {
 	tn.Observe(tune.Key{Site: "for_each", N: 1 << 16, Workers: 8},
 		tune.Observation{Seconds: 1, RemoteSteals: 100, LocalSteals: 1})
 	g2 := src.Grain(1<<10, 8)
-	want := exec.Auto.ChunkCount(1<<10, 8)
-	if got := g2.ChunkCount(1<<10, 8); got != want {
+	want := exec.Auto.Chunks(1<<10, 8).Len()
+	if got := g2.Chunks(1<<10, 8).Len(); got != want {
 		t.Fatalf("fresh size starts with %d chunks, want auto's %d", got, want)
 	}
 }
