@@ -39,6 +39,7 @@ race:
 bench:
 	$(GO) test -run 'xxx' -bench 'SchedulerOverhead' -benchtime 1000x .
 	$(GO) test -run 'xxx' -bench '^BenchmarkSort$$' -benchmem ./internal/core/
+	$(GO) test -run 'xxx' -bench '^BenchmarkElementKernels$$' -benchmem ./internal/core/
 
 # Fused-pipeline comparison: the 3-stage chain as staged core passes vs one
 # fused chunk-granular pass (Go benchmarks, then the pstlbench chain rows

@@ -148,15 +148,45 @@ func sameSliceBits(a, b []float64) bool {
 
 // TestChunkedFoldsBitExact checks every parallel chunked reduction and
 // prefix — core's and the fused pipeline's — against the in-test oracle
-// on float bits, across worker counts, grains and sizes.
+// on float bits, across worker counts, grains and sizes. The sequential
+// loops of Reduce, Sum and the scans are checked against the Transform*
+// form with an identity transform, which keeps the generic per-element
+// fold.
 func TestChunkedFoldsBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	sizes := []int{2, 3, 17, 1000, 4097, 1 << 16}
+	id := func(v float64) float64 { return v }
+	for _, n := range sizes {
+		p := core.Seq()
+		s := wideFloats(rng, n)
+		if got, want := core.Reduce(p, s, 0.25, add), core.TransformReduce(p, s, 0.25, add, id); !sameBits(got, want) {
+			t.Errorf("seq n=%d: Reduce = %v, TransformReduce %v", n, got, want)
+		}
+		if got, want := core.Sum(p, s, 0.25), core.TransformReduce(p, s, 0.25, add, id); !sameBits(got, want) {
+			t.Errorf("seq n=%d: Sum = %v, TransformReduce %v", n, got, want)
+		}
+		got, want := make([]float64, n), make([]float64, n)
+		core.TransformInclusiveScan(p, want, s, add, id)
+		core.InclusiveScan(p, got, s, add)
+		if !sameSliceBits(got, want) {
+			t.Errorf("seq n=%d: InclusiveScan diverges from TransformInclusiveScan", n)
+		}
+		core.InclusiveSum(p, got, s)
+		if !sameSliceBits(got, want) {
+			t.Errorf("seq n=%d: InclusiveSum diverges from TransformInclusiveScan", n)
+		}
+		core.TransformExclusiveScan(p, want, s, 0.25, add, id)
+		core.ExclusiveScan(p, got, s, 0.25, add)
+		if !sameSliceBits(got, want) {
+			t.Errorf("seq n=%d: ExclusiveScan diverges from TransformExclusiveScan", n)
+		}
+	}
 	for _, w := range []int{2, 3} {
 		pool := native.New(w, native.StrategyStealing)
 		defer pool.Close()
 		for gname, g := range oracleGrains {
 			p := core.Par(pool).WithGrain(g)
-			for _, n := range []int{2, 3, 17, 1000, 4097, 1 << 16} {
+			for _, n := range sizes {
 				s := wideFloats(rng, n)
 				b := wideFloats(rng, n)
 				scale := func(v float64) float64 { return v * 1.5 }
@@ -172,6 +202,9 @@ func TestChunkedFoldsBitExact(t *testing.T) {
 					return func(lo, hi int) float64 { return leftFold(xs[lo:hi], add) }
 				}
 
+				if got, want := core.Reduce(p, s, 0.25, add), oracleReduce(p, n, 0.25, add, chunkSum(s)); !sameBits(got, want) {
+					fail("Reduce", got, want)
+				}
 				if got, want := core.Sum(p, s, 0.25), oracleReduce(p, n, 0.25, add, chunkSum(s)); !sameBits(got, want) {
 					fail("Sum", got, want)
 				}
@@ -231,6 +264,10 @@ func TestChunkedFoldsBitExact(t *testing.T) {
 				if want, _ := oracleInclusive(p, s, add, leftFold, 0, false); !sameSliceBits(dst, want) {
 					fail("InclusiveSum", "diverges", "")
 				}
+				core.InclusiveScan(p, dst, s, add)
+				if want, _ := oracleInclusive(p, s, add, leftFold, 0, false); !sameSliceBits(dst, want) {
+					fail("InclusiveScan", "diverges", "")
+				}
 				core.TransformInclusiveScan(p, dst, s, add, scale)
 				if want, _ := oracleInclusive(p, scaled, add, leftFold, 0, false); !sameSliceBits(dst, want) {
 					fail("TransformInclusiveScan", "diverges", "")
@@ -271,9 +308,11 @@ func TestChunkedFoldsBitExact(t *testing.T) {
 }
 
 // TestChunkedFoldAllocs pins the per-call allocation count of every
-// chunked reduction and prefix at n = 2^10 on a 2-worker stealing pool.
-// The bounds are the counts before the helpers existed; lowering them is
-// the zero-allocation work's job.
+// chunked reduction and prefix, and of the paper's other element loops, at
+// n = 2^10 on a 2-worker stealing pool. The Reduce, Sum, scan, Find,
+// Mismatch, ForEach and Fill rows are pinned at their measured counts; the
+// other rows keep the counts from before the chunked helpers existed.
+// Lowering them is the zero-allocation work's job.
 func TestChunkedFoldAllocs(t *testing.T) {
 	pool := native.New(2, native.StrategyStealing)
 	defer pool.Close()
@@ -282,29 +321,38 @@ func TestChunkedFoldAllocs(t *testing.T) {
 	src := make([]float64, n)
 	dst := make([]float64, n)
 	uniq := make([]float64, n)
+	other := make([]float64, n)
 	for i := range src {
 		src[i] = float64(i % 13)
 	}
+	copy(other, src)
 	mul := func(a, b float64) float64 { return a * b }
 	less := func(a, b float64) bool { return a < b }
 	big := func(v float64) bool { return v > 6 }
+	neg := func(v *float64) { *v = -*v }
 	for _, c := range []struct {
 		name string
 		max  float64
 		f    func()
 	}{
-		{"Sum", 6, func() { core.Sum(p, src, 0) }},
+		{"Reduce", 3, func() { core.Reduce(p, src, 0, add) }},
+		{"Sum", 3, func() { core.Sum(p, src, 0) }},
 		{"TransformReduceBinary", 4, func() { core.TransformReduceBinary(p, src, src, 0, add, mul) }},
 		{"CountIf", 3, func() { core.CountIf(p, src, big) }},
 		{"MinElement", 5, func() { core.MinElement(p, src, less) }},
 		{"MinMaxElement", 4, func() { core.MinMaxElement(p, src, less) }},
-		{"InclusiveSum", 8, func() { core.InclusiveSum(p, dst, src) }},
-		{"ExclusiveScan", 7, func() { core.ExclusiveScan(p, dst, src, 0, add) }},
+		{"InclusiveScan", 5, func() { core.InclusiveScan(p, dst, src, add) }},
+		{"InclusiveSum", 6, func() { core.InclusiveSum(p, dst, src) }},
+		{"ExclusiveScan", 5, func() { core.ExclusiveScan(p, dst, src, 0, add) }},
 		{"CopyIf", 6, func() { core.CopyIf(p, dst, src, big) }},
 		{"Unique", 9, func() { copy(uniq, src); core.Unique(p, uniq) }},
 		{"pipeline.Sum", 6, func() { pipeline.Sum(p, pipeline.From(src), 0) }},
 		{"pipeline.Reduce", 7, func() { pipeline.From(src).Reduce(p, 0, add) }},
 		{"pipeline.Scan", 12, func() { pipeline.From(src).Scan(p, dst, add) }},
+		{"Find", 3, func() { core.Find(p, src, 99) }},
+		{"Mismatch", 3, func() { core.Mismatch(p, src, other) }},
+		{"ForEach", 1, func() { core.ForEach(p, dst, neg) }},
+		{"Fill", 1, func() { core.Fill(p, dst, 1) }},
 	} {
 		if got := testing.AllocsPerRun(100, c.f); got > c.max {
 			t.Errorf("%s allocates %v per call, want <= %v", c.name, got, c.max)

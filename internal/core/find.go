@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 )
 
@@ -10,38 +11,31 @@ import (
 // make visible.
 const findBlock = 1024
 
-// findFirstIndex returns the smallest index i in [0, n) for which match(i)
-// is true, or -1 if there is none. In parallel mode, workers publish the
-// best index found so far through an atomic bound and abandon regions that
-// can no longer improve it.
-func findFirstIndex(p Policy, n int, match func(i int) bool) int {
+// findFirst returns the smallest index in [0, n) that first reports, or -1
+// if there is none. first(lo, hi) scans the candidate indices [lo, hi) in
+// order and returns the first match or -1; it is the only per-element code
+// of every find-family algorithm, so the comparison is inline in it. The
+// sequential path is first(0, n). In parallel mode each worker calls first
+// once per findBlock-sized block of its chunk, publishes the best index
+// found so far through an atomic bound and abandons blocks that can no
+// longer improve it.
+func findFirst(p Policy, n int, first func(lo, hi int) int) int {
 	if n <= 0 {
 		return -1
 	}
 	if !p.parallel(n) {
-		for i := 0; i < n; i++ {
-			if match(i) {
-				return i
-			}
-		}
-		return -1
+		return first(0, n)
 	}
 	var best atomic.Int64
 	best.Store(int64(n))
 	p.ParallelFor(n, func(_, lo, hi int) {
 		for blockLo := lo; blockLo < hi; blockLo += findBlock {
 			if int64(blockLo) >= best.Load() {
-				return // a better match exists before this chunk
+				return // a better match exists before this block
 			}
-			blockHi := blockLo + findBlock
-			if blockHi > hi {
-				blockHi = hi
-			}
-			for i := blockLo; i < blockHi; i++ {
-				if match(i) {
-					storeMin(&best, int64(i))
-					return // first match in a forward scan of the chunk
-				}
+			if i := first(blockLo, min(blockLo+findBlock, hi)); i >= 0 {
+				storeMin(&best, int64(i))
+				return // first match in a forward scan of the chunk
 			}
 		}
 	})
@@ -64,19 +58,40 @@ func storeMin(a *atomic.Int64, v int64) {
 // Find returns the index of the first element of s equal to v, or -1
 // (std::find).
 func Find[T comparable](p Policy, s []T, v T) int {
-	return findFirstIndex(p, len(s), func(i int) bool { return s[i] == v })
+	return findFirst(p, len(s), func(lo, hi int) int {
+		for i, e := range s[lo:hi] {
+			if e == v {
+				return lo + i
+			}
+		}
+		return -1
+	})
 }
 
 // FindIf returns the index of the first element satisfying pred, or -1
 // (std::find_if).
 func FindIf[T any](p Policy, s []T, pred func(T) bool) int {
-	return findFirstIndex(p, len(s), func(i int) bool { return pred(s[i]) })
+	return findFirst(p, len(s), func(lo, hi int) int {
+		for i, e := range s[lo:hi] {
+			if pred(e) {
+				return lo + i
+			}
+		}
+		return -1
+	})
 }
 
 // FindIfNot returns the index of the first element not satisfying pred, or
 // -1 (std::find_if_not).
 func FindIfNot[T any](p Policy, s []T, pred func(T) bool) int {
-	return findFirstIndex(p, len(s), func(i int) bool { return !pred(s[i]) })
+	return findFirst(p, len(s), func(lo, hi int) int {
+		for i, e := range s[lo:hi] {
+			if !pred(e) {
+				return lo + i
+			}
+		}
+		return -1
+	})
 }
 
 // FindFirstOf returns the index of the first element of s that equals any
@@ -85,20 +100,28 @@ func FindFirstOf[T comparable](p Policy, s, set []T) int {
 	if len(set) == 0 {
 		return -1
 	}
-	return findFirstIndex(p, len(s), func(i int) bool {
-		for _, w := range set {
-			if s[i] == w {
-				return true
+	return findFirst(p, len(s), func(lo, hi int) int {
+		for i, e := range s[lo:hi] {
+			if slices.Contains(set, e) {
+				return lo + i
 			}
 		}
-		return false
+		return -1
 	})
 }
 
 // AdjacentFind returns the first index i such that pred(s[i], s[i+1]), or
 // -1 (std::adjacent_find).
 func AdjacentFind[T any](p Policy, s []T, pred func(a, b T) bool) int {
-	return findFirstIndex(p, len(s)-1, func(i int) bool { return pred(s[i], s[i+1]) })
+	return findFirst(p, len(s)-1, func(lo, hi int) int {
+		next := s[lo+1 : hi+1]
+		for i, e := range s[lo:hi] {
+			if pred(e, next[i]) {
+				return lo + i
+			}
+		}
+		return -1
+	})
 }
 
 // Search returns the index of the first occurrence of sub in s, or -1
@@ -107,14 +130,13 @@ func Search[T comparable](p Policy, s, sub []T) int {
 	if len(sub) == 0 {
 		return 0
 	}
-	n := len(s) - len(sub) + 1
-	return findFirstIndex(p, n, func(i int) bool {
-		for j, w := range sub {
-			if s[i+j] != w {
-				return false
+	return findFirst(p, len(s)-len(sub)+1, func(lo, hi int) int {
+		for i := lo; i < hi; i++ {
+			if slices.Equal(s[i:i+len(sub)], sub) {
+				return i
 			}
 		}
-		return true
+		return -1
 	})
 }
 
@@ -124,14 +146,17 @@ func SearchN[T comparable](p Policy, s []T, count int, v T) int {
 	if count <= 0 {
 		return 0
 	}
-	n := len(s) - count + 1
-	return findFirstIndex(p, n, func(i int) bool {
-		for j := 0; j < count; j++ {
-			if s[i+j] != v {
-				return false
+	return findFirst(p, len(s)-count+1, func(lo, hi int) int {
+	run:
+		for i := lo; i < hi; i++ {
+			for _, e := range s[i : i+count] {
+				if e != v {
+					continue run
+				}
 			}
+			return i
 		}
-		return true
+		return -1
 	})
 }
 
@@ -142,19 +167,16 @@ func FindEnd[T comparable](p Policy, s, sub []T) int {
 		return len(s)
 	}
 	n := len(s) - len(sub) + 1
-	if n <= 0 {
-		return -1
-	}
 	// Search the mirrored index space so the early-exit machinery, which
 	// minimizes, finds the maximal match position.
-	ri := findFirstIndex(p, n, func(i int) bool {
-		pos := n - 1 - i
-		for j, w := range sub {
-			if s[pos+j] != w {
-				return false
+	ri := findFirst(p, n, func(lo, hi int) int {
+		for ri := lo; ri < hi; ri++ {
+			pos := n - 1 - ri
+			if slices.Equal(s[pos:pos+len(sub)], sub) {
+				return ri
 			}
 		}
-		return true
+		return -1
 	})
 	if ri < 0 {
 		return -1

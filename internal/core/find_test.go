@@ -1,8 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"pstlbench/internal/exec"
+	"pstlbench/internal/native"
 )
 
 func TestFindMatchesSequentialReference(t *testing.T) {
@@ -191,5 +197,129 @@ func TestFindEnd(t *testing.T) {
 		if got := FindEnd(p, []int{1}, []int{1, 2}); got != -1 {
 			t.Fatalf("FindEnd longer-sub = %d", got)
 		}
+	})
+}
+
+// findFamily runs every algorithm that scans through findFirst over s, a
+// slice of zeros whose ones are planted matches, and returns the results in
+// a fixed order. Find, Mismatch and FindEnd come first: their answers are
+// the earliest, earliest and last planted index.
+func findFamily(p Policy, s []int) []int {
+	zeros := make([]int, len(s))
+	b2i := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	return []int{
+		Find(p, s, 1),
+		Mismatch(p, zeros, s),
+		FindEnd(p, s, []int{1}),
+		FindIf(p, s, func(v int) bool { return v == 1 }),
+		FindIfNot(p, s, func(v int) bool { return v == 0 }),
+		FindFirstOf(p, s, []int{7, 1}),
+		AdjacentFind(p, s, func(a, b int) bool { return a != b }),
+		Search(p, s, []int{1}),
+		Search(p, s, []int{0, 1}),
+		SearchN(p, s, 1, 1),
+		SearchN(p, s, 2, 1),
+		FindEnd(p, s, []int{1, 0}),
+		MismatchFunc(p, s, zeros, func(x, y int) bool { return x == y }),
+		b2i(LexicographicalCompare(p, zeros, s, intLess)),
+		IsHeapUntil(p, s, intLess),
+		IsSortedUntil(p, s, func(a, b int) bool { return a > b }),
+	}
+}
+
+// checkFindFamily plants ones at marks in an n-element slice and checks
+// every find-family result on p against the sequential policy's, and the
+// first three against the marks themselves.
+func checkFindFamily(t *testing.T, p Policy, n int, marks []int) {
+	t.Helper()
+	s := make([]int, n)
+	for _, m := range marks {
+		s[m] = 1
+	}
+	want := findFamily(Seq(), s)
+	if got := findFamily(p, s); !slices.Equal(got, want) {
+		t.Fatalf("n=%d marks=%v: parallel %v, sequential %v", n, marks, got, want)
+	}
+	first, last := -1, -1
+	if len(marks) > 0 {
+		first, last = slices.Min(marks), slices.Max(marks)
+	}
+	if want[0] != first || want[1] != first || want[2] != last {
+		t.Fatalf("n=%d marks=%v: Find, Mismatch, FindEnd = %v, want %d, %d, %d", n, marks, want[:3], first, first, last)
+	}
+}
+
+// TestFindFamilyBlockBoundaries puts the match where the block scanner
+// changes hands: at the first and last index, on both sides of the first
+// findBlock boundary, and at both ends of every chunk of p.Chunks(n) (and
+// their mirror images, which FindEnd scans first). Each position runs
+// alone, with a later match, and all together; the earliest must win.
+func TestFindFamilyBlockBoundaries(t *testing.T) {
+	grains := map[string]exec.Grain{"auto": exec.Auto, "static": exec.Static, "guided": exec.Guided, "cpw7": {ChunksPerWorker: 7}}
+	for _, w := range []int{2, 3} {
+		pool := native.New(w, native.StrategyStealing)
+		defer pool.Close()
+		for gname, g := range grains {
+			p := Par(pool).WithGrain(g)
+			for _, n := range []int{3*findBlock + 5, 8*findBlock + 3} {
+				t.Run(fmt.Sprintf("w=%d/%s/n=%d", w, gname, n), func(t *testing.T) {
+					pos := []int{0, findBlock - 1, findBlock, findBlock + 1, n - 1}
+					cs := p.Chunks(n)
+					for ci := 0; ci < cs.Len(); ci++ {
+						c := cs.At(ci)
+						pos = append(pos, c.Lo, c.Hi-1)
+					}
+					for _, i := range slices.Clone(pos) {
+						pos = append(pos, n-1-i)
+					}
+					slices.Sort(pos)
+					pos = slices.Compact(pos)
+					checkFindFamily(t, p, n, nil)
+					checkFindFamily(t, p, n, pos)
+					checkFindFamily(t, p, n, pos[1:])
+					for _, i := range pos {
+						checkFindFamily(t, p, n, []int{i})
+						checkFindFamily(t, p, n, []int{i, (i + n) / 2})
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzFindFirst decodes bytes into a size, worker count, grain and match
+// positions, then checks every find-family algorithm against the
+// sequential policy. Byte 0 picks the worker count (2 or 3), byte 1 the
+// grain, bytes 2-3 the size; each further pair of bytes is a match
+// position modulo the size.
+func FuzzFindFirst(f *testing.F) {
+	f.Add([]byte{0, 0, 0x05, 0x0c, 0xff, 0x03})
+	f.Add([]byte{1, 1, 0x00, 0x20, 0x00, 0x04, 0x01, 0x04})
+	f.Add([]byte{0, 2, 0x03, 0x10, 0x00, 0x00})
+	f.Add([]byte{1, 3, 0xe8, 0x03})
+	f.Add([]byte{0, 4, 0xff, 0xff, 0x00, 0x08, 0xfe, 0xff, 0x01, 0x80})
+	pools := []*native.Pool{native.New(2, native.StrategyStealing), native.New(3, native.StrategyStealing)}
+	f.Cleanup(func() {
+		for _, pl := range pools {
+			pl.Close()
+		}
+	})
+	grains := []exec.Grain{exec.Auto, exec.Static, exec.Guided, exec.Fine, {ChunksPerWorker: 7}, {ChunksPerWorker: 3, MinChunk: 5, MaxChunk: 40}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		p := Par(pools[int(data[0])%len(pools)]).WithGrain(grains[int(data[1])%len(grains)])
+		n := 1 + int(binary.LittleEndian.Uint16(data[2:4]))
+		var marks []int
+		for rest := data[4:]; len(rest) >= 2; rest = rest[2:] {
+			marks = append(marks, int(binary.LittleEndian.Uint16(rest))%n)
+		}
+		checkFindFamily(t, p, n, marks)
 	})
 }

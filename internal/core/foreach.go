@@ -66,7 +66,18 @@ func GenerateN[T any](p Policy, s []T, n int, gen func(i int) T) int {
 
 // Fill assigns v to every element of s (std::fill).
 func Fill[T any](p Policy, s []T, v T) {
-	ForEach(p, s, func(e *T) { *e = v })
+	if !p.parallel(len(s)) {
+		fill(s, v)
+		return
+	}
+	p.ParallelFor(len(s), func(_, lo, hi int) { fill(s[lo:hi], v) })
+}
+
+// fill stores v into every element of s.
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // FillN assigns v to the first n elements of s (std::fill_n) and returns n.

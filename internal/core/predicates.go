@@ -62,14 +62,30 @@ func (f matchCount[T]) Fold(lo, hi int) int {
 // Mismatch returns the first index at which a and b differ, or -1 if one is
 // a prefix of the other over min(len(a), len(b)) elements (std::mismatch).
 func Mismatch[T comparable](p Policy, a, b []T) int {
-	n := min(len(a), len(b))
-	return findFirstIndex(p, n, func(i int) bool { return a[i] != b[i] })
+	return findFirst(p, min(len(a), len(b)), func(lo, hi int) int {
+		x, y := a[lo:hi], b[lo:hi]
+		y = y[:len(x)]
+		for i, e := range x {
+			if e != y[i] {
+				return lo + i
+			}
+		}
+		return -1
+	})
 }
 
 // MismatchFunc is Mismatch with an explicit equality predicate.
 func MismatchFunc[T any](p Policy, a, b []T, eq func(x, y T) bool) int {
-	n := min(len(a), len(b))
-	return findFirstIndex(p, n, func(i int) bool { return !eq(a[i], b[i]) })
+	return findFirst(p, min(len(a), len(b)), func(lo, hi int) int {
+		x, y := a[lo:hi], b[lo:hi]
+		y = y[:len(x)]
+		for i, e := range x {
+			if !eq(e, y[i]) {
+				return lo + i
+			}
+		}
+		return -1
+	})
 }
 
 // Equal reports whether a and b have the same length and equal elements
@@ -86,8 +102,16 @@ func EqualFunc[T any](p Policy, a, b []T, eq func(x, y T) bool) bool {
 // LexicographicalCompare reports whether a is lexicographically less than b
 // (std::lexicographical_compare).
 func LexicographicalCompare[T any](p Policy, a, b []T, less func(x, y T) bool) bool {
-	n := min(len(a), len(b))
-	i := findFirstIndex(p, n, func(i int) bool { return less(a[i], b[i]) || less(b[i], a[i]) })
+	i := findFirst(p, min(len(a), len(b)), func(lo, hi int) int {
+		x, y := a[lo:hi], b[lo:hi]
+		y = y[:len(x)]
+		for i, e := range x {
+			if less(e, y[i]) || less(y[i], e) {
+				return lo + i
+			}
+		}
+		return -1
+	})
 	if i >= 0 {
 		return less(a[i], b[i])
 	}

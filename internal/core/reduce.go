@@ -6,13 +6,61 @@ package core
 // deterministic for a fixed policy: per-chunk partials are folded in chunk
 // order.
 func Reduce[T any](p Policy, s []T, init T, op func(a, b T) T) T {
-	return TransformReduce(p, s, init, op, func(v T) T { return v })
+	if !p.parallel(len(s)) {
+		acc := init
+		for _, e := range s {
+			acc = op(acc, e)
+		}
+		return acc
+	}
+	return ReduceChunks(p, len(s), init, op, elementFold[T]{s, op})
 }
 
 // Sum returns init plus the sum of all elements of s, the common
-// std::reduce(par, v.begin(), v.end()) case the paper benchmarks.
+// std::reduce(par, v.begin(), v.end()) case the paper benchmarks. It
+// combines in Reduce's order with an inline +.
 func Sum[T Number](p Policy, s []T, init T) T {
-	return Reduce(p, s, init, func(a, b T) T { return a + b })
+	if !p.parallel(len(s)) {
+		acc := init
+		for _, e := range s {
+			acc += e
+		}
+		return acc
+	}
+	return ReduceChunks(p, len(s), init, plus[T], sumFold[T]{s})
+}
+
+// plus is addition as a combine function: the chunk combine of Sum and the
+// op of InclusiveSum.
+func plus[T Number](a, b T) T { return a + b }
+
+// elementFold is the left fold of op over src[lo:hi], the chunk fold of
+// Reduce and the phase-1 fold of InclusiveScan and ExclusiveScan. op is the
+// only indirect call per element.
+type elementFold[T any] struct {
+	src []T
+	op  func(a, b T) T
+}
+
+func (f elementFold[T]) Fold(lo, hi int) T {
+	s := f.src[lo:hi]
+	acc := s[0]
+	for _, v := range s[1:] {
+		acc = f.op(acc, v)
+	}
+	return acc
+}
+
+// sumFold is elementFold with an inline +: the chunk fold of Sum.
+type sumFold[T Number] struct{ src []T }
+
+func (f sumFold[T]) Fold(lo, hi int) T {
+	s := f.src[lo:hi]
+	acc := s[0]
+	for _, v := range s[1:] {
+		acc += v
+	}
+	return acc
 }
 
 // Number is the constraint for the arithmetic convenience wrappers.

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"pstlbench/internal/native"
 )
 
 func TestSumMatchesClosedForm(t *testing.T) {
@@ -264,4 +267,39 @@ func TestScanReconstructsAdjacentDifference(t *testing.T) {
 			t.Fatal("scan(adjacent_difference(x)) != x")
 		}
 	})
+}
+
+// BenchmarkElementKernels times the paper's element loops — Reduce with a
+// caller's op, Sum, InclusiveScan and a Find that scans the whole input —
+// on a 2-worker pool at 2^10 (dispatch-bound) and 2^22 (beyond the
+// last-level cache, bandwidth-bound), reporting the bytes each call reads
+// and writes as GB/s.
+func BenchmarkElementKernels(b *testing.B) {
+	pool := native.New(2, native.StrategyStealing)
+	defer pool.Close()
+	p := Par(pool)
+	add := func(x, y float64) float64 { return x + y }
+	for _, n := range []int{1 << 10, 1 << 22} {
+		src := iota(n)
+		dst := make([]float64, n)
+		var sink float64
+		for _, k := range []struct {
+			name  string
+			bytes int
+			call  func()
+		}{
+			{"reduce", 8, func() { sink = Reduce(p, src, 0, add) }},
+			{"sum", 8, func() { sink = Sum(p, src, 0) }},
+			{"inclusive_scan", 16, func() { InclusiveScan(p, dst, src, add) }},
+			{"find", 8, func() { sink = float64(Find(p, src, float64(n))) }},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.call()
+				}
+				b.ReportMetric(float64(k.bytes*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+			})
+		}
+		_ = sink
+	}
 }

@@ -10,13 +10,47 @@ package core
 // dst must have the same length as src; dst may be src itself for an
 // in-place scan. op must be associative.
 func InclusiveScan[T any](p Policy, dst, src []T, op func(a, b T) T) {
-	TransformInclusiveScan(p, dst, src, op, func(v T) T { return v })
+	if len(dst) != len(src) {
+		panic("core.InclusiveScan: length mismatch")
+	}
+	if len(src) == 0 {
+		return
+	}
+	s := inclusiveElements[T]{elementFold[T]{src, op}, dst}
+	var none T
+	if !p.parallel(len(src)) {
+		s.Rescan(0, len(src), none, false)
+		return
+	}
+	ScanChunks(p, len(src), none, false, op, s)
+}
+
+// inclusiveElements rescans a chunk of InclusiveScan from its carry.
+type inclusiveElements[T any] struct {
+	elementFold[T]
+	dst []T
+}
+
+func (inclusiveElements[T]) Reserve(T) {}
+
+func (s inclusiveElements[T]) Rescan(lo, hi int, carry T, hasCarry bool) {
+	src, dst := s.src[lo:hi], s.dst[lo:hi]
+	dst = dst[:len(src)]
+	acc := src[0]
+	if hasCarry {
+		acc = s.op(carry, acc)
+	}
+	dst[0] = acc
+	for i := 1; i < len(src); i++ {
+		acc = s.op(acc, src[i])
+		dst[i] = acc
+	}
 }
 
 // InclusiveSum is InclusiveScan with addition, the default
 // std::inclusive_scan the paper benchmarks.
 func InclusiveSum[T Number](p Policy, dst, src []T) {
-	InclusiveScan(p, dst, src, func(a, b T) T { return a + b })
+	InclusiveScan(p, dst, src, plus[T])
 }
 
 // TransformInclusiveScan writes the inclusive prefix combination of
@@ -66,7 +100,38 @@ func (s inclusiveScan[T, U]) Rescan(lo, hi int, carry U, hasCarry bool) {
 // starting from init (std::exclusive_scan): dst[i] = init op src[0] op ...
 // op src[i-1]. dst may be src itself.
 func ExclusiveScan[T any](p Policy, dst, src []T, init T, op func(a, b T) T) {
-	TransformExclusiveScan(p, dst, src, init, op, func(v T) T { return v })
+	if len(dst) != len(src) {
+		panic("core.ExclusiveScan: length mismatch")
+	}
+	if len(src) == 0 {
+		return
+	}
+	s := exclusiveElements[T]{elementFold[T]{src, op}, dst}
+	if !p.parallel(len(src)) {
+		s.Rescan(0, len(src), init, true)
+		return
+	}
+	ScanChunks(p, len(src), init, true, op, s)
+}
+
+// exclusiveElements rescans a chunk of ExclusiveScan from its carry, which
+// always exists: the scan's init is the carry-in. It reads each element
+// before it writes the output in its place, so dst may alias src.
+type exclusiveElements[T any] struct {
+	elementFold[T]
+	dst []T
+}
+
+func (exclusiveElements[T]) Reserve(T) {}
+
+func (s exclusiveElements[T]) Rescan(lo, hi int, carry T, _ bool) {
+	src, dst := s.src[lo:hi], s.dst[lo:hi]
+	dst = dst[:len(src)]
+	acc := carry
+	for i, v := range src {
+		dst[i] = acc
+		acc = s.op(acc, v)
+	}
 }
 
 // TransformExclusiveScan writes the exclusive prefix combination of

@@ -362,9 +362,13 @@ func IsHeapUntil[T any](p Policy, s []T, less func(a, b T) bool) int {
 	if n < 2 {
 		return n
 	}
-	i := findFirstIndex(p, n-1, func(child int) bool {
-		c := child + 1
-		return less(s[(c-1)/2], s[c])
+	i := findFirst(p, n-1, func(lo, hi int) int {
+		for c := lo + 1; c <= hi; c++ {
+			if less(s[(c-1)/2], s[c]) {
+				return c - 1
+			}
+		}
+		return -1
 	})
 	if i < 0 {
 		return n
