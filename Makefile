@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test perfbench race bench fusion serve shard obs cluster stream loadgen check
+.PHONY: all fmt vet build test golden perfbench race bench fusion serve shard obs cluster stream loadgen check
 
 all: check
 
@@ -16,6 +16,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Rewrite internal/experiments/testdata/*.golden, the pinned (unmeasured)
+# render of every experiment at the tests' quick scale. Review the diff:
+# every changed line is a simulated number that moved.
+golden:
+	$(GO) test ./internal/experiments -run '^TestEveryExperimentProducesOutput$$' -update
 
 # perfbench is a nested module, so the root ./... never reaches its
 # oracle-gate tests; vet and test it on its own.
@@ -42,9 +48,10 @@ bench:
 	$(GO) test -run 'xxx' -bench '^BenchmarkElementKernels$$' -benchmem ./internal/core/
 
 # Fused-pipeline comparison: the 3-stage chain as staged core passes vs one
-# fused chunk-granular pass (Go benchmarks, then the pstlbench chain rows
-# with modeled traffic columns, then the full ext-fusion report with the
-# simulator's predicted traffic drop next to the measured native win).
+# fused chunk-granular pass, and small jobs dispatched one by one vs in
+# batches (Go benchmarks, then the pstlbench chain rows with modeled
+# traffic columns — the measured side), then the ext-fusion report (the
+# simulator's predicted traffic drop and speedup).
 fusion:
 	$(GO) test -run 'xxx' -bench 'FusedVsStaged' -benchtime 3x ./internal/pipeline/
 	$(GO) test -run 'xxx' -bench 'BatchedDispatch' -benchtime 3x ./internal/serve/

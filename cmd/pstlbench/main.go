@@ -9,11 +9,9 @@
 //   - native: measure this library's real parallel algorithms on the host
 //     with a chosen scheduling strategy and worker count.
 //
-// Two auxiliary modes run the STREAM bandwidth benchmark (internal/stream)
-// that calibrates the memory-bound expectations of Table 2's last row:
-// stream-sim prints the simulated Mach A/B/C row, stream-native sweeps the
-// host with 1..GOMAXPROCS workers. (These lived in cmd/pstlstream before
-// that command became the streaming-plane driver.)
+// An auxiliary mode, stream-native, runs the STREAM bandwidth benchmark
+// (internal/stream) on the host with 1..GOMAXPROCS workers; the simulated
+// Mach A/B/C row it is compared with is `pstlreport -exp tab2`.
 //
 // Examples:
 //
@@ -51,7 +49,7 @@ import (
 
 func main() {
 	var (
-		mode      = flag.String("mode", "sim", "sim (simulated machines), native (this host), stream-sim, or stream-native (STREAM bandwidth)")
+		mode      = flag.String("mode", "sim", "sim (simulated machines), native (this host), or stream-native (STREAM bandwidth)")
 		machName  = flag.String("machine", "a", "simulated machine: a, b, c, d, e")
 		backends  = flag.String("backend", "all", "comma-separated backend IDs (GCC-SEQ, GCC-TBB, GCC-GNU, GCC-HPX, ICC-TBB, NVC-OMP, NVC-CUDA) or 'all'")
 		algos     = flag.String("algo", "all", "comma-separated kernels, 'all' (the five studied), or 'extended' (the full native set)")
@@ -74,12 +72,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// The STREAM bandwidth modes are standalone: no suite, no filters.
-	switch *mode {
-	case "stream-sim":
-		runStreamSim()
-		return
-	case "stream-native":
+	// The STREAM bandwidth mode is standalone: no suite, no filters.
+	if *mode == "stream-native" {
 		// -maxexp sets the array size (2^maxexp elements, 3 arrays x 8 B).
 		runStreamNative(1 << *maxExp)
 		return
@@ -507,9 +501,9 @@ func registerNative(suite *harness.Suite, strategyName string, workers int, ks [
 // registerFusedNative adds the staged-vs-fused 3-stage chain benchmarks on
 // the real library: the same chain run as separate core passes with a
 // materialized intermediate, and as one fused pipeline pass. Each instance
-// reports its modeled DRAM traffic (pipeline.ModelTraffic) next to the
-// measured time — the traffic column the JSON records carry as
-// traffic_bytes.
+// reports its modeled DRAM traffic (skeleton.Chain's bytes per element)
+// next to the measured time — the traffic column the JSON records carry
+// as traffic_bytes.
 func registerFusedNative(suite *harness.Suite, policy core.Policy, minTime time.Duration, minExp, maxExp int, gs grainSpec) {
 	var args [][]int64
 	for e := minExp; e <= maxExp; e++ {
@@ -536,8 +530,8 @@ func registerFusedNative(suite *harness.Suite, policy core.Policy, minTime time.
 		})
 	}
 
-	// Traffic models come from the skeleton chain constants, which the
-	// skeleton tests pin to pipeline.ModelTraffic.
+	// Traffic models come from the skeleton chain constants, the same ones
+	// the simulator's chain phases carry.
 	fromChain := skeleton.Chain{Stages: 2, Terminal: "reduce"}
 	genChain := skeleton.Chain{Stages: 2, Terminal: "reduce", Generate: true}
 	perElem := func(c skeleton.Chain, fusedRun bool) func(n int) int64 {
@@ -599,7 +593,7 @@ func chainSrc(n int) []float64 {
 }
 
 // registerFusedSim adds simulated staged-vs-fused chain benchmarks: the
-// chain skeletons run through simexec.RunPhases on the selected machine,
+// chain skeletons run through simexec.RunChain on the selected machine,
 // predicting the traffic drop the native rows measure.
 func registerFusedSim(suite *harness.Suite, machName, backendSpec string, minExp, maxExp, threads int, allocName string) {
 	m := machine.ByName(machName)
@@ -635,19 +629,12 @@ func registerFusedSim(suite *harness.Suite, machName, backendSpec string, minExp
 				Args: args,
 				Fn: func(st *harness.State) {
 					n := st.Range(0)
-					w := skeleton.Workload{Op: backend.OpTransform, N: n, ElemBytes: 8, Kit: 1}
-					var phases []skeleton.Phase
-					var par bool
-					if fusedRun {
-						phases, par = skeleton.FusedChainPhases(w, chain, b, threads, m)
-					} else {
-						phases, par = skeleton.StagedChainPhases(w, chain, b, threads, m)
+					cfg := simexec.Config{
+						Machine: m, Backend: b, Threads: threads, Alloc: alloc,
+						Workload: skeleton.Workload{Op: backend.OpTransform, N: n, ElemBytes: 8, Kit: 1},
 					}
 					for st.Next() {
-						r := simexec.RunPhases(simexec.Config{
-							Machine: m, Backend: b, Workload: w,
-							Threads: threads, Alloc: alloc,
-						}, phases, skeleton.ChainWorkingSet(w, chain, fusedRun), par)
+						r := simexec.RunChain(cfg, chain, fusedRun)
 						st.SetIterationTime(r.Seconds)
 						st.RecordCounters(r.Counters)
 					}

@@ -4,25 +4,9 @@ import (
 	"fmt"
 	"runtime"
 
-	"pstlbench/internal/machine"
 	"pstlbench/internal/report"
 	"pstlbench/internal/stream"
 )
-
-// runStreamSim prints the simulated STREAM row for the paper's machines —
-// the Table 2 calibration the memory-system model must reproduce.
-func runStreamSim() {
-	t := &report.Table{
-		Title:   "Simulated STREAM bandwidth (GB/s)",
-		Headers: []string{"Machine", "1 core", "all cores"},
-	}
-	for _, m := range machine.CPUs() {
-		t.AddRow(m.Name,
-			fmt.Sprintf("%.1f", stream.Simulated(m, 1)),
-			fmt.Sprintf("%.1f", stream.Simulated(m, m.Cores)))
-	}
-	fmt.Print(t.String())
-}
 
 // runStreamNative measures the host's STREAM bandwidth over a worker sweep
 // (n elements per array, 3 arrays x 8 bytes; best of 3 per kernel).

@@ -7,7 +7,10 @@
 //	pstlreport -list              # list experiment IDs
 //
 // Output is plain text: aligned tables and ASCII charts (log-2 x axes,
-// matching the paper's presentation).
+// matching the paper's presentation). Tables read on this host rather
+// than simulated (wall clocks, live servers in the ext-* experiments) are
+// headed "[measured]", and notes computed from them print as
+// "note (measured):"; everything else is identical from run to run.
 //
 // A third mode summarizes a Chrome trace-event file written by
 // pstlbench --trace:
@@ -69,7 +72,7 @@ func main() {
 		r := run(cfg)
 		if *csv {
 			for _, t := range r.Tables {
-				fmt.Printf("# %s: %s\n", r.ID, t.Title)
+				fmt.Printf("# %s: %s\n", r.ID, t.Heading())
 				fmt.Print(t.CSV())
 			}
 			continue

@@ -13,6 +13,7 @@ import (
 	"pstlbench/internal/core"
 	"pstlbench/internal/native"
 	"pstlbench/internal/pipeline"
+	"pstlbench/internal/skeleton"
 )
 
 func main() {
@@ -90,7 +91,10 @@ func main() {
 	stagedSum := core.Sum(par, tmp2, 0)
 	stagedTime := time.Since(start)
 
-	tr := pl.ModelTraffic(8, "reduce")
-	fmt.Printf("pipeline:       sum = %.0f (staged %.0f), fused %v vs staged %v, modeled traffic %d vs %d MiB\n",
-		fusedSum, stagedSum, fusedTime, stagedTime, tr.Fused>>20, tr.Staged>>20)
+	// The simulator's traffic model for this chain shape: two stages and
+	// a reduce terminal over a slice source, bytes per 8-byte element.
+	chain := skeleton.Chain{Stages: 2, Terminal: "reduce"}
+	fmt.Printf("pipeline:       sum = %.0f (staged %.0f), fused %v vs staged %v, modeled traffic %.0f vs %.0f MiB\n",
+		fusedSum, stagedSum, fusedTime, stagedTime,
+		chain.FusedBytesPerElem()*n/(1<<20), chain.StagedBytesPerElem()*n/(1<<20))
 }

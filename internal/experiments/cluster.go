@@ -183,6 +183,7 @@ func clusterFailover(cfg Config, rep *Report) {
 		verdict = "FAIL"
 	}
 	t := &report.Table{
+		Measured: true,
 		Title: fmt.Sprintf("worker-death failover: 2 remote shards over HTTP, %d acked sorts (slot-pinning n=%d + backlog n=%d), one worker killed mid-backlog (heartbeat 5ms, dead after 3 misses)",
 			len(ids), blockN, n),
 		Headers: []string{"metric", "value"},
@@ -259,8 +260,9 @@ func clusterJoin(rep *Report) {
 		verdict = "FAIL"
 	}
 	t := &report.Table{
-		Title:   fmt.Sprintf("live ring growth 2 -> 3 workers, %d tenants, %d jobs in flight across the join", tenants, len(ids)),
-		Headers: []string{"metric", "value"},
+		Measured: true,
+		Title:    fmt.Sprintf("live ring growth 2 -> 3 workers, %d tenants, %d jobs in flight across the join", tenants, len(ids)),
+		Headers:  []string{"metric", "value"},
 	}
 	t.AddRow("tenants remapped", fmt.Sprintf("%d", moved))
 	t.AddRow("remap fraction", fmt.Sprintf("%.3f", frac))

@@ -41,13 +41,24 @@ type Report struct {
 	Tables []*report.Table
 	Charts []*report.Chart
 	Notes  []string
+	// MeasuredNotes are computed from measured tables (report.Table's
+	// Measured flag); they render after Notes as "note (measured): ...".
+	MeasuredNotes []string
 }
 
 // String renders the full report.
-func (r *Report) String() string {
+func (r *Report) String() string { return r.render(false) }
+
+// render writes the report. A pinned render leaves out the measured
+// tables and notes, keeping only what must not change from run to run or
+// host to host.
+func (r *Report) render(pinned bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "==== %s: %s ====\n\n", r.ID, r.Title)
 	for _, t := range r.Tables {
+		if pinned && t.Measured {
+			continue
+		}
 		b.WriteString(t.String())
 		b.WriteString("\n")
 	}
@@ -57,6 +68,11 @@ func (r *Report) String() string {
 	}
 	for _, n := range r.Notes {
 		b.WriteString("note: " + n + "\n")
+	}
+	if !pinned {
+		for _, n := range r.MeasuredNotes {
+			b.WriteString("note (measured): " + n + "\n")
+		}
 	}
 	return b.String()
 }

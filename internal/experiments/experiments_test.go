@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,9 +31,21 @@ func TestIndexCoversEveryPaperArtifact(t *testing.T) {
 	}
 }
 
+// goldenExact reports whether this build rounds floats like the one that
+// wrote the goldens; golden_amd64_test.go sets it.
+var goldenExact bool
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run's pinned renders")
+
+// TestEveryExperimentProducesOutput renders every experiment at the quick
+// scale and compares the pinned render — the report minus its measured
+// tables and notes — with testdata/<id>.golden. The goldens are compared
+// only where goldenExact is set (see golden_amd64_test.go).
 func TestEveryExperimentProducesOutput(t *testing.T) {
+	ids := map[string]bool{}
 	for _, e := range Index() {
 		e := e
+		ids[e.ID+".golden"] = true
 		t.Run(e.ID, func(t *testing.T) {
 			r := e.Run(quick)
 			if r.ID != e.ID {
@@ -43,8 +58,43 @@ func TestEveryExperimentProducesOutput(t *testing.T) {
 			if len(r.Tables) == 0 && len(r.Charts) == 0 {
 				t.Error("report has neither tables nor charts")
 			}
+			checkGolden(t, filepath.Join("testdata", e.ID+".golden"), r.render(true))
 		})
 	}
+	files, _ := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	for _, f := range files {
+		if !ids[filepath.Base(f)] {
+			t.Errorf("%s belongs to no experiment in Index()", f)
+		}
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update; both only on builds where goldenExact is set.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if !goldenExact {
+		return
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (go test ./internal/experiments -update writes it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(got, "\n")
+	i := 0
+	for i < len(wl) && i < len(gl) && wl[i] == gl[i] {
+		i++
+	}
+	t.Errorf("%s differs from line %d on (make golden rewrites it; explain the diff)\ngot:\n%s", path, i+1, got)
 }
 
 // parseCell extracts the float from a table cell like "8.7" or the first

@@ -20,11 +20,11 @@ func ExtensionARM(cfg Config) *Report {
 	n := int64(1) << cfg.maxExp()
 	t := &report.Table{
 		Title:   fmt.Sprintf("Predicted speedup vs GCC-SEQ on %s (%d cores, 1 NUMA node), n=%d", m.Name, m.Cores, n),
-		Headers: append([]string{"Backend"}, tab5Labels()...),
+		Headers: append([]string{"Backend"}, kernelLabels()...),
 	}
 	for _, b := range backend.Parallel() {
 		row := []string{b.ID}
-		for _, k := range tab5Kernels {
+		for _, k := range kernelColumns {
 			row = append(row, speedupCell(m, b, k.op, k.kit, n))
 		}
 		t.AddRow(row...)
@@ -34,11 +34,11 @@ func ExtensionARM(cfg Config) *Report {
 	// case: first-touch cannot help when there is only one node.
 	ta := &report.Table{
 		Title:   "Allocator speedup on Mach F (single node): expected ~1.00 everywhere",
-		Headers: append([]string{"Backend"}, fig1Labels()...),
+		Headers: append([]string{"Backend"}, kernelLabels()...),
 	}
 	for _, b := range []*backend.Backend{backend.GCCTBB(), backend.NVCOMP()} {
 		row := []string{b.ID}
-		for _, k := range fig1Kernels {
+		for _, k := range kernelColumns {
 			def := runCase(caseSpec{m: m, b: b, op: k.op, n: n, kit: k.kit, threads: m.Cores, alloc: allocsim.Default}).Seconds
 			ft := runCase(caseSpec{m: m, b: b, op: k.op, n: n, kit: k.kit, threads: m.Cores, alloc: allocsim.FirstTouch}).Seconds
 			row = append(row, f2(def/ft))

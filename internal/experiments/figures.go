@@ -35,20 +35,6 @@ func Tab2Stream(cfg Config) *Report {
 	}
 }
 
-// fig1Kernels are Figure 1's benchmark columns.
-var fig1Kernels = []struct {
-	label string
-	op    backend.Op
-	kit   int
-}{
-	{"find", backend.OpFind, 1},
-	{"for_each k=1", backend.OpForEach, 1},
-	{"for_each k=1000", backend.OpForEach, 1000},
-	{"inclusive_scan", backend.OpInclusiveScan, 1},
-	{"reduce", backend.OpReduce, 1},
-	{"sort", backend.OpSort, 1},
-}
-
 // Fig1Allocator reproduces Figure 1: the speedup of the custom parallel
 // first-touch allocator over the default allocator on Mach A with 32
 // threads and 2^30 elements. Values above 1.00 mean the custom allocator
@@ -59,11 +45,11 @@ func Fig1Allocator(cfg Config) *Report {
 	backends := []*backend.Backend{backend.GCCTBB(), backend.GCCGNU(), backend.ICCTBB(), backend.NVCOMP()}
 	t := &report.Table{
 		Title:   fmt.Sprintf("Speedup of custom first-touch allocator vs default (Mach A, 32 threads, n=%d)", n),
-		Headers: append([]string{"Backend"}, fig1Labels()...),
+		Headers: append([]string{"Backend"}, kernelLabels()...),
 	}
 	for _, b := range backends {
 		row := []string{b.ID}
-		for _, k := range fig1Kernels {
+		for _, k := range kernelColumns {
 			def := runCase(caseSpec{m: m, b: b, op: k.op, n: n, kit: k.kit, threads: 32, alloc: allocsim.Default}).Seconds
 			ft := runCase(caseSpec{m: m, b: b, op: k.op, n: n, kit: k.kit, threads: 32, alloc: allocsim.FirstTouch}).Seconds
 			row = append(row, f2(def/ft))
@@ -77,14 +63,6 @@ func Fig1Allocator(cfg Config) *Report {
 			"paper: for_each k=1 gains up to +63%, reduce up to +50%, sort and for_each k=1000 ~unchanged, find up to -24%, inclusive_scan up to -19%",
 		},
 	}
-}
-
-func fig1Labels() []string {
-	out := make([]string, len(fig1Kernels))
-	for i, k := range fig1Kernels {
-		out[i] = k.label
-	}
-	return out
 }
 
 // problemScalingChart builds one execution-time-vs-size chart: the

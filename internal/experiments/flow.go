@@ -276,14 +276,15 @@ func flowSharedPool(cfg Config, rep *Report) {
 		verdict = "FAIL"
 	}
 	t := &report.Table{
-		Title:   "one pool, two tenants: bursty wordcount stream (4x burst, 100ms period) beside a closed-loop batch reduce tenant under weighted fair queuing",
-		Headers: []string{"side", "work finished", "rejected/dropped", "p50", "p99", "verdict"},
+		Measured: true,
+		Title:    "one pool, two tenants: bursty wordcount stream (4x burst, 100ms period) beside a closed-loop batch reduce tenant under weighted fair queuing",
+		Headers:  []string{"side", "work finished", "rejected/dropped", "p50", "p99", "verdict"},
 	}
 	t.AddRow("stream (windows)", fmt.Sprintf("%d done of %d closed", st.WindowsDone, st.WindowsClosed),
 		fmt.Sprintf("%d", st.WindowsDropped),
 		fmt.Sprintf("%.4fs", st.P50Seconds), fmt.Sprintf("%.4fs", st.P99Seconds), verdict)
 	t.AddRow("batch (jobs)", fmt.Sprintf("%d", done.Load()), fmt.Sprintf("%d", rejected.Load()), "-", "-", "-")
 	rep.Tables = append(rep.Tables, t)
-	rep.Notes = append(rep.Notes,
+	rep.MeasuredNotes = append(rep.MeasuredNotes,
 		fmt.Sprintf("generator emitted %d events (%d accepted); each closed window became one serve job under tenant %q, admitted through the same WFQ lane structure as the batch tenant — neither side can starve the other", gs.Generated, gs.Accepted, "stream"))
 }

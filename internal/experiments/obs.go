@@ -128,8 +128,9 @@ func obsAttribution(rep *Report) {
 		return stats.Percentile(e.total, 0.99), stats.Percentile(e.queue, 0.99), stats.Percentile(e.exec, 0.99)
 	}
 	t := &report.Table{
-		Title:   fmt.Sprintf("2 shards, 1 worker each, %d-job backlog pinned to shard 0, spill/migration off; per-shard p99 from /spans data", backlog),
-		Headers: []string{"shard", "jobs", "p99 total", "p99 queue-wait", "p99 execute"},
+		Measured: true,
+		Title:    fmt.Sprintf("2 shards, 1 worker each, %d-job backlog pinned to shard 0, spill/migration off; per-shard p99 from /spans data", backlog),
+		Headers:  []string{"shard", "jobs", "p99 total", "p99 queue-wait", "p99 execute"},
 	}
 	for sh := 0; sh < 2; sh++ {
 		p99t, p99q, p99e := p99(perShard[sh])
@@ -150,8 +151,9 @@ func obsAttribution(rep *Report) {
 		attribution = qgap / gap
 	}
 	pt := &report.Table{
-		Title:   "the controlled pair: identical probe jobs (reduce n=8192) submitted behind the backlog, one tenant per shard",
-		Headers: []string{"probe", "shard", "p99 total", "p99 queue-wait", "p99 execute"},
+		Measured: true,
+		Title:    "the controlled pair: identical probe jobs (reduce n=8192) submitted behind the backlog, one tenant per shard",
+		Headers:  []string{"probe", "shard", "p99 total", "p99 queue-wait", "p99 execute"},
 	}
 	pt.AddRow(probe0, "0 (hot)", fmt.Sprintf("%.3gs", ht), fmt.Sprintf("%.3gs", hq), fmt.Sprintf("%.3gs", hx))
 	pt.AddRow(probe1, "1 (cold)", fmt.Sprintf("%.3gs", ct), fmt.Sprintf("%.3gs", cq), fmt.Sprintf("%.3gs", cx))
@@ -161,7 +163,7 @@ func obsAttribution(rep *Report) {
 	if gap <= 0 || attribution < 0.8 {
 		verdict = "ATTRIBUTION UNCLEAR — expected queue-wait to explain >= 80% of the probe p99 gap"
 	}
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
+	rep.MeasuredNotes = append(rep.MeasuredNotes, fmt.Sprintf(
 		"%s: the hot probe runs %.1fx slower end-to-end than its cold twin and queue-wait accounts for %.0f%% of the gap, while execute p99 stays in the milliseconds on both shards (%.3gs hot, %.3gs cold) — a kernel regression would move the execute column instead",
 		verdict, ht/ct, 100*attribution, hx, cx))
 }
@@ -228,8 +230,9 @@ func obsReplaySpans(rep *Report) {
 		verdict = "FAIL"
 	}
 	t := &report.Table{
-		Title:   "span history across kill-and-replay: fresh span ring after restart, history reloaded from the job log",
-		Headers: []string{"metric", "value"},
+		Measured: true,
+		Title:    "span history across kill-and-replay: fresh span ring after restart, history reloaded from the job log",
+		Headers:  []string{"metric", "value"},
 	}
 	t.AddRow("jobs replayed as pending", fmt.Sprintf("%d", replayed))
 	t.AddRow("replayed spans carrying the replayed phase", fmt.Sprintf("%d", withPhase))

@@ -229,8 +229,9 @@ func serveCancellation(cfg Config, rep *Report) {
 	ranAfter := executed.Load() - atCancel.Load()
 
 	t := &report.Table{
-		Title:   fmt.Sprintf("cancellation drain: n=%d, %d chunks of 64, %d workers, stealing pool", n, chunks, workers),
-		Headers: []string{"metric", "value"},
+		Measured: true,
+		Title:    fmt.Sprintf("cancellation drain: n=%d, %d chunks of 64, %d workers, stealing pool", n, chunks, workers),
+		Headers:  []string{"metric", "value"},
 	}
 	t.AddRow("full run wall time", fmt.Sprintf("%.3gs", full.Seconds()))
 	if baseline != nil && baseline.Chunk.Count > 0 {
@@ -243,7 +244,7 @@ func serveCancellation(cfg Config, rep *Report) {
 		t.AddRow("trace events in canceled window", fmt.Sprintf("%d", after.Events))
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
+	rep.MeasuredNotes = append(rep.MeasuredNotes, fmt.Sprintf(
 		"a canceled job frees the pool within one chunk boundary: every chunk dispatch checks the token, so at most the %d already-claimed chunks finish (%d did here) and the remaining %d are skipped without running their bodies",
 		workers, ranAfter, int64(chunks)-executed.Load()))
 }

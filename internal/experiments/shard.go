@@ -264,8 +264,9 @@ func shardReplay(rep *Report) {
 	}
 
 	t := &report.Table{
-		Title:   fmt.Sprintf("kill-and-replay on the real router: %d shards, %d acknowledged jobs, SIGKILL-equivalent mid-backlog", cfg.Shards, len(specs)),
-		Headers: []string{"metric", "value"},
+		Measured: true,
+		Title:    fmt.Sprintf("kill-and-replay on the real router: %d shards, %d acknowledged jobs, SIGKILL-equivalent mid-backlog", cfg.Shards, len(specs)),
+		Headers:  []string{"metric", "value"},
 	}
 	t.AddRow("completed before kill", fmt.Sprintf("%d", preKill.Completed))
 	t.AddRow("in flight at kill", fmt.Sprintf("%d", int64(len(specs))-preKill.Completed-preKill.Canceled))

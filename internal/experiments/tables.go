@@ -67,8 +67,8 @@ func Tab4ReduceCounters(cfg Config) *Report {
 	}
 }
 
-// tab5Kernels are the kernel columns of Tables 5 and 6.
-var tab5Kernels = []struct {
+// kernelColumns are the benchmark columns of Figure 1 and Tables 5 and 6.
+var kernelColumns = []struct {
 	label string
 	op    backend.Op
 	kit   int
@@ -98,11 +98,11 @@ func Tab5Speedups(cfg Config) *Report {
 	n := int64(1) << cfg.maxExp()
 	t := &report.Table{
 		Title:   fmt.Sprintf("Speedup vs GCC-SEQ, all cores, n=%d (cells: Mach A | Mach B | Mach C)", n),
-		Headers: append([]string{"Backend"}, tab5Labels()...),
+		Headers: append([]string{"Backend"}, kernelLabels()...),
 	}
 	for _, b := range backend.Parallel() {
 		row := []string{b.ID}
-		for _, k := range tab5Kernels {
+		for _, k := range kernelColumns {
 			cell := ""
 			for i, m := range machine.CPUs() {
 				if i > 0 {
@@ -120,9 +120,9 @@ func Tab5Speedups(cfg Config) *Report {
 	}
 }
 
-func tab5Labels() []string {
-	out := make([]string, len(tab5Kernels))
-	for i, k := range tab5Kernels {
+func kernelLabels() []string {
+	out := make([]string, len(kernelColumns))
+	for i, k := range kernelColumns {
 		out[i] = k.label
 	}
 	return out
@@ -134,11 +134,11 @@ func Tab6Efficiency(cfg Config) *Report {
 	n := int64(1) << cfg.maxExp()
 	t := &report.Table{
 		Title:   fmt.Sprintf("Max threads with efficiency >= 70%%, n=%d (cells: Mach A | Mach B | Mach C)", n),
-		Headers: append([]string{"Backend"}, tab5Labels()...),
+		Headers: append([]string{"Backend"}, kernelLabels()...),
 	}
 	for _, b := range backend.Parallel() {
 		row := []string{b.ID}
-		for _, k := range tab5Kernels {
+		for _, k := range kernelColumns {
 			cell := ""
 			for i, m := range machine.CPUs() {
 				if i > 0 {

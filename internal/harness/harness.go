@@ -204,7 +204,7 @@ func (s *State) SetBytesProcessed(n int64) { s.bytes = n }
 func (s *State) SetItemsProcessed(n int64) { s.items = n }
 
 // SetTrafficBytes declares the modeled DRAM traffic across all iterations
-// (e.g. from pipeline.ModelTraffic), reported per call as
+// (e.g. from skeleton.Chain's bytes per element), reported per call as
 // Result.TrafficBytes. Unlike SetBytesProcessed this is a model, not a
 // measurement — it lets reports place predicted memory traffic next to
 // measured time.

@@ -739,58 +739,3 @@ func (pl *Pipeline[T]) Sort(p core.Policy, dst []T, less func(a, b T) bool) {
 	pl.Copy(p, dst)
 	core.SortFunc(p, dst[:pl.n], less)
 }
-
-// ---------------------------------------------------------------------------
-// Traffic model
-//
-// The per-element DRAM traffic of the staged vs fused execution, using the
-// same write-allocate accounting as the simexec skeletons (a store to a
-// cold line costs a read + a write): every materialized intermediate costs
-// 2e to produce and e to consume, for element size e. These constants feed
-// the pstlbench traffic columns and the ext-fusion experiment tables; the
-// memsys plane derives its prediction independently from skeleton phases
-// built with the same accounting.
-
-// Traffic is the modeled DRAM traffic of one execution of a chain, in
-// bytes, for both execution disciplines.
-type Traffic struct {
-	Fused  int64
-	Staged int64
-}
-
-// ModelTraffic returns the modeled DRAM traffic of this chain under a
-// given terminal ("reduce", "copy", "scan" or "sort"; anything else is
-// costed as "reduce"), assuming elemBytes per element and an n too large to cache. The fused
-// execution touches only source and sink; the staged execution streams
-// every intermediate through memory.
-func (pl *Pipeline[T]) ModelTraffic(elemBytes int, terminal string) Traffic {
-	e := int64(elemBytes)
-	n := int64(pl.n)
-	srcRead := e // From: the source array is real traffic
-	if pl.src == nil {
-		srcRead = 0 // Generate: elements come from registers
-	}
-	stages := int64(len(pl.stages))
-
-	// Staged: source materializes (Generate writes a tmp), each stage
-	// reads its input array and writes (write-allocate) its output, the
-	// terminal consumes the last array.
-	var staged int64
-	if pl.src == nil {
-		staged += 2 * e // generate tmp0: write + allocate-read
-	}
-	staged += stages * 3 * e // per stage: read in + write out + wa
-	var fused int64
-	switch terminal {
-	case "copy", "sort":
-		staged += 3 * e // read last + write dst + wa
-		fused = srcRead + 2*e
-	case "scan":
-		staged += 4 * e // pass1 read, pass2 read + write + wa
-		fused = 2*srcRead + 2*e
-	default: // reduce: the terminal reads the last array once
-		staged += e
-		fused = srcRead
-	}
-	return Traffic{Fused: fused * n, Staged: staged * n}
-}

@@ -232,23 +232,3 @@ func TestCancelMidChainNeverTearsSilently(t *testing.T) {
 		}
 	}
 }
-
-// The traffic model must report the fused form as strictly cheaper for any
-// chain with at least one stage, with the staged bill growing per stage.
-func TestModelTrafficMonotone(t *testing.T) {
-	src := make([]float64, 1024)
-	base := pipeline.From(src).ModelTraffic(8, "reduce")
-	one := pipeline.From(src).Transform(func(v float64) float64 { return v }).ModelTraffic(8, "reduce")
-	two := pipeline.From(src).Transform(func(v float64) float64 { return v }).
-		Transform(func(v float64) float64 { return v }).ModelTraffic(8, "reduce")
-	if !(two.Staged > one.Staged && one.Staged > base.Staged) {
-		t.Fatalf("staged traffic not increasing per stage: %d %d %d",
-			base.Staged, one.Staged, two.Staged)
-	}
-	if two.Fused != base.Fused {
-		t.Fatalf("fused traffic should not grow with stages: %d vs %d", base.Fused, two.Fused)
-	}
-	if two.Fused >= two.Staged {
-		t.Fatalf("fused %d not cheaper than staged %d", two.Fused, two.Staged)
-	}
-}

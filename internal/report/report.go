@@ -10,9 +10,21 @@ import (
 
 // Table is a simple aligned-column text table.
 type Table struct {
-	Title   string
-	Headers []string
-	Rows    [][]string
+	Title string
+	// Measured marks rows read on the host (wall clocks, live servers)
+	// rather than computed by the simulator: they differ from run to run,
+	// so the heading carries a "[measured]" label.
+	Measured bool
+	Headers  []string
+	Rows     [][]string
+}
+
+// Heading returns the title line, labelled when the table is measured.
+func (t *Table) Heading() string {
+	if t.Measured {
+		return "[measured] " + t.Title
+	}
+	return t.Title
 }
 
 // AddRow appends a row; cells beyond the header count are dropped.
@@ -23,8 +35,8 @@ func (t *Table) AddRow(cells ...string) {
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	var b strings.Builder
-	if t.Title != "" {
-		b.WriteString(t.Title + "\n")
+	if h := t.Heading(); h != "" {
+		b.WriteString(h + "\n")
 	}
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {

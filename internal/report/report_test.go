@@ -28,6 +28,13 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
+func TestMeasuredTableHeadingIsLabelled(t *testing.T) {
+	tb := &Table{Title: "drain", Measured: true, Headers: []string{"metric", "value"}}
+	if got := strings.SplitN(tb.String(), "\n", 2)[0]; got != "[measured] drain" {
+		t.Fatalf("heading %q", got)
+	}
+}
+
 func TestTableShortRow(t *testing.T) {
 	tb := &Table{Headers: []string{"A", "B", "C"}}
 	tb.AddRow("only-one")

@@ -95,7 +95,7 @@ func TestHomeBandsMatchNativeSplit(t *testing.T) {
 		}
 		b := backend.GCCTBB()
 		b.NUMASteal = true
-		r := RunPhases(Config{
+		r := runPhases(Config{
 			Machine: machine.MachB(), Backend: b,
 			Workload: wl(backend.OpForEach, int64(len(tasks))*1000),
 			Threads:  tc.threads, Alloc: allocsim.FirstTouch, Trace: true,

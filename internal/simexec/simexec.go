@@ -108,15 +108,26 @@ func Run(cfg Config) Result {
 	return runPhaseList(cfg, phases, workingSet(cfg.Workload), parallel)
 }
 
-// RunPhases simulates an explicit phase list instead of deriving one from
-// the workload's op — the entry the fused-pipeline model uses, where one
-// invocation's phases (a staged or fused chain from skeleton.
-// StagedChainPhases / FusedChainPhases) are not any single backend.Op.
-// wsBytes is the repeatedly-touched working set that picks the serving
-// memory level; parallel selects cfg.Threads cores versus one. The
-// workload's Op only selects the backend traits (overhead sheet) applied
-// to every phase.
-func RunPhases(cfg Config, phases []skeleton.Phase, wsBytes int64, parallel bool) Result {
+// RunChain simulates the element-wise chain c over cfg.Workload (whose Op
+// selects the backend traits), either staged — one barrier-separated pass
+// per stage with materialized intermediates — or fused into one
+// chunk-granular pass. The phases come from skeleton.StagedChainPhases /
+// FusedChainPhases and the memory level from skeleton.ChainWorkingSet.
+func RunChain(cfg Config, c skeleton.Chain, fused bool) Result {
+	build := skeleton.StagedChainPhases
+	if fused {
+		build = skeleton.FusedChainPhases
+	}
+	phases, parallel := build(cfg.Workload, c, cfg.Backend, cfg.Threads, cfg.Machine)
+	return runPhases(cfg, phases, skeleton.ChainWorkingSet(cfg.Workload, c, fused), parallel)
+}
+
+// runPhases simulates an explicit phase list instead of deriving one from
+// the workload's op. wsBytes is the repeatedly-touched working set that
+// picks the serving memory level; parallel selects cfg.Threads cores
+// versus one. The workload's Op only selects the backend traits (overhead
+// sheet) applied to every phase.
+func runPhases(cfg Config, phases []skeleton.Phase, wsBytes int64, parallel bool) Result {
 	if cfg.Machine == nil || cfg.Backend == nil {
 		panic("simexec: nil machine or backend")
 	}

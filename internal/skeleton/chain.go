@@ -44,8 +44,8 @@ func (c Chain) Validate() {
 // StagedBytesPerElem returns the modeled per-element DRAM traffic of
 // running the chain as separate passes with materialized intermediates,
 // for 8-byte elements (write-allocate accounting: a streamed store costs a
-// read plus a write). It mirrors pipeline.ModelTraffic exactly — the two
-// are cross-checked by test.
+// read plus a write). The phase lists of StagedChainPhases carry exactly
+// these bytes, which the skeleton tests check.
 func (c Chain) StagedBytesPerElem() float64 {
 	var b float64
 	if c.Generate {

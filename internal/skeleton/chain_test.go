@@ -5,46 +5,8 @@ import (
 
 	"pstlbench/internal/backend"
 	"pstlbench/internal/machine"
-	"pstlbench/internal/pipeline"
 	"pstlbench/internal/skeleton"
 )
-
-// TestChainBytesMatchPipelineModel pins the two traffic models to each
-// other: skeleton.Chain (which the simulator executes) and
-// pipeline.ModelTraffic (which the runtime library reports) must agree on
-// the per-element staged and fused traffic for every chain shape, or the
-// ext-fusion prediction and the pstlbench traffic columns would drift
-// apart silently.
-func TestChainBytesMatchPipelineModel(t *testing.T) {
-	const n = 1000
-	const elem = 8
-	f := func(v float64) float64 { return v + 1 }
-	for _, gen := range []bool{false, true} {
-		for stages := 0; stages <= 3; stages++ {
-			for _, term := range []string{"reduce", "copy", "scan"} {
-				c := skeleton.Chain{Stages: stages, Terminal: term, Generate: gen}
-				var pl *pipeline.Pipeline[float64]
-				if gen {
-					pl = pipeline.Generate(n, func(i int) float64 { return float64(i) })
-				} else {
-					pl = pipeline.From(make([]float64, n))
-				}
-				for s := 0; s < stages; s++ {
-					pl = pl.Transform(f)
-				}
-				tr := pl.ModelTraffic(elem, term)
-				if got, want := c.StagedBytesPerElem()*n, float64(tr.Staged); got != want {
-					t.Errorf("gen=%v stages=%d %s: skeleton staged %v != pipeline %v",
-						gen, stages, term, got, want)
-				}
-				if got, want := c.FusedBytesPerElem()*n, float64(tr.Fused); got != want {
-					t.Errorf("gen=%v stages=%d %s: skeleton fused %v != pipeline %v",
-						gen, stages, term, got, want)
-				}
-			}
-		}
-	}
-}
 
 // TestChainPhasesTrafficConsistent: the phase lists the simulator executes
 // must carry exactly the per-element bytes the closed-form model claims.
@@ -72,6 +34,28 @@ func TestChainPhasesTrafficConsistent(t *testing.T) {
 				}
 				if got, want := sum(fu), c.FusedBytesPerElem(); !close(got, want) {
 					t.Errorf("%+v: fused phases carry %v B/elem, model says %v", c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestChainTrafficMonotone: the model bills every stage to the staged
+// form only, so the staged traffic grows per stage, the fused traffic stays
+// constant, and fusing a chain with at least one stage is strictly cheaper.
+func TestChainTrafficMonotone(t *testing.T) {
+	for _, gen := range []bool{false, true} {
+		for stages := 1; stages <= 3; stages++ {
+			for _, term := range []string{"reduce", "copy", "scan"} {
+				c := skeleton.Chain{Stages: stages, Terminal: term, Generate: gen}
+				prev := c
+				prev.Stages--
+				if c.StagedBytesPerElem() <= prev.StagedBytesPerElem() ||
+					c.FusedBytesPerElem() != prev.FusedBytesPerElem() ||
+					c.FusedBytesPerElem() >= c.StagedBytesPerElem() {
+					t.Errorf("%+v: staged %v / fused %v B/elem after staged %v / fused %v at one stage fewer",
+						c, c.StagedBytesPerElem(), c.FusedBytesPerElem(),
+						prev.StagedBytesPerElem(), prev.FusedBytesPerElem())
 				}
 			}
 		}

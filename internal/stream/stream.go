@@ -5,9 +5,9 @@
 // Despite the name, this package has nothing to do with streaming
 // workloads: for the continuous-ingest streaming plane (event-time
 // windows, watermarks, backpressure, windowed operators through the
-// serving tier) see internal/flow. The CLI entry for THIS benchmark lives
-// in pstlbench (-mode stream-sim / stream-native); cmd/pstlstream drives
-// internal/flow.
+// serving tier) see internal/flow. The host measurement of THIS benchmark
+// is pstlbench -mode stream-native and the simulated row is pstlreport
+// -exp tab2; cmd/pstlstream drives internal/flow.
 //
 // Two modes exist: Native measures the host this code actually runs on,
 // using the library's own parallel Transform; Simulated runs the triad
