@@ -8,7 +8,6 @@ package pstlbench
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -18,6 +17,8 @@ import (
 	"pstlbench/internal/core"
 	"pstlbench/internal/exec"
 	"pstlbench/internal/experiments"
+	"pstlbench/internal/harness"
+	"pstlbench/internal/kernels"
 	"pstlbench/internal/machine"
 	"pstlbench/internal/native"
 	"pstlbench/internal/simexec"
@@ -94,95 +95,28 @@ func BenchmarkStream(b *testing.B) {
 	b.ReportMetric(r.Triad, "GB/s-triad")
 }
 
-// Native benchmarks of the real library (this host, real goroutines).
-
-func nativePolicy(b *testing.B) core.Policy {
-	b.Helper()
+// BenchmarkNativeKernels times six entries of the native kernel table on
+// this host through Kernel.Body, the body `pstlbench -mode native` runs:
+// the same inputs, only the algorithm call timed, and a wrong result
+// panics. The reported ns/op and MB/s are the body's manual timing, not the
+// wall time of the untimed setup around it.
+func BenchmarkNativeKernels(b *testing.B) {
+	const n = 1 << 20
 	pool := native.New(runtime.GOMAXPROCS(0), native.StrategyStealing)
-	b.Cleanup(pool.Close)
-	return core.Par(pool)
-}
-
-func BenchmarkNativeForEach(b *testing.B) {
-	p := nativePolicy(b)
-	data := make([]float64, 1<<20)
-	kernel := func(v *float64) { *v++ }
-	b.SetBytes(int64(len(data)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ForEach(p, data, kernel)
-	}
-}
-
-func BenchmarkNativeReduce(b *testing.B) {
-	p := nativePolicy(b)
-	data := make([]float64, 1<<20)
-	core.Generate(p, data, func(i int) float64 { return float64(i) })
-	b.SetBytes(int64(len(data)) * 8)
-	b.ResetTimer()
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s = core.Sum(p, data, 0)
-	}
-	_ = s
-}
-
-func BenchmarkNativeFind(b *testing.B) {
-	p := nativePolicy(b)
-	data := make([]float64, 1<<20)
-	core.Generate(p, data, func(i int) float64 { return float64(i + 1) })
-	b.SetBytes(int64(len(data)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if core.Find(p, data, float64(len(data)/2)) < 0 {
-			b.Fatal("miss")
+	defer pool.Close()
+	p := core.Par(pool)
+	for _, name := range []string{"for_each", "reduce", "find", "inclusive_scan", "sort", "transform_reduce"} {
+		k, ok := kernels.ExtByName(name)
+		if !ok {
+			b.Fatalf("no kernel %q", name)
 		}
+		b.Run(name, func(b *testing.B) {
+			var su harness.Suite
+			r := su.RunIterations(harness.Benchmark{Name: name, Fn: k.Body(p, n, 1)}, nil, b.N)
+			b.ReportMetric(r.Seconds*1e9, "ns/op")
+			b.ReportMetric(r.BytesPerSec/1e6, "MB/s")
+		})
 	}
-}
-
-func BenchmarkNativeInclusiveScan(b *testing.B) {
-	p := nativePolicy(b)
-	data := make([]float64, 1<<20)
-	dst := make([]float64, len(data))
-	core.Generate(p, data, func(i int) float64 { return 1 })
-	b.SetBytes(int64(len(data)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.InclusiveSum(p, dst, data)
-	}
-}
-
-func BenchmarkNativeSort(b *testing.B) {
-	p := nativePolicy(b)
-	rng := rand.New(rand.NewSource(1))
-	data := make([]float64, 1<<18)
-	b.SetBytes(int64(len(data)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for j := range data {
-			data[j] = rng.Float64()
-		}
-		b.StartTimer()
-		core.Sort(p, data)
-	}
-}
-
-func BenchmarkNativeTransformReduce(b *testing.B) {
-	p := nativePolicy(b)
-	x := make([]float64, 1<<20)
-	y := make([]float64, 1<<20)
-	core.Generate(p, x, func(i int) float64 { return float64(i) })
-	core.Generate(p, y, func(i int) float64 { return 2 })
-	b.SetBytes(int64(len(x)) * 16)
-	b.ResetTimer()
-	var dot float64
-	for i := 0; i < b.N; i++ {
-		dot = core.TransformReduceBinary(p, x, y, 0.0,
-			func(a, c float64) float64 { return a + c },
-			func(a, c float64) float64 { return a * c })
-	}
-	_ = dot
 }
 
 // Native pool microbenchmarks: the per-invocation overhead of each

@@ -112,14 +112,6 @@ func (s Set) Scale(f float64) Set {
 // Steals returns the total steal count regardless of locality.
 func (s Set) Steals() float64 { return s.LocalSteals + s.RemoteSteals }
 
-// SchedString formats the scheduler counters in the style of the paper's
-// overhead discussion ("steals=12 (remote 4) parks=3 wakeups=7
-// empty-spins=41").
-func (s Set) SchedString() string {
-	return fmt.Sprintf("steals=%s (remote %s) parks=%s wakeups=%s empty-spins=%s",
-		SI(s.Steals()), SI(s.RemoteSteals), SI(s.Parks), SI(s.Wakeups), SI(s.EmptySpins))
-}
-
 // Flops returns the total double-precision operation count.
 func (s Set) Flops() float64 { return s.FPScalar + 2*s.FP128 + 4*s.FP256 }
 

@@ -369,31 +369,12 @@ func (su *Suite) runOne(b Benchmark, args []int64) Result {
 	if maxIters <= 0 {
 		maxIters = defaultMaxIters
 	}
-	name := instanceName(b.Name, args)
-	tb := su.markerBuf()
-	var region int64
-	if tb != nil {
-		region = su.Tracer.Intern(name)
-	}
 	n := 1
-	var st *State
-	var windowFrom, windowTo int64
 	for {
-		st = &State{name: name, args: args, target: n,
-			tracer: su.Tracer, tbuf: tb, registry: su.Registry,
-			tuner: su.Tuner, tuneSched: su.TuneSched}
-		var rstart int64
-		if tb != nil {
-			rstart = su.Tracer.Now()
-		}
-		b.Fn(st)
-		if tb != nil {
-			windowFrom, windowTo = rstart, su.Tracer.Now()
-			tb.Span(trace.KindRegion, rstart, windowTo, region, int64(n))
-		}
+		st, from, to := su.attempt(b, args, n)
 		measured := st.measuredSeconds()
 		if measured >= minTime.Seconds() || n >= maxIters {
-			break
+			return su.result(b, args, st, from, to)
 		}
 		// Predict the iteration count reaching minTime, with head-room,
 		// bounded to a 10x growth per attempt (Google Benchmark's rule).
@@ -412,6 +393,39 @@ func (su *Suite) runOne(b Benchmark, args []int64) Result {
 		}
 		n = next
 	}
+}
+
+// RunIterations measures one instance of b at args with exactly iters
+// iterations and no adaptive search, for a driver that picks the count
+// itself — a testing.B loop running b.N iterations.
+func (su *Suite) RunIterations(b Benchmark, args []int64, iters int) Result {
+	st, from, to := su.attempt(b, args, iters)
+	return su.result(b, args, st, from, to)
+}
+
+// attempt runs the body once with n iterations and returns its state and,
+// when tracing, the marker window [from, to] the attempt covered.
+func (su *Suite) attempt(b Benchmark, args []int64, n int) (st *State, from, to int64) {
+	name := instanceName(b.Name, args)
+	tb := su.markerBuf()
+	st = &State{name: name, args: args, target: n,
+		tracer: su.Tracer, tbuf: tb, registry: su.Registry,
+		tuner: su.Tuner, tuneSched: su.TuneSched}
+	var region int64
+	if tb != nil {
+		region = su.Tracer.Intern(name)
+		from = su.Tracer.Now()
+	}
+	b.Fn(st)
+	if tb != nil {
+		to = su.Tracer.Now()
+		tb.Span(trace.KindRegion, from, to, region, int64(n))
+	}
+	return st, from, to
+}
+
+// result turns the measured attempt into the instance's Result.
+func (su *Suite) result(b Benchmark, args []int64, st *State, windowFrom, windowTo int64) Result {
 	res := Result{
 		Name:       b.Name,
 		Args:       args,
@@ -420,9 +434,9 @@ func (su *Suite) runOne(b Benchmark, args []int64) Result {
 	}
 	res.HasCounters = st.ctrRecorded
 	if su.Registry != nil {
-		res.Latency = su.Registry.Stats(name)
+		res.Latency = su.Registry.Stats(st.name)
 	}
-	if tb != nil {
+	if su.markerBuf() != nil {
 		// Summarize only the final attempt — the one the timing comes from.
 		res.Trace = trace.SummarizeWindow(su.Tracer, windowFrom, windowTo)
 		if su.Tuner != nil && st.tuneOn && res.Trace != nil {

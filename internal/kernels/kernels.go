@@ -1,13 +1,15 @@
 // Package kernels defines the native benchmark kernels of the suite — the
-// Go equivalents of pSTL-Bench's Listings 1-3: the k_it volatile loop for
+// Go equivalents of pSTL-Bench's Listings 1-3 (the k_it volatile loop for
 // for_each, the random-element find, the plus-reduction, the inclusive
-// prefix sum, and the shuffled sort. Each kernel produces a harness
-// benchmark body that measures exactly the algorithm call (shuffling and
-// setup are excluded via manual timing, as WRAP_TIMING does).
+// prefix sum and the shuffled sort) followed by the wider Table-1 set. Each
+// kernel is one table entry holding its input, the untimed step before each
+// call, the timed call and the result check; Kernel.Body is the one runner
+// that times exactly the algorithm call, as WRAP_TIMING does.
 package kernels
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"pstlbench/internal/backend"
@@ -18,10 +20,6 @@ import (
 // Elem is the benchmark element type, following the paper's default of
 // 64-bit floating point operands.
 type Elem = float64
-
-// sink defeats dead-code elimination of the for_each kernel, playing the
-// role of the volatile qualifier in Listing 1.
-var sink Elem
 
 // ForEachKernel is the paper's Listing 1: run kit dependent increments and
 // store the result into the element.
@@ -42,33 +40,88 @@ type Kernel struct {
 	// Op is the corresponding simulator operation; only meaningful when
 	// Sim is true.
 	Op backend.Op
-	// Sim marks the five studied kernels that the performance simulator
-	// models; the extended kernels run natively only.
+	// Sim marks the kernels the performance simulator models; the others
+	// run natively only.
 	Sim bool
-	// Body builds a harness benchmark body running the kernel natively
-	// over n elements with the given policy and computational intensity.
-	Body func(p core.Policy, n, kit int) func(*harness.State)
+	// Bytes is the memory traffic of one call per element, the numerator
+	// of the reported throughput.
+	Bytes int64
+	// Setup fills the input for n elements once and returns the untimed
+	// step run before each call (nil for none), the timed call, and the
+	// check of the last call's result.
+	Setup func(p core.Policy, n, kit int) (prep, call func(), check func() bool)
 }
 
-// All returns the five studied kernels in the paper's order.
-func All() []Kernel {
-	return []Kernel{
-		{Name: "find", Op: backend.OpFind, Sim: true, Body: findBody},
-		{Name: "for_each", Op: backend.OpForEach, Sim: true, Body: forEachBody},
-		{Name: "inclusive_scan", Op: backend.OpInclusiveScan, Sim: true, Body: scanBody},
-		{Name: "reduce", Op: backend.OpReduce, Sim: true, Body: reduceBody},
-		{Name: "sort", Op: backend.OpSort, Sim: true, Body: sortBody},
-	}
-}
-
-// ByName returns the kernel with the given name.
-func ByName(name string) (Kernel, bool) {
-	for _, k := range All() {
-		if k.Name == name {
-			return k, true
+// Body builds a harness benchmark body running k natively over n elements
+// with the given policy and computational intensity. It is the suite's one
+// WRAP_TIMING loop: only the call is timed, and a wrong result panics.
+func (k Kernel) Body(p core.Policy, n, kit int) func(*harness.State) {
+	return func(st *harness.State) {
+		prep, call, check := k.Setup(p, n, kit)
+		for st.Next() {
+			if prep != nil {
+				prep()
+			}
+			start := time.Now()
+			call()
+			st.SetIterationTime(time.Since(start).Seconds())
 		}
+		if !check() {
+			panic("kernels: " + k.Name + " result wrong")
+		}
+		st.SetBytesProcessed(int64(st.Iterations()) * int64(n) * k.Bytes)
 	}
-	return Kernel{}, false
+}
+
+// studied is the number of leading table entries that are the paper's five
+// studied kernels.
+const studied = 5
+
+// table is every kernel: the five studied ones in the paper's order, then
+// the Table-1 subset pSTL-Bench supports beyond them.
+var table = []Kernel{
+	{Name: "find", Op: backend.OpFind, Sim: true, Bytes: 8, Setup: find},
+	{Name: "for_each", Op: backend.OpForEach, Sim: true, Bytes: 8, Setup: forEach},
+	{Name: "inclusive_scan", Op: backend.OpInclusiveScan, Sim: true, Bytes: 8, Setup: inclusiveScan},
+	{Name: "reduce", Op: backend.OpReduce, Sim: true, Bytes: 8, Setup: reduce},
+	{Name: "sort", Op: backend.OpSort, Sim: true, Bytes: 8, Setup: sortKernel},
+	{Name: "transform", Op: backend.OpTransform, Sim: true, Bytes: 16, Setup: transform},
+	{Name: "transform_reduce", Bytes: 16, Setup: transformReduce},
+	{Name: "exclusive_scan", Bytes: 8, Setup: exclusiveScan},
+	{Name: "adjacent_difference", Bytes: 16, Setup: adjacentDifference},
+	{Name: "count_if", Op: backend.OpCount, Sim: true, Bytes: 8, Setup: countIf},
+	{Name: "minmax_element", Op: backend.OpMinMax, Sim: true, Bytes: 8, Setup: minMax},
+	{Name: "copy", Op: backend.OpCopy, Sim: true, Bytes: 16, Setup: copyKernel},
+	{Name: "fill", Bytes: 8, Setup: fill},
+	{Name: "all_of", Bytes: 8, Setup: allOf},
+	{Name: "merge", Bytes: 24, Setup: merge},
+	{Name: "stable_sort", Bytes: 8, Setup: stableSort},
+	{Name: "partition", Bytes: 16, Setup: partition},
+	{Name: "unique", Bytes: 16, Setup: unique},
+	{Name: "reverse", Bytes: 16, Setup: reverse},
+}
+
+// All returns the five studied kernels in the paper's order. The slice is a
+// copy: appending to it or writing its entries leaves the table alone.
+func All() []Kernel { return slices.Clone(table[:studied]) }
+
+// Extended returns the five studied kernels followed by the rest of the
+// Table-1 subset; of those, only the ones marked Sim have a simulator
+// model. The slice is a copy, like All's.
+func Extended() []Kernel { return slices.Clone(table) }
+
+// ByName returns the studied kernel with the given name.
+func ByName(name string) (Kernel, bool) { return lookup(table[:studied], name) }
+
+// ExtByName looks a kernel up across the extended set.
+func ExtByName(name string) (Kernel, bool) { return lookup(table, name) }
+
+func lookup(ks []Kernel, name string) (Kernel, bool) {
+	i := slices.IndexFunc(ks, func(k Kernel) bool { return k.Name == name })
+	if i < 0 {
+		return Kernel{}, false
+	}
+	return ks[i], true
 }
 
 // increasing returns [1, 2, ..., n] like pstl::generate_increment.
@@ -78,84 +131,158 @@ func increasing(p core.Policy, n int) []Elem {
 	return data
 }
 
-func timeIt(st *harness.State, f func()) {
-	start := time.Now()
-	f()
-	st.SetIterationTime(time.Since(start).Seconds())
+// ramp reports whether s is [1, ..., n] (up) or [n, ..., 1] (down).
+func ramp(s []Elem, up bool) bool {
+	for i, v := range s {
+		if up && v != Elem(i+1) || !up && v != Elem(len(s)-i) {
+			return false
+		}
+	}
+	return true
 }
 
-func findBody(p core.Policy, n, _ int) func(*harness.State) {
-	return func(st *harness.State) {
-		data := increasing(p, n)
-		rng := rand.New(rand.NewSource(42))
-		for st.Next() {
-			target := Elem(rng.Intn(n) + 1)
-			var idx int
-			timeIt(st, func() { idx = core.Find(p, data, target) })
-			if idx < 0 {
-				panic("kernels: find missed a present element")
-			}
-		}
-		st.SetBytesProcessed(int64(st.Iterations()) * int64(n) * 8)
-	}
+func shuffle(rng *rand.Rand, s []Elem) {
+	rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 }
 
-func forEachBody(p core.Policy, n, kit int) func(*harness.State) {
-	if kit < 1 {
-		kit = 1
-	}
-	kernel := ForEachKernel(kit)
-	return func(st *harness.State) {
-		data := increasing(p, n)
-		for st.Next() {
-			timeIt(st, func() { core.ForEach(p, data, kernel) })
-		}
-		sink = data[0]
-		st.SetBytesProcessed(int64(st.Iterations()) * int64(n) * 8)
-	}
+func triangle(n int) Elem { return Elem(n) * Elem(n+1) / 2 }
+
+func plus(a, b Elem) Elem { return a + b }
+
+func less(a, b Elem) bool { return a < b }
+
+func even(v Elem) bool { return int64(v)%2 == 0 }
+
+func find(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	data := increasing(p, n)
+	rng := rand.New(rand.NewSource(42))
+	var target Elem
+	idx := -1
+	return func() { target = Elem(rng.Intn(n) + 1) },
+		func() { idx = core.Find(p, data, target) },
+		func() bool { return idx >= 0 && data[idx] == target }
 }
 
-func scanBody(p core.Policy, n, _ int) func(*harness.State) {
-	return func(st *harness.State) {
-		data := increasing(p, n)
-		dst := make([]Elem, n)
-		for st.Next() {
-			timeIt(st, func() { core.InclusiveSum(p, dst, data) })
-		}
-		if n > 0 && dst[n-1] != Elem(n)*Elem(n+1)/2 {
-			panic("kernels: inclusive_scan result wrong")
-		}
-		st.SetBytesProcessed(int64(st.Iterations()) * int64(n) * 8)
-	}
+func forEach(p core.Policy, n, kit int) (func(), func(), func() bool) {
+	kit = max(kit, 1)
+	data, kernel := increasing(p, n), ForEachKernel(kit)
+	return nil, func() { core.ForEach(p, data, kernel) },
+		func() bool { return n == 0 || data[0] == Elem(kit) && data[n-1] == Elem(kit) }
 }
 
-func reduceBody(p core.Policy, n, _ int) func(*harness.State) {
-	return func(st *harness.State) {
-		data := increasing(p, n)
-		var r Elem
-		for st.Next() {
-			timeIt(st, func() { r = core.Sum(p, data, 0) })
-		}
-		if n > 0 && r != Elem(n)*Elem(n+1)/2 {
-			panic("kernels: reduce result wrong")
-		}
-		st.SetBytesProcessed(int64(st.Iterations()) * int64(n) * 8)
-	}
+func inclusiveScan(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	src, dst := increasing(p, n), make([]Elem, n)
+	return nil, func() { core.InclusiveSum(p, dst, src) },
+		func() bool { return n == 0 || dst[n-1] == triangle(n) }
 }
 
-func sortBody(p core.Policy, n, _ int) func(*harness.State) {
-	return func(st *harness.State) {
-		data := increasing(p, n)
-		rng := rand.New(rand.NewSource(7))
-		for st.Next() {
-			// The shuffle is setup, excluded from the measurement
-			// exactly as pSTL-Bench's WRAP_TIMING excludes it.
-			rng.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
-			timeIt(st, func() { core.Sort(p, data) })
-		}
-		if n > 1 && (data[0] != 1 || data[n-1] != Elem(n)) {
-			panic("kernels: sort result wrong")
-		}
-		st.SetBytesProcessed(int64(st.Iterations()) * int64(n) * 8)
-	}
+func reduce(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	data := increasing(p, n)
+	var r Elem
+	return nil, func() { r = core.Sum(p, data, 0) }, func() bool { return r == triangle(n) }
+}
+
+// sortKernel and stableSort reshuffle before each call; the shuffle is
+// setup, excluded from the measurement exactly as pSTL-Bench's WRAP_TIMING
+// excludes it.
+func sortKernel(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	data, rng := increasing(p, n), rand.New(rand.NewSource(7))
+	return func() { shuffle(rng, data) }, func() { core.Sort(p, data) },
+		func() bool { return ramp(data, true) }
+}
+
+func stableSort(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	data, rng := increasing(p, n), rand.New(rand.NewSource(9))
+	return func() { shuffle(rng, data) }, func() { core.StableSort(p, data, less) },
+		func() bool { return ramp(data, true) }
+}
+
+func transform(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	src, dst := increasing(p, n), make([]Elem, n)
+	return nil, func() { core.Transform(p, dst, src, func(v Elem) Elem { return 2*v + 1 }) },
+		func() bool { return n == 0 || dst[n-1] == 2*Elem(n)+1 }
+}
+
+func transformReduce(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	a, b := increasing(p, n), make([]Elem, n)
+	core.Fill(p, b, 2)
+	var dot Elem
+	mul := func(x, y Elem) Elem { return x * y }
+	return nil, func() { dot = core.TransformReduceBinary(p, a, b, 0, plus, mul) },
+		func() bool { return dot == Elem(n)*Elem(n+1) }
+}
+
+func exclusiveScan(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	src, dst := make([]Elem, n), make([]Elem, n)
+	core.Fill(p, src, 1)
+	return nil, func() { core.ExclusiveScan(p, dst, src, 0, plus) },
+		func() bool { return n == 0 || dst[n-1] == Elem(n-1) }
+}
+
+func adjacentDifference(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	src, dst := increasing(p, n), make([]Elem, n)
+	minus := func(cur, prev Elem) Elem { return cur - prev }
+	return nil, func() { core.AdjacentDifference(p, dst, src, minus) },
+		func() bool { return n < 2 || dst[n-1] == 1 }
+}
+
+func countIf(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	data := increasing(p, n)
+	var c int
+	return nil, func() { c = core.CountIf(p, data, even) }, func() bool { return c == n/2 }
+}
+
+func minMax(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	data := increasing(p, n)
+	var lo, hi int
+	return nil, func() { lo, hi = core.MinMaxElement(p, data, less) },
+		func() bool { return n == 0 || data[lo] == 1 && data[hi] == Elem(n) }
+}
+
+func copyKernel(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	src, dst := increasing(p, n), make([]Elem, n)
+	return nil, func() { core.Copy(p, dst, src) }, func() bool { return ramp(dst, true) }
+}
+
+func fill(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	dst := make([]Elem, n)
+	return nil, func() { core.Fill(p, dst, 7) }, func() bool { return n == 0 || dst[n-1] == 7 }
+}
+
+func allOf(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	data := increasing(p, n)
+	ok := false
+	return nil, func() { ok = core.AllOf(p, data, func(v Elem) bool { return v > 0 }) },
+		func() bool { return ok }
+}
+
+func merge(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	a, b, dst := increasing(p, n/2), increasing(p, n-n/2), make([]Elem, n)
+	return nil, func() { core.Merge(p, dst, a, b, less) },
+		func() bool { return core.IsSorted(p, dst, less) }
+}
+
+// partition and unique restore their input before each call, untimed.
+func partition(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	src, work := increasing(p, n), make([]Elem, n)
+	var k int
+	return func() { copy(work, src) }, func() { k = core.StablePartition(p, work, even) },
+		func() bool { return k == n/2 && core.IsPartitioned(p, work, even) }
+}
+
+func unique(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	src, work := make([]Elem, n), make([]Elem, n)
+	core.Generate(p, src, func(i int) Elem { return Elem(i / 4) })
+	var k int
+	return func() { copy(work, src) }, func() { k = core.Unique(p, work) },
+		func() bool { return k == (n+3)/4 }
+}
+
+// reverse counts its calls in the untimed step: an odd count leaves the
+// input descending.
+func reverse(p core.Policy, n, _ int) (func(), func(), func() bool) {
+	data := increasing(p, n)
+	calls := 0
+	return func() { calls++ }, func() { core.Reverse(p, data) },
+		func() bool { return ramp(data, calls%2 == 0) }
 }

@@ -139,3 +139,29 @@ func TestExtendedKernelsRunAndValidate(t *testing.T) {
 		t.Errorf("sim-backed kernels = %d, want 9", simCount)
 	}
 }
+
+func TestAllReturnsCopies(t *testing.T) {
+	// Appending to All's slice must not overwrite the sixth table entry,
+	// and writing an entry must not rename the table's kernel.
+	_ = append(All(), Kernel{Name: "bogus"})
+	All()[0].Name = "bogus"
+	ext := Extended()
+	if ext[studied].Name != "transform" || ext[0].Name != "find" {
+		t.Fatalf("table written through All(): %q, %q", ext[0].Name, ext[studied].Name)
+	}
+	if _, ok := ByName("find"); !ok {
+		t.Fatal("ByName lost find")
+	}
+}
+
+func TestBodyPanicsOnWrongResult(t *testing.T) {
+	k := Kernel{Name: "broken", Bytes: 8, Setup: func(core.Policy, int, int) (func(), func(), func() bool) {
+		return nil, func() {}, func() bool { return false }
+	}}
+	defer func() {
+		if r := recover(); r != "kernels: broken result wrong" {
+			t.Fatalf("recovered %v, want the result-check panic", r)
+		}
+	}()
+	runKernel(t, k, core.Seq(), 16, 1)
+}

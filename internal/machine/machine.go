@@ -134,10 +134,6 @@ func (m *Machine) SocketOf(core int) int {
 	return blockAssign(core, m.Cores, m.Sockets)
 }
 
-// ScalarRate returns one core's scalar instruction rate (instructions/s)
-// at the all-core base clock.
-func (m *Machine) ScalarRate() float64 { return m.FreqGHz * 1e9 * m.IPC }
-
 // SeqFreqGHz returns the clock of a single-threaded run (boost clock when
 // the machine has one).
 func (m *Machine) SeqFreqGHz() float64 {

@@ -98,17 +98,27 @@ func ReadLog(path string) ([]Record, error) {
 	return recs, err
 }
 
-// readLogValid parses records and returns the byte offset of the last
-// complete record — the length OpenLog truncates a torn tail back to. A
-// record is complete only when newline-terminated and parseable; each
-// Append writes record+newline in one write(2), so an unterminated or
-// unparseable tail can only come from a partial physical write (power
-// loss), and dropping it re-runs at most that one in-flight job.
+// readLogValid parses the records of the log at path and returns the byte
+// offset of the last complete record — see decodeLog.
 func readLogValid(path string) ([]Record, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
+	recs, valid, err := decodeLog(data)
+	if err != nil {
+		return nil, 0, fmt.Errorf("shard: corrupt job log %s %w", path, err)
+	}
+	return recs, valid, nil
+}
+
+// decodeLog parses log bytes into records and returns the byte offset of
+// the last complete record — the length OpenLog truncates a torn tail back
+// to. A record is complete only when newline-terminated and parseable;
+// each Append writes record+newline in one write(2), so an unterminated or
+// unparseable tail can only come from a partial physical write (power
+// loss), and dropping it re-runs at most that one in-flight job.
+func decodeLog(data []byte) ([]Record, int64, error) {
 	var recs []Record
 	var valid int64
 	for off := 0; off < len(data); {
@@ -131,7 +141,7 @@ func readLogValid(path string) ([]Record, int64, error) {
 		if nl < 0 || json.Unmarshal(trimmed, &rec) != nil {
 			// Torn tail: tolerated only when nothing valid follows.
 			if nl >= 0 && bytes.IndexFunc(data[next:], notSpace) >= 0 {
-				return nil, 0, fmt.Errorf("shard: corrupt job log %s at byte %d", path, off)
+				return nil, 0, fmt.Errorf("at byte %d", off)
 			}
 			break
 		}

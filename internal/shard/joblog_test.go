@@ -161,3 +161,47 @@ func TestLogBatchedFsyncStillSyncs(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// FuzzReadLog drives the job-log decoder with arbitrary bytes. It must
+// never panic, and whenever it accepts the input: the valid prefix lies
+// inside the data, re-reading exactly that prefix yields the same records,
+// and a record appended to the prefix reads back after them — the
+// truncate-then-append sequence OpenLog relies on after a torn write.
+func FuzzReadLog(f *testing.F) {
+	three := `{"t":"submit","id":"job-1","seq":1,"kernel":"reduce","n":4096,"tenant":"a"}` + "\n" +
+		`{"t":"cancel","id":"job-1"}` + "\n" +
+		`{"t":"complete","id":"job-1","state":"done","checksum":42.5,"phases":{"admitted":7}}` + "\n"
+	f.Add([]byte(three))
+	f.Add([]byte(three + `{"t":"submit","id":"jo`))
+	f.Add([]byte(`{"t":"submit","id":"job-1"}` + "\n" + `{"t":"sub` + "\n" + `{"t":"cancel","id":"job-1"}` + "\n"))
+	f.Add([]byte("\n  \n" + `{"t":"cancel","id":"job-2"}` + "\n\n\t\n"))
+	f.Add([]byte(`{"t":"submit","id":"job-3"}` + "\r\n" + `{"t":"cancel","id":"job-3"}` + "\r\n"))
+	fresh := Record{T: "submit", ID: "fresh", Seq: 9, Kernel: "sort", N: 64, Tenant: "f"}
+	line, err := json.Marshal(fresh)
+	if err != nil {
+		f.Fatal(err)
+	}
+	line = append(line, '\n')
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, valid, err := decodeLog(data)
+		if err != nil {
+			return
+		}
+		if valid < 0 || valid > int64(len(data)) {
+			t.Fatalf("valid = %d outside [0, %d]", valid, len(data))
+		}
+		prefix := data[:valid:valid]
+		again, v2, err := decodeLog(prefix)
+		if err != nil || v2 != valid || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("re-reading the valid prefix: %d records, valid %d, err %v; want %d records, valid %d",
+				len(again), v2, err, len(recs), valid)
+		}
+		grown, _, err := decodeLog(append(prefix, line...))
+		if err != nil {
+			t.Fatalf("append after the valid prefix: %v", err)
+		}
+		if want := append(recs[:len(recs):len(recs)], fresh); !reflect.DeepEqual(grown, want) {
+			t.Fatalf("append after the valid prefix read %d records, want %d", len(grown), len(want))
+		}
+	})
+}

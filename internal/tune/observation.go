@@ -6,14 +6,11 @@ import (
 )
 
 // Observation is the telemetry of one loop invocation, the controller's
-// input. Two sources produce it:
-//
-//   - FromCounters builds one from a counters.Set delta — the native
-//     pool's SchedStats or the simulator's modeled scheduler counters —
-//     carrying the steal/park/spin mix but no latency shape;
-//   - FromSummary builds one from a trace.Summary window, which adds the
-//     chunk-latency percentiles, steal-to-work latency, and the idle-gap
-//     mass that drives refinement.
+// input. FromCounters builds one from a counters.Set delta — the native
+// pool's SchedStats or the simulator's modeled scheduler counters —
+// carrying the steal/park/spin mix. The trace signal, the idle-gap mass
+// that drives refinement, reaches the tuner separately through
+// Tuner.ObserveSummary.
 type Observation struct {
 	// Seconds is the invocation's duration (wall or virtual). Observations
 	// with Seconds <= 0 are discarded by Observe.
@@ -25,18 +22,6 @@ type Observation struct {
 	Parks        float64
 	Wakeups      float64
 	EmptySpins   float64
-
-	// HasTrace marks observations whose latency fields below are valid.
-	HasTrace bool
-	// ChunkP50 and ChunkP95 are chunk-execution latency percentiles in
-	// seconds: the dispatch-cost-vs-latency signal.
-	ChunkP50, ChunkP95 float64
-	// StealToWorkP50 is the median delay between a steal and the stolen
-	// work starting, in seconds.
-	StealToWorkP50 float64
-	// IdleFrac is the idle-gap mass: the fraction of the summarized window
-	// the active workers spent outside chunk spans, in [0, 1].
-	IdleFrac float64
 }
 
 // FromCounters builds an Observation from a counter-set delta. The set's
@@ -51,31 +36,6 @@ func FromCounters(c counters.Set) Observation {
 		Wakeups:      c.Wakeups,
 		EmptySpins:   c.EmptySpins,
 	}
-}
-
-// FromSummary builds an Observation from a trace summary window. The
-// summary carries no invocation duration of its own, so the caller passes
-// seconds (the window span End-Start is used when seconds <= 0).
-func FromSummary(s *trace.Summary, seconds float64) Observation {
-	o := Observation{Seconds: seconds}
-	if s == nil {
-		return o
-	}
-	if o.Seconds <= 0 {
-		o.Seconds = s.End - s.Start
-	}
-	for _, ts := range s.Tracks {
-		o.LocalSteals += float64(ts.LocalSteals)
-		o.RemoteSteals += float64(ts.RemoteSteals)
-		o.Parks += float64(ts.Parks)
-		o.Wakeups += float64(ts.Wakeups)
-	}
-	o.HasTrace = true
-	o.ChunkP50 = s.Chunk.P50
-	o.ChunkP95 = s.Chunk.P95
-	o.StealToWorkP50 = s.StealToWork.P50
-	o.IdleFrac = idleFrac(s)
-	return o
 }
 
 // idleFrac computes the idle-gap mass of a summary: one minus the busy
@@ -109,10 +69,10 @@ func idleFrac(s *trace.Summary) float64 {
 }
 
 // ObserveSummary enriches the controller state of k with the idle-gap mass
-// of a trace summary without advancing the climb: the next counter-only
-// Observe for k sees the trace's idle fraction as if it were its own. Use
-// it when tracing is windowed per attempt (the harness summarizes only the
-// final attempt) so trace signals still reach the tuner.
+// of a trace summary without advancing the climb: every later Observe for
+// k sees the trace's idle fraction until the next summary replaces it.
+// This is the tuner's one trace path; the harness calls it with the
+// summary of each instance's final attempt.
 func (t *Tuner) ObserveSummary(k Key, s *trace.Summary) {
 	if s == nil || k.N <= 0 {
 		return

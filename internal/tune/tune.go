@@ -135,7 +135,7 @@ type state struct {
 	regions map[int]string
 	keyStr  string
 	// pendingIdleFrac carries the idle-gap mass of the most recent trace
-	// summary (ObserveSummary) into counter-only observations.
+	// summary (ObserveSummary) into the observations that follow it.
 	pendingIdleFrac float64
 	hasPending      bool
 }
@@ -412,8 +412,9 @@ func (t *Tuner) Observe(k Key, o Observation) {
 
 // direction returns the forced climb direction from the scheduler
 // telemetry of o: +1 when remote steals dominate and the weighted steal
-// pressure per chunk is high, -1 when the idle-gap mass exceeds the refine
-// threshold, 0 when the signals are quiet and throughput should decide.
+// pressure per chunk is high, -1 when the idle-gap mass of the last trace
+// summary (ObserveSummary) exceeds the refine threshold, 0 when the
+// signals are quiet and throughput should decide.
 func (t *Tuner) direction(k Key, s *state, o Observation) int {
 	chunks := float64((k.N + s.cur - 1) / s.cur)
 	if chunks < 1 {
@@ -423,13 +424,7 @@ func (t *Tuner) direction(k Key, s *state, o Observation) int {
 	if o.RemoteSteals > o.LocalSteals && weighted > t.opt.CoarsenStealsPerChunk {
 		return +1
 	}
-	idle := -1.0
-	if o.HasTrace {
-		idle = o.IdleFrac
-	} else if s.hasPending {
-		idle = s.pendingIdleFrac
-	}
-	if idle > t.opt.IdleFracRefine {
+	if s.hasPending && s.pendingIdleFrac > t.opt.IdleFracRefine {
 		return -1
 	}
 	return 0

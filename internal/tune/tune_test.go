@@ -75,9 +75,8 @@ func TestRefinesOnIdleGapMass(t *testing.T) {
 	secs := 1.0
 	prev := chunkOf(t, tn.Propose(k))
 	for i := 0; i < 3; i++ {
-		tn.Observe(k, tune.Observation{
-			Seconds: secs, HasTrace: true, IdleFrac: 0.5,
-		})
+		tn.ObserveSummary(k, idleSummary(0.5))
+		tn.Observe(k, tune.Observation{Seconds: secs})
 		cur := chunkOf(t, tn.Propose(k))
 		if cur > prev {
 			t.Fatalf("step %d: coarsened %d -> %d under idle-gap pressure", i, prev, cur)
@@ -88,6 +87,12 @@ func TestRefinesOnIdleGapMass(t *testing.T) {
 	if prev >= 1<<16/(8*4) {
 		t.Fatalf("never refined below auto: chunk=%d", prev)
 	}
+}
+
+// idleSummary is a one-second trace window whose single active track is
+// idle for the given fraction of it.
+func idleSummary(idle float64) *trace.Summary {
+	return &trace.Summary{Start: 0, End: 1, Tracks: []trace.TrackStats{{Chunks: 4, BusySeconds: 1 - idle}}}
 }
 
 func TestObserveSummaryFeedsIdleIntoCounterObservations(t *testing.T) {
@@ -220,8 +225,7 @@ func TestProposalsAlwaysTile(t *testing.T) {
 				RemoteSteals: float64(rng.Intn(100)),
 			}
 			if rng.Intn(2) == 0 {
-				o.HasTrace = true
-				o.IdleFrac = rng.Float64()
+				tn.ObserveSummary(k, idleSummary(rng.Float64()))
 			}
 			tn.Observe(k, o)
 		}
@@ -256,35 +260,6 @@ func checkTiling(t *testing.T, g exec.Grain, n, workers int) {
 	}
 	if pos != n {
 		t.Fatalf("n=%d w=%d grain %+v: tiling ends at %d", n, workers, g, pos)
-	}
-}
-
-func TestFromSummary(t *testing.T) {
-	s := &trace.Summary{
-		Start: 0, End: 2,
-		Tracks: []trace.TrackStats{
-			{Chunks: 4, BusySeconds: 1.0, LocalSteals: 2, RemoteSteals: 3, Parks: 1},
-			{Chunks: 0}, // idle track: excluded from the idle mass
-		},
-		Chunk:       trace.Dist{Count: 4, P50: 0.1, P95: 0.2, Max: 0.3},
-		StealToWork: trace.Dist{Count: 5, P50: 0.01},
-	}
-	o := tune.FromSummary(s, 2.0)
-	if !o.HasTrace {
-		t.Fatal("HasTrace not set")
-	}
-	if o.LocalSteals != 2 || o.RemoteSteals != 3 || o.Parks != 1 {
-		t.Fatalf("steal counters not summed: %+v", o)
-	}
-	if o.ChunkP50 != 0.1 || o.ChunkP95 != 0.2 || o.StealToWorkP50 != 0.01 {
-		t.Fatalf("latency fields not copied: %+v", o)
-	}
-	if o.IdleFrac != 0.5 {
-		t.Fatalf("IdleFrac = %v, want 0.5", o.IdleFrac)
-	}
-	// Zero-span summaries must not divide by zero.
-	if o := tune.FromSummary(&trace.Summary{}, 1.0); o.IdleFrac != 0 {
-		t.Fatalf("zero-span IdleFrac = %v, want 0", o.IdleFrac)
 	}
 }
 
