@@ -48,14 +48,15 @@ bench:
 	$(GO) test -run 'xxx' -bench '^BenchmarkElementKernels$$' -benchmem ./internal/core/
 
 # Fused-pipeline comparison: the 3-stage chain as staged core passes vs one
-# fused chunk-granular pass, and small jobs dispatched one by one vs in
-# batches (Go benchmarks, then the pstlbench chain rows with modeled
-# traffic columns — the measured side), then the ext-fusion report (the
-# simulator's predicted traffic drop and speedup).
+# fused chunk-granular pass (the chain entries of the kernel table), and
+# small jobs dispatched one by one vs in batches (Go benchmarks, then the
+# pstlbench chain rows with modeled traffic columns — the measured side),
+# then the ext-fusion report (the simulator's predicted traffic drop and
+# speedup).
 fusion:
-	$(GO) test -run 'xxx' -bench 'FusedVsStaged' -benchtime 3x ./internal/pipeline/
+	$(GO) test -run 'xxx' -bench 'NativeKernels/chain' -benchtime 3x .
 	$(GO) test -run 'xxx' -bench 'BatchedDispatch' -benchtime 3x ./internal/serve/
-	$(GO) run ./cmd/pstlbench -mode native -fused -algo reduce -minexp 20 -maxexp 22 -filter chain
+	$(GO) run ./cmd/pstlbench -mode native -algo chains -minexp 20 -maxexp 22
 	$(GO) run ./cmd/pstlreport -exp ext-fusion -scale 4
 
 # Run the algorithm-serving daemon on the local pool.

@@ -95,27 +95,34 @@ func BenchmarkStream(b *testing.B) {
 	b.ReportMetric(r.Triad, "GB/s-triad")
 }
 
-// BenchmarkNativeKernels times six entries of the native kernel table on
-// this host through Kernel.Body, the body `pstlbench -mode native` runs:
-// the same inputs, only the algorithm call timed, and a wrong result
-// panics. The reported ns/op and MB/s are the body's manual timing, not the
-// wall time of the untimed setup around it.
+// BenchmarkNativeKernels times six entries of the native kernel table at
+// 2^20 and the six pipeline chains at 2^22 (32 MiB of float64, past the LLC
+// of typical hosts, where fusing the passes pays) on this host through
+// Kernel.Body, the body `pstlbench -mode native` runs: the same inputs,
+// only the algorithm call timed, and a wrong result panics. The reported
+// ns/op and MB/s are the body's manual timing, not the wall time of the
+// untimed setup around it.
 func BenchmarkNativeKernels(b *testing.B) {
-	const n = 1 << 20
 	pool := native.New(runtime.GOMAXPROCS(0), native.StrategyStealing)
 	defer pool.Close()
 	p := core.Par(pool)
-	for _, name := range []string{"for_each", "reduce", "find", "inclusive_scan", "sort", "transform_reduce"} {
-		k, ok := kernels.ExtByName(name)
-		if !ok {
-			b.Fatalf("no kernel %q", name)
-		}
-		b.Run(name, func(b *testing.B) {
+	run := func(k kernels.Kernel, n int) {
+		b.Run(k.Name, func(b *testing.B) {
 			var su harness.Suite
-			r := su.RunIterations(harness.Benchmark{Name: name, Fn: k.Body(p, n, 1)}, nil, b.N)
+			r := su.RunIterations(harness.Benchmark{Name: k.Name, Fn: k.Body(p, n, 1)}, nil, b.N)
 			b.ReportMetric(r.Seconds*1e9, "ns/op")
 			b.ReportMetric(r.BytesPerSec/1e6, "MB/s")
 		})
+	}
+	for _, name := range []string{"for_each", "reduce", "find", "inclusive_scan", "sort", "transform_reduce"} {
+		k, ok := kernels.ByName(name)
+		if !ok {
+			b.Fatalf("no kernel %q", name)
+		}
+		run(k, 1<<20)
+	}
+	for _, k := range kernels.Chains() {
+		run(k, 1<<22)
 	}
 }
 

@@ -17,6 +17,7 @@
 //
 //	pstlbench -mode sim -machine a -backend GCC-TBB,NVC-OMP -algo for_each -minexp 10 -maxexp 24
 //	pstlbench -mode native -strategy stealing -workers 8 -algo reduce,sort -maxexp 20
+//	pstlbench -mode native -algo chains -minexp 20 -maxexp 22
 //	pstlbench -mode stream-native -maxexp 24
 package main
 
@@ -39,7 +40,6 @@ import (
 	"pstlbench/internal/kernels"
 	"pstlbench/internal/machine"
 	"pstlbench/internal/native"
-	"pstlbench/internal/pipeline"
 	"pstlbench/internal/report"
 	"pstlbench/internal/simexec"
 	"pstlbench/internal/skeleton"
@@ -52,7 +52,7 @@ func main() {
 		mode      = flag.String("mode", "sim", "sim (simulated machines), native (this host), or stream-native (STREAM bandwidth)")
 		machName  = flag.String("machine", "a", "simulated machine: a, b, c, d, e")
 		backends  = flag.String("backend", "all", "comma-separated backend IDs (GCC-SEQ, GCC-TBB, GCC-GNU, GCC-HPX, ICC-TBB, NVC-OMP, NVC-CUDA) or 'all'")
-		algos     = flag.String("algo", "all", "comma-separated kernels, 'all' (the five studied), or 'extended' (the full native set)")
+		algos     = flag.String("algo", "all", "comma-separated kernels, 'all' (the five studied), 'extended' (the Table-1 set), or 'chains' (staged vs fused pipeline chains, with modeled traffic columns)")
 		kit       = flag.Int("kit", 1, "for_each computational intensity (k_it)")
 		minExp    = flag.Int("minexp", 10, "smallest problem size exponent (2^minexp elements)")
 		maxExp    = flag.Int("maxexp", 24, "largest problem size exponent")
@@ -64,7 +64,6 @@ func main() {
 		minTime   = flag.Duration("mintime", 200*time.Millisecond, "minimum measuring time per benchmark (native mode)")
 		grainName = flag.String("grain", "", "grain policy: auto, static, fine, guided, or adaptive (online tuner keyed by loop site/size/workers; sim mode overrides the backend's own grain)")
 		tuneCache = flag.String("tune-cache", "", "JSON tuning-cache file for -grain=adaptive: imported before the run when present (warm start), rewritten after")
-		fused     = flag.Bool("fused", false, "add fused-vs-staged pipeline chain benchmarks (3-stage element-wise chains; sim and native modes) with modeled traffic columns")
 		filter    = flag.String("filter", "", "regexp filter on benchmark instance names")
 		csv       = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		jsonOut   = flag.Bool("json", false, "emit JSON records instead of a table")
@@ -107,11 +106,8 @@ func main() {
 	switch *mode {
 	case "sim":
 		suite.Tracer = registerSim(suite, *machName, *backends, selKernels, *kit, *minExp, *maxExp, *threads, *alloc, *numaSteal, tracing, gs)
-		if *fused {
-			registerFusedSim(suite, *machName, *backends, *minExp, *maxExp, *threads, *alloc)
-		}
 	case "native":
-		suite.Tracer = registerNative(suite, *strategy, *workers, selKernels, *kit, *minExp, *maxExp, *minTime, *machName, *numaSteal, tracing, gs, *fused)
+		suite.Tracer = registerNative(suite, *strategy, *workers, selKernels, *kit, *minExp, *maxExp, *minTime, *machName, *numaSteal, tracing, gs)
 	default:
 		fatal("unknown -mode %q", *mode)
 	}
@@ -186,7 +182,7 @@ type jsonRecord struct {
 	SecondsP50    float64 `json:"seconds_p50,omitempty"`
 	SecondsP99    float64 `json:"seconds_p99,omitempty"`
 	BytesPerSec   float64 `json:"bytes_per_sec,omitempty"`
-	// Modeled DRAM traffic per call (pipeline chains under -fused).
+	// Modeled DRAM traffic per call (pipeline chains).
 	TrafficBytes int64 `json:"traffic_bytes,omitempty"`
 	// Modeled counters, when the simulator produced them.
 	Instructions float64 `json:"instructions,omitempty"`
@@ -297,10 +293,12 @@ func selectKernels(spec string) []kernels.Kernel {
 		return kernels.All()
 	case "extended":
 		return kernels.Extended()
+	case "chains":
+		return kernels.Chains()
 	}
 	var out []kernels.Kernel
 	for _, name := range strings.Split(spec, ",") {
-		k, ok := kernels.ExtByName(strings.TrimSpace(name))
+		k, ok := kernels.ByName(strings.TrimSpace(name))
 		if !ok {
 			fatal("unknown kernel %q", name)
 		}
@@ -326,8 +324,9 @@ func selectBackends(spec string) []*backend.Backend {
 
 // registerSim adds one benchmark per (kernel, backend) with the size sweep
 // as range arguments; each iteration reports the simulator's virtual time
-// via manual timing. With tracing, it returns a virtual-time tracer with
-// one track per simulated core plus the harness marker track.
+// via manual timing. Chains run through simexec.RunChain on the CPU
+// backends that run in parallel. With tracing, it returns a virtual-time
+// tracer with one track per simulated core plus the harness marker track.
 func registerSim(suite *harness.Suite, machName, backendSpec string, ks []kernels.Kernel, kit, minExp, maxExp, threads int, allocName string, numaSteal, tracing bool, gs grainSpec) *trace.Tracer {
 	m := machine.ByName(machName)
 	if m == nil {
@@ -359,11 +358,11 @@ func registerSim(suite *harness.Suite, machName, backendSpec string, ks []kernel
 	}
 	for _, k := range ks {
 		if !k.Sim {
-			continue // extended kernels are native-only
+			continue // native-only kernel
 		}
 		for _, b := range selectBackends(backendSpec) {
-			if b.IsGPU() && m.GPU == nil {
-				continue
+			if b.IsGPU() && m.GPU == nil || k.IsChain() && (b.IsGPU() || b.IsSequential()) {
+				continue // chains model only the CPU pool's parallel passes
 			}
 			b.NUMASteal = numaSteal // fresh per selectBackends call
 			k, b := k, b
@@ -390,17 +389,23 @@ func registerSim(suite *harness.Suite, machName, backendSpec string, ks []kernel
 						if tunable {
 							bb.Grain = gs.tuner.Propose(key)
 						}
-						r := simexec.Run(simexec.Config{
+						cfg := simexec.Config{
 							Machine: m, Backend: &bb,
 							Workload: skeleton.Workload{Op: k.Op, N: n, ElemBytes: 8, Kit: kit, HitFrac: 0.5},
 							Threads:  threads, Alloc: alloc,
 							TransferBack: bb.IsGPU(),
 							Tracer:       tr,
-						})
+						}
+						var r simexec.Result
+						if k.IsChain() {
+							r = simexec.RunChain(cfg, k.Chain, k.Fused)
+						} else {
+							r = simexec.Run(cfg)
+						}
 						st.SetIterationTime(r.Seconds)
 						st.RecordCounters(r.Counters)
 					}
-					st.SetBytesProcessed(int64(st.Iterations()) * n * 8)
+					k.Account(st, n)
 				},
 			})
 		}
@@ -413,7 +418,7 @@ func registerSim(suite *harness.Suite, machName, backendSpec string, ks []kernel
 // topology, as if the workers were pinned to that machine's core layout.
 // With tracing, it returns a wall-clock tracer with one track per pool
 // worker, a caller track, and the harness marker track.
-func registerNative(suite *harness.Suite, strategyName string, workers int, ks []kernels.Kernel, kit, minExp, maxExp int, minTime time.Duration, machName string, numaSteal, tracing bool, gs grainSpec, fused bool) *trace.Tracer {
+func registerNative(suite *harness.Suite, strategyName string, workers int, ks []kernels.Kernel, kit, minExp, maxExp int, minTime time.Duration, machName string, numaSteal, tracing bool, gs grainSpec) *trace.Tracer {
 	var policy core.Policy
 	var tr *trace.Tracer
 	switch strategyName {
@@ -492,160 +497,5 @@ func registerNative(suite *harness.Suite, strategyName string, workers int, ks [
 			},
 		})
 	}
-	if fused {
-		registerFusedNative(suite, policy, minTime, minExp, maxExp, gs)
-	}
 	return tr
-}
-
-// registerFusedNative adds the staged-vs-fused 3-stage chain benchmarks on
-// the real library: the same chain run as separate core passes with a
-// materialized intermediate, and as one fused pipeline pass. Each instance
-// reports its modeled DRAM traffic (skeleton.Chain's bytes per element)
-// next to the measured time — the traffic column the JSON records carry
-// as traffic_bytes.
-func registerFusedNative(suite *harness.Suite, policy core.Policy, minTime time.Duration, minExp, maxExp int, gs grainSpec) {
-	var args [][]int64
-	for e := minExp; e <= maxExp; e++ {
-		args = append(args, []int64{1 << e})
-	}
-	f := func(v float64) float64 { return v*3 + 1 }
-	g := func(v float64) float64 { return v * 0.5 }
-	gen := func(i int) float64 { return float64((uint64(i+1) * 6364136223846793005) >> 40) }
-
-	register := func(site string, traffic func(n int) int64, body func(p core.Policy, n int, st *harness.State)) {
-		suite.Register(harness.Benchmark{
-			Name: site, Args: args, MinTime: minTime,
-			Fn: func(st *harness.State) {
-				n := int(st.Range(0))
-				p := policy
-				if gs.adaptive && p.Pool != nil {
-					st.Tune(tune.Key{Site: site, N: n, Workers: p.Pool.Workers()})
-					p = p.WithGrainSource(gs.tuner.Site(site))
-				}
-				body(p, n, st)
-				st.SetItemsProcessed(int64(st.Iterations()) * int64(n))
-				st.SetTrafficBytes(int64(st.Iterations()) * traffic(n))
-			},
-		})
-	}
-
-	// Traffic models come from the skeleton chain constants, the same ones
-	// the simulator's chain phases carry.
-	fromChain := skeleton.Chain{Stages: 2, Terminal: "reduce"}
-	genChain := skeleton.Chain{Stages: 2, Terminal: "reduce", Generate: true}
-	perElem := func(c skeleton.Chain, fusedRun bool) func(n int) int64 {
-		return func(n int) int64 {
-			if fusedRun {
-				return int64(c.FusedBytesPerElem() * float64(n))
-			}
-			return int64(c.StagedBytesPerElem() * float64(n))
-		}
-	}
-
-	register("chain_sum/native/staged", perElem(fromChain, false),
-		func(p core.Policy, n int, st *harness.State) {
-			src := chainSrc(n)
-			tmp := make([]float64, n)
-			for st.Next() {
-				core.Transform(p, tmp, src, f)
-				core.Transform(p, tmp, tmp, g)
-				sink = core.Sum(p, tmp, 0)
-			}
-		})
-	register("chain_sum/native/fused", perElem(fromChain, true),
-		func(p core.Policy, n int, st *harness.State) {
-			src := chainSrc(n)
-			pl := pipeline.From(src).Transform(f).Transform(g)
-			for st.Next() {
-				sink = pipeline.Sum(p, pl, 0)
-			}
-		})
-	register("chain_gen_sum/native/staged", perElem(genChain, false),
-		func(p core.Policy, n int, st *harness.State) {
-			tmp := make([]float64, n)
-			for st.Next() {
-				core.Generate(p, tmp, gen)
-				core.Transform(p, tmp, tmp, f)
-				core.Transform(p, tmp, tmp, g)
-				sink = core.Sum(p, tmp, 0)
-			}
-		})
-	register("chain_gen_sum/native/fused", perElem(genChain, true),
-		func(p core.Policy, n int, st *harness.State) {
-			pl := pipeline.Generate(n, gen).Transform(f).Transform(g)
-			for st.Next() {
-				sink = pipeline.Sum(p, pl, 0)
-			}
-		})
-}
-
-// sink defeats dead-code elimination of the benchmark bodies.
-var sink float64
-
-// chainSrc builds the slice source for the chain benchmarks.
-func chainSrc(n int) []float64 {
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = float64(i % 4096)
-	}
-	return src
-}
-
-// registerFusedSim adds simulated staged-vs-fused chain benchmarks: the
-// chain skeletons run through simexec.RunChain on the selected machine,
-// predicting the traffic drop the native rows measure.
-func registerFusedSim(suite *harness.Suite, machName, backendSpec string, minExp, maxExp, threads int, allocName string) {
-	m := machine.ByName(machName)
-	if m == nil {
-		fatal("unknown machine %q", machName)
-	}
-	if threads <= 0 || threads > m.Cores {
-		threads = m.Cores
-	}
-	var alloc allocsim.Strategy
-	if allocName == "default" {
-		alloc = allocsim.Default
-	} else {
-		alloc = allocsim.FirstTouch
-	}
-	var args [][]int64
-	for e := minExp; e <= maxExp; e++ {
-		args = append(args, []int64{1 << e})
-	}
-	chain := skeleton.Chain{Stages: 2, Terminal: "reduce"}
-	for _, b := range selectBackends(backendSpec) {
-		if b.IsGPU() || b.IsSequential() {
-			continue
-		}
-		for _, fusedRun := range []bool{false, true} {
-			b, fusedRun := b, fusedRun
-			disc := "staged"
-			if fusedRun {
-				disc = "fused"
-			}
-			suite.Register(harness.Benchmark{
-				Name: fmt.Sprintf("chain_sum/%s/%s/%s", machName, b.ID, disc),
-				Args: args,
-				Fn: func(st *harness.State) {
-					n := st.Range(0)
-					cfg := simexec.Config{
-						Machine: m, Backend: b, Threads: threads, Alloc: alloc,
-						Workload: skeleton.Workload{Op: backend.OpTransform, N: n, ElemBytes: 8, Kit: 1},
-					}
-					for st.Next() {
-						r := simexec.RunChain(cfg, chain, fusedRun)
-						st.SetIterationTime(r.Seconds)
-						st.RecordCounters(r.Counters)
-					}
-					perElem := chain.StagedBytesPerElem()
-					if fusedRun {
-						perElem = chain.FusedBytesPerElem()
-					}
-					st.SetBytesProcessed(int64(st.Iterations()) * n * 8)
-					st.SetTrafficBytes(int64(st.Iterations()) * int64(perElem*float64(n)))
-				},
-			})
-		}
-	}
 }

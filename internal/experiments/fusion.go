@@ -18,10 +18,10 @@ import (
 // bandwidth-bound size, predicting the DRAM-traffic drop and the time
 // ratio — a 3-stage reduce-terminated chain should cut traffic ~7x and
 // time toward the traffic ratio as the chain becomes memory-bound. The
-// native counterparts are measured elsewhere: BenchmarkFusedVsStaged
-// (internal/pipeline) and the `pstlbench -mode native -fused` chain rows
-// for fusion, BenchmarkBatchedDispatch (internal/serve) for batched
-// small-job dispatch.
+// native counterparts are measured elsewhere: the chain entries of the
+// kernel table (BenchmarkNativeKernels/chain_*, `pstlbench -mode native
+// -algo chains`) for fusion, BenchmarkBatchedDispatch (internal/serve) for
+// batched small-job dispatch.
 func ExtensionFusion(cfg Config) *Report {
 	m := machine.MachA()
 	b := backend.GCCTBB()
@@ -68,7 +68,7 @@ func ExtensionFusion(cfg Config) *Report {
 		Title:  "Fused pipeline chains: predicted traffic drop and speedup of one fused pass",
 		Tables: []*report.Table{t},
 		Notes: []string{fmt.Sprintf(
-			"prediction: the 3-stage reduce chain cuts per-element traffic from %g to %g bytes (write-allocate accounting) and the simulator predicts a %.2fx speedup at the bandwidth-bound size — the ceiling for the measured native speedup (BenchmarkFusedVsStaged, pstlbench -fused)",
+			"prediction: the 3-stage reduce chain cuts per-element traffic from %g to %g bytes (write-allocate accounting) and the simulator predicts a %.2fx speedup at the bandwidth-bound size — the ceiling for the measured native speedup (BenchmarkNativeKernels/chain_*, pstlbench -algo chains)",
 			headlineChain.StagedBytesPerElem(), headlineChain.FusedBytesPerElem(), headline)},
 	}
 }

@@ -2,8 +2,8 @@
 // of Google Benchmark in pSTL-Bench. It provides:
 //
 //   - State: the per-run handle a benchmark body iterates with
-//     (for state.Next() { ... }), with Range arguments, bytes/items
-//     throughput accounting, and manual per-iteration timing — the
+//     (for state.Next() { ... }), with Range arguments, bytes throughput
+//     and modeled-traffic accounting, and manual per-iteration timing — the
 //     equivalent of pSTL-Bench's WRAP_TIMING macro, which times exactly
 //     the STL call and excludes setup such as reshuffling before sort;
 //   - adaptive iteration-count selection against a minimum measuring time
@@ -45,7 +45,6 @@ type State struct {
 	manualIter  int // iteration of the last SetIterationTime call
 	manualSeen  bool
 	bytes       int64
-	items       int64
 	traffic     int64
 	ctr         counters.Set
 	ctrRecorded bool
@@ -156,16 +155,6 @@ func (s *State) tuneFlush() {
 // Iterations returns the number of iterations of the current run.
 func (s *State) Iterations() int { return s.target }
 
-// PauseTiming excludes the following code from the measured wall time.
-func (s *State) PauseTiming() {
-	s.elapsed += time.Since(s.startTime)
-}
-
-// ResumeTiming resumes the wall-time measurement after PauseTiming.
-func (s *State) ResumeTiming() {
-	s.startTime = time.Now()
-}
-
 // SetIterationTime reports a manually measured duration for the current
 // iteration (WRAP_TIMING / benchmark::State::SetIterationTime). Once
 // called, the benchmark's reported time comes exclusively from manual
@@ -198,10 +187,6 @@ func (s *State) SetIterationTime(seconds float64) {
 // SetBytesProcessed declares the total bytes processed across all
 // iterations, enabling throughput reporting.
 func (s *State) SetBytesProcessed(n int64) { s.bytes = n }
-
-// SetItemsProcessed declares the total items processed across all
-// iterations.
-func (s *State) SetItemsProcessed(n int64) { s.items = n }
 
 // SetTrafficBytes declares the modeled DRAM traffic across all iterations
 // (e.g. from skeleton.Chain's bytes per element), reported per call as
@@ -257,8 +242,6 @@ type Result struct {
 	Seconds float64
 	// BytesPerSec is the throughput if SetBytesProcessed was used.
 	BytesPerSec float64
-	// ItemsPerSec is the throughput if SetItemsProcessed was used.
-	ItemsPerSec float64
 	// TrafficBytes is the modeled DRAM traffic per call, if SetTrafficBytes
 	// was used.
 	TrafficBytes int64
@@ -317,15 +300,6 @@ func (su *Suite) Register(b Benchmark) {
 		panic("harness: benchmark needs a name and a body")
 	}
 	su.benches = append(su.benches, b)
-}
-
-// Names returns the registered benchmark names in registration order.
-func (su *Suite) Names() []string {
-	out := make([]string, len(su.benches))
-	for i, b := range su.benches {
-		out[i] = b.Name
-	}
-	return out
 }
 
 // Run executes every benchmark whose instance name matches filter (nil
@@ -450,13 +424,8 @@ func (su *Suite) result(b Benchmark, args []int64, st *State, windowFrom, window
 		res.Seconds = total / float64(st.target)
 		res.TrafficBytes = st.traffic / int64(st.target)
 	}
-	if total > 0 {
-		if st.bytes > 0 {
-			res.BytesPerSec = float64(st.bytes) / total
-		}
-		if st.items > 0 {
-			res.ItemsPerSec = float64(st.items) / total
-		}
+	if total > 0 && st.bytes > 0 {
+		res.BytesPerSec = float64(st.bytes) / total
 	}
 	return res
 }

@@ -1,10 +1,12 @@
-// Package kernels defines the native benchmark kernels of the suite — the
-// Go equivalents of pSTL-Bench's Listings 1-3 (the k_it volatile loop for
+// Package kernels defines the benchmark kernels of the suite — the Go
+// equivalents of pSTL-Bench's Listings 1-3 (the k_it volatile loop for
 // for_each, the random-element find, the plus-reduction, the inclusive
-// prefix sum and the shuffled sort) followed by the wider Table-1 set. Each
-// kernel is one table entry holding its input, the untimed step before each
-// call, the timed call and the result check; Kernel.Body is the one runner
-// that times exactly the algorithm call, as WRAP_TIMING does.
+// prefix sum and the shuffled sort), then the wider Table-1 set, then the
+// staged and fused pipeline chains. Each kernel is one table entry holding
+// its input, the untimed step before each call, the timed call and the
+// result check; Kernel.Body is the one runner that times exactly the
+// algorithm call, as WRAP_TIMING does, and Kernel.Account is the one place
+// a call's bytes and modeled traffic are counted.
 package kernels
 
 import (
@@ -15,6 +17,8 @@ import (
 	"pstlbench/internal/backend"
 	"pstlbench/internal/core"
 	"pstlbench/internal/harness"
+	"pstlbench/internal/pipeline"
+	"pstlbench/internal/skeleton"
 )
 
 // Elem is the benchmark element type, following the paper's default of
@@ -44,8 +48,13 @@ type Kernel struct {
 	// run natively only.
 	Sim bool
 	// Bytes is the memory traffic of one call per element, the numerator
-	// of the reported throughput.
+	// of the reported throughput in native and simulated rows alike.
 	Bytes int64
+	// Chain is the pipeline chain a chain entry runs (zero for the other
+	// kernels) and Fused whether it runs as one fused pass instead of
+	// staged core passes; Account reports the chain's modeled traffic.
+	Chain skeleton.Chain
+	Fused bool
 	// Setup fills the input for n elements once and returns the untimed
 	// step run before each call (nil for none), the timed call, and the
 	// check of the last call's result.
@@ -69,25 +78,55 @@ func (k Kernel) Body(p core.Policy, n, kit int) func(*harness.State) {
 		if !check() {
 			panic("kernels: " + k.Name + " result wrong")
 		}
-		st.SetBytesProcessed(int64(st.Iterations()) * int64(n) * k.Bytes)
+		k.Account(st, int64(n))
+	}
+}
+
+// IsChain reports whether k is a pipeline chain entry.
+func (k Kernel) IsChain() bool { return k.Chain.Terminal != "" }
+
+// Account records the bytes st's iterations over n elements processed,
+// from Bytes, and for a chain the modeled DRAM traffic of its staged or
+// fused form. The native Body and the simulated bodies both call it.
+func (k Kernel) Account(st *harness.State, n int64) {
+	iters := int64(st.Iterations())
+	st.SetBytesProcessed(iters * n * k.Bytes)
+	if k.IsChain() {
+		perElem := k.Chain.StagedBytesPerElem()
+		if k.Fused {
+			perElem = k.Chain.FusedBytesPerElem()
+		}
+		st.SetTrafficBytes(iters * int64(perElem*float64(n)))
 	}
 }
 
 // studied is the number of leading table entries that are the paper's five
-// studied kernels.
+// studied kernels; extended, the number before the first chain, covers the
+// whole Table-1 subset.
 const studied = 5
 
-// table is every kernel: the five studied ones in the paper's order, then
-// the Table-1 subset pSTL-Bench supports beyond them.
+var extended = slices.IndexFunc(table, Kernel.IsChain)
+
+// sliceChain and genChain are the 3-stage chain sum(g(f(x))) over a slice
+// and over a generated source.
+var (
+	sliceChain = skeleton.Chain{Stages: 2, Terminal: "reduce"}
+	genChain   = skeleton.Chain{Stages: 2, Terminal: "reduce", Generate: true}
+)
+
+// table is every kernel: the five studied ones in the paper's order, the
+// Table-1 subset pSTL-Bench supports beyond them, then the chains. A sort
+// counts one pass over its elements: its real traffic depends on the
+// algorithm and the input, so no fixed number of passes would be right.
 var table = []Kernel{
 	{Name: "find", Op: backend.OpFind, Sim: true, Bytes: 8, Setup: find},
 	{Name: "for_each", Op: backend.OpForEach, Sim: true, Bytes: 8, Setup: forEach},
-	{Name: "inclusive_scan", Op: backend.OpInclusiveScan, Sim: true, Bytes: 8, Setup: inclusiveScan},
+	{Name: "inclusive_scan", Op: backend.OpInclusiveScan, Sim: true, Bytes: 16, Setup: inclusiveScan},
 	{Name: "reduce", Op: backend.OpReduce, Sim: true, Bytes: 8, Setup: reduce},
 	{Name: "sort", Op: backend.OpSort, Sim: true, Bytes: 8, Setup: sortKernel},
 	{Name: "transform", Op: backend.OpTransform, Sim: true, Bytes: 16, Setup: transform},
 	{Name: "transform_reduce", Bytes: 16, Setup: transformReduce},
-	{Name: "exclusive_scan", Bytes: 8, Setup: exclusiveScan},
+	{Name: "exclusive_scan", Bytes: 16, Setup: exclusiveScan},
 	{Name: "adjacent_difference", Bytes: 16, Setup: adjacentDifference},
 	{Name: "count_if", Op: backend.OpCount, Sim: true, Bytes: 8, Setup: countIf},
 	{Name: "minmax_element", Op: backend.OpMinMax, Sim: true, Bytes: 8, Setup: minMax},
@@ -99,6 +138,12 @@ var table = []Kernel{
 	{Name: "partition", Bytes: 16, Setup: partition},
 	{Name: "unique", Bytes: 16, Setup: unique},
 	{Name: "reverse", Bytes: 16, Setup: reverse},
+	{Name: "chain_sum_staged", Op: backend.OpTransform, Sim: true, Bytes: 8, Chain: sliceChain, Setup: chain(false, false, false)},
+	{Name: "chain_sum_fused", Op: backend.OpTransform, Sim: true, Bytes: 8, Chain: sliceChain, Fused: true, Setup: chain(false, false, true)},
+	{Name: "chain_reduce_staged", Bytes: 8, Chain: sliceChain, Setup: chain(false, true, false)},
+	{Name: "chain_reduce_fused", Bytes: 8, Chain: sliceChain, Fused: true, Setup: chain(false, true, true)},
+	{Name: "chain_gen_sum_staged", Bytes: 8, Chain: genChain, Setup: chain(true, false, false)},
+	{Name: "chain_gen_sum_fused", Bytes: 8, Chain: genChain, Fused: true, Setup: chain(true, false, true)},
 }
 
 // All returns the five studied kernels in the paper's order. The slice is a
@@ -108,20 +153,19 @@ func All() []Kernel { return slices.Clone(table[:studied]) }
 // Extended returns the five studied kernels followed by the rest of the
 // Table-1 subset; of those, only the ones marked Sim have a simulator
 // model. The slice is a copy, like All's.
-func Extended() []Kernel { return slices.Clone(table) }
+func Extended() []Kernel { return slices.Clone(table[:extended]) }
 
-// ByName returns the studied kernel with the given name.
-func ByName(name string) (Kernel, bool) { return lookup(table[:studied], name) }
+// Chains returns the staged and fused pipeline chains; only chain_sum's
+// pair has a simulator model. The slice is a copy, like All's.
+func Chains() []Kernel { return slices.Clone(table[extended:]) }
 
-// ExtByName looks a kernel up across the extended set.
-func ExtByName(name string) (Kernel, bool) { return lookup(table, name) }
-
-func lookup(ks []Kernel, name string) (Kernel, bool) {
-	i := slices.IndexFunc(ks, func(k Kernel) bool { return k.Name == name })
+// ByName looks a kernel up across the whole table.
+func ByName(name string) (Kernel, bool) {
+	i := slices.IndexFunc(table, func(k Kernel) bool { return k.Name == name })
 	if i < 0 {
 		return Kernel{}, false
 	}
-	return ks[i], true
+	return table[i], true
 }
 
 // increasing returns [1, 2, ..., n] like pstl::generate_increment.
@@ -285,4 +329,60 @@ func reverse(p core.Policy, n, _ int) (func(), func(), func() bool) {
 	calls := 0
 	return func() { calls++ }, func() { core.Reverse(p, data) },
 		func() bool { return ramp(data, calls%2 == 0) }
+}
+
+// chainF and chainG are the chain's transform stages and chainGen its
+// generated source. Every element they yield is a multiple of ½ below 2^25,
+// so any combine order gives the exact sum up to 2^27 elements and the
+// check compares with the sequential sum by ==.
+func chainF(v Elem) Elem { return v*3 + 1 }
+
+func chainG(v Elem) Elem { return v * 0.5 }
+
+func chainGen(i int) Elem { return Elem((uint64(i+1) * 6364136223846793005) >> 40) }
+
+// chain returns the Setup of a chain entry: sum(g(f(x))) over the slice
+// x[i] = i%4096 or, if generated, over chainGen, folded by Sum or, with
+// userOp, by Reduce with a user +. Staged runs materialize the intermediate
+// with core passes; fused runs are one pipeline pass.
+func chain(generated, userOp, fused bool) func(p core.Policy, n, kit int) (func(), func(), func() bool) {
+	return func(p core.Policy, n, _ int) (func(), func(), func() bool) {
+		var src []Elem
+		at, pl := chainGen, pipeline.Generate(n, chainGen)
+		if !generated {
+			src = make([]Elem, n)
+			for i := range src {
+				src[i] = Elem(i % 4096)
+			}
+			at, pl = func(i int) Elem { return src[i] }, pipeline.From(src)
+		}
+		var want, got Elem
+		for i := range n {
+			want += chainG(chainF(at(i)))
+		}
+		check := func() bool { return got == want }
+		pl.Transform(chainF).Transform(chainG)
+		if fused {
+			if userOp {
+				return nil, func() { got = pl.Reduce(p, 0, plus) }, check
+			}
+			return nil, func() { got = pipeline.Sum(p, pl, 0) }, check
+		}
+		tmp := make([]Elem, n)
+		if generated {
+			src = tmp
+		}
+		return nil, func() {
+			if generated {
+				core.Generate(p, tmp, chainGen)
+			}
+			core.Transform(p, tmp, src, chainF)
+			core.Transform(p, tmp, tmp, chainG)
+			if userOp {
+				got = core.Reduce(p, tmp, 0, plus)
+			} else {
+				got = core.Sum(p, tmp, 0)
+			}
+		}, check
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pstlbench/internal/core"
+	"pstlbench/internal/exec"
 	"pstlbench/internal/harness"
 	"pstlbench/internal/native"
 )
@@ -62,7 +63,12 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) failed", k.Name)
 		}
 	}
-	if _, ok := ByName("transform"); ok {
+	for _, name := range []string{"stable_sort", "chain_gen_sum_fused"} {
+		if _, ok := ByName(name); !ok {
+			t.Errorf("ByName missed %s", name)
+		}
+	}
+	if _, ok := ByName("nope"); ok {
 		t.Error("unknown kernel resolved")
 	}
 	names := make([]string, 0, 5)
@@ -120,13 +126,6 @@ func TestExtendedKernelsRunAndValidate(t *testing.T) {
 			}
 		})
 	}
-	// Lookup across the extended set.
-	if _, ok := ExtByName("stable_sort"); !ok {
-		t.Error("ExtByName missed stable_sort")
-	}
-	if _, ok := ExtByName("nope"); ok {
-		t.Error("ExtByName resolved a bogus name")
-	}
 	// The five studied kernels plus the four extension ops are
 	// simulator-backed.
 	simCount := 0
@@ -145,6 +144,9 @@ func TestAllReturnsCopies(t *testing.T) {
 	// and writing an entry must not rename the table's kernel.
 	_ = append(All(), Kernel{Name: "bogus"})
 	All()[0].Name = "bogus"
+	_ = append(Extended(), Kernel{Name: "bogus"})
+	Chains()[0].Name = "bogus"
+	Chains()[0].Chain.Stages = 9
 	ext := Extended()
 	if ext[studied].Name != "transform" || ext[0].Name != "find" {
 		t.Fatalf("table written through All(): %q, %q", ext[0].Name, ext[studied].Name)
@@ -152,16 +154,74 @@ func TestAllReturnsCopies(t *testing.T) {
 	if _, ok := ByName("find"); !ok {
 		t.Fatal("ByName lost find")
 	}
+	if c := Chains()[0]; c.Name != "chain_sum_staged" || c.Chain.Stages != 2 {
+		t.Fatalf("table written through Chains(): %q with %d stages", c.Name, c.Chain.Stages)
+	}
+	if k, ok := ByName("chain_sum_staged"); !ok || k.Name != "chain_sum_staged" {
+		t.Fatal("table written through Extended()")
+	}
+}
+
+func TestChainsRunAndValidate(t *testing.T) {
+	// Each chain checks its result against the sequential sum, so a clean
+	// run at sizes on and off chunk edges checks staged and fused alike.
+	pool := native.New(2, native.StrategyStealing)
+	t.Cleanup(pool.Close)
+	chains := Chains()
+	if len(chains) != 6 {
+		t.Fatalf("%d chains, want 6", len(chains))
+	}
+	for name, p := range map[string]core.Policy{"seq": core.Seq(), "par": core.Par(pool)} {
+		for _, k := range chains {
+			for _, n := range []int{0, 1, 4097, 1 << 16} {
+				r := runKernel(t, k, p, n, 1)
+				if r.Seconds <= 0 {
+					t.Errorf("%s %s/%d: non-positive time", name, k.Name, n)
+				}
+			}
+		}
+	}
+}
+
+func TestChainTrafficPerCall(t *testing.T) {
+	// Staged slice chains move 56 B/elem (two read+write+allocate stages and
+	// the reduce read), fused ones only the source read; generated chains add
+	// the 16 B/elem materialization when staged and read nothing when fused.
+	want := map[string]int64{
+		"chain_sum_staged": 56, "chain_sum_fused": 8,
+		"chain_reduce_staged": 56, "chain_reduce_fused": 8,
+		"chain_gen_sum_staged": 72, "chain_gen_sum_fused": 0,
+	}
+	const n = 4096
+	for _, k := range Chains() {
+		if r := runKernel(t, k, core.Seq(), n, 1); r.TrafficBytes != want[k.Name]*n {
+			t.Errorf("%s: traffic %d per call, want %d", k.Name, r.TrafficBytes, want[k.Name]*n)
+		}
+	}
+	if r := runKernel(t, mustKernel(t, "reduce"), core.Seq(), n, 1); r.TrafficBytes != 0 {
+		t.Errorf("reduce reports modeled traffic %d", r.TrafficBytes)
+	}
 }
 
 func TestBodyPanicsOnWrongResult(t *testing.T) {
-	k := Kernel{Name: "broken", Bytes: 8, Setup: func(core.Policy, int, int) (func(), func(), func() bool) {
+	broken := Kernel{Name: "broken", Bytes: 8, Setup: func(core.Policy, int, int) (func(), func(), func() bool) {
 		return nil, func() {}, func() bool { return false }
 	}}
-	defer func() {
-		if r := recover(); r != "kernels: broken result wrong" {
-			t.Fatalf("recovered %v, want the result-check panic", r)
-		}
-	}()
-	runKernel(t, k, core.Seq(), 16, 1)
+	// A canceled policy leaves every chain's sum incomplete; its check must
+	// reject that result.
+	pool := native.New(2, native.StrategyStealing)
+	t.Cleanup(pool.Close)
+	var c exec.Cancel
+	c.Cancel()
+	canceled := core.Par(pool).WithCancel(&c)
+	for _, k := range append([]Kernel{broken}, Chains()...) {
+		func() {
+			defer func() {
+				if r := recover(); r != "kernels: "+k.Name+" result wrong" {
+					t.Errorf("%s: recovered %v, want the result-check panic", k.Name, r)
+				}
+			}()
+			runKernel(t, k, canceled, 1<<16, 1)
+		}()
+	}
 }

@@ -10,8 +10,9 @@ import (
 
 // Chain describes an s-stage element-wise pipeline chain for the fusion
 // model: the shape internal/pipeline executes, here as a cost skeleton so
-// the simulator can predict the staged-vs-fused traffic and time delta that
-// the ext-fusion experiment measures natively.
+// the simulator can predict the traffic and time delta between the staged
+// and fused forms that the chain entries of internal/kernels measure
+// natively.
 type Chain struct {
 	// Stages is the number of element-wise transform stages before the
 	// terminal (the "3-stage chain" of the headline claim has Stages=3
