@@ -206,7 +206,8 @@ func emitJSON(results []harness.Result) {
 			BytesPerSec:  r.BytesPerSec,
 			TrafficBytes: r.TrafficBytes,
 		}
-		if s := r.Latency; s.Calls > 1 {
+		// A single call, as a simulated row makes, is its own spread.
+		if s := r.Latency; s.Calls > 0 {
 			rec.SecondsStdDev = s.StdDev
 			rec.SecondsMin = s.Min
 			rec.SecondsMax = s.Max
@@ -325,8 +326,12 @@ func selectBackends(spec string) []*backend.Backend {
 // registerSim adds one benchmark per (kernel, backend) with the size sweep
 // as range arguments; each iteration reports the simulator's virtual time
 // via manual timing. Chains run through simexec.RunChain on the CPU
-// backends that run in parallel. With tracing, it returns a virtual-time
-// tracer with one track per simulated core plus the harness marker track.
+// backends that run in parallel. A simulated instance is deterministic, so
+// it runs once unless the adaptive tuner needs iterations to search. Pairs
+// the simulator does not model are named on stderr, and a selection
+// without any modeled pair is an error. With tracing, it returns a
+// virtual-time tracer with one track per simulated core plus the harness
+// marker track.
 func registerSim(suite *harness.Suite, machName, backendSpec string, ks []kernels.Kernel, kit, minExp, maxExp, threads int, allocName string, numaSteal, tracing bool, gs grainSpec) *trace.Tracer {
 	m := machine.ByName(machName)
 	if m == nil {
@@ -356,21 +361,33 @@ func registerSim(suite *harness.Suite, machName, backendSpec string, ks []kernel
 	for e := minExp; e <= maxExp; e++ {
 		args = append(args, []int64{1 << e})
 	}
+	var skipped []string
+	registered := 0
 	for _, k := range ks {
 		if !k.Sim {
-			continue // native-only kernel
+			skipped = append(skipped, k.Name+"/all") // native-only kernel
+			continue
 		}
 		for _, b := range selectBackends(backendSpec) {
 			if b.IsGPU() && m.GPU == nil || k.IsChain() && (b.IsGPU() || b.IsSequential()) {
-				continue // chains model only the CPU pool's parallel passes
+				// No GPU on this machine, or a chain: chains model only
+				// the CPU pool's parallel passes.
+				skipped = append(skipped, k.Name+"/"+b.ID)
+				continue
 			}
 			b.NUMASteal = numaSteal // fresh per selectBackends call
 			k, b := k, b
 			site := fmt.Sprintf("%s/%s/%s", k.Name, machName, b.ID)
 			tunable := gs.adaptive && !b.IsGPU()
+			maxIters := 1
+			if tunable {
+				maxIters = 0 // the harness default
+			}
+			registered++
 			suite.Register(harness.Benchmark{
-				Name: site,
-				Args: args,
+				Name:          site,
+				Args:          args,
+				MaxIterations: maxIters,
 				Fn: func(st *harness.State) {
 					n := st.Range(0)
 					// The backend is copied so a grain override (fixed or
@@ -409,6 +426,12 @@ func registerSim(suite *harness.Suite, machName, backendSpec string, ks []kernel
 				},
 			})
 		}
+	}
+	if registered == 0 {
+		fatal("machine %s: the simulator models none of the selected kernel/backend pairs: %s", machName, strings.Join(skipped, ", "))
+	}
+	if len(skipped) > 0 {
+		fmt.Fprintf(os.Stderr, "pstlbench: machine %s: skipped kernel/backend pairs the simulator does not model: %s\n", machName, strings.Join(skipped, ", "))
 	}
 	return tr
 }

@@ -42,7 +42,7 @@ func TestCancelNeverTearsSilently(t *testing.T) {
 }
 
 // TestCancelSortEitherCompleteOrFlagged runs the same property through the
-// multi-phase path (Do recursion + chunked merges + copyChunked).
+// multi-phase path (leaf pass, split selection, merge pass).
 func TestCancelSortEitherCompleteOrFlagged(t *testing.T) {
 	pool := native.New(4, native.StrategyStealing)
 	defer pool.Close()

@@ -2,23 +2,28 @@ package core
 
 import (
 	"cmp"
+	"reflect"
 	"slices"
 	"sort"
+	"sync"
+
+	"pstlbench/internal/exec"
 )
 
-// sortLeafSize is the input size below which the parallel mergesort hands a
-// sub-range to the sequential sort. It bounds task overhead the same way
+// sortLeafSize is the input size below which the sorts and the parallel
+// merge run sequentially. It bounds task overhead the same way
 // the TBB and GNU runtimes' sequential-fallback thresholds do (the paper
 // observes both fall back below ~2^9 elements).
 const sortLeafSize = 1 << 12
 
 // Sort sorts s in ascending order (std::sort with execution policy). The
-// parallel implementation is a mergesort — unstable sequential leaf sorts
-// followed by log(p) rounds of stable parallel merges — whose limited
-// scalability is exactly the behaviour studied in the paper's X::sort
-// experiments. Like std::sort on a template, the comparison is compiled
-// into the leaf sort and the merge loop rather than called through a
-// function value. NaNs sort first, as under cmp.Less.
+// parallel implementation is the multiway mergesort of GNU's parallel
+// mode, the schedule the simulator models for that backend: one unstable
+// sequential leaf sort per worker into a scratch buffer reused across
+// calls, then one pass in which every worker merges its exact share of all
+// the runs back into s. Like std::sort on a template, the comparison is
+// compiled into the leaf sort and the merge loop rather than called
+// through a function value. NaNs sort first, as under cmp.Less.
 func Sort[T cmp.Ordered](p Policy, s []T) {
 	if !p.parallel(len(s)) || len(s) <= sortLeafSize {
 		slices.Sort(s)
@@ -37,8 +42,9 @@ func SortFunc[T any](p Policy, s []T, less func(a, b T) bool) {
 }
 
 // StableSort sorts s preserving the relative order of equal elements
-// (std::stable_sort). The parallel mergesort is naturally stable; only the
-// leaf sort differs from SortFunc.
+// (std::stable_sort). The parallel mergesort is naturally stable, since
+// its merge takes equal elements from earlier runs first; only the leaf
+// sort differs from SortFunc.
 func StableSort[T any](p Policy, s []T, less func(a, b T) bool) {
 	if !p.parallel(len(s)) || len(s) <= sortLeafSize {
 		slices.SortStableFunc(s, lessToCmp(less))
@@ -47,16 +53,16 @@ func StableSort[T any](p Policy, s []T, less func(a, b T) bool) {
 	parallelSort(p, s, lessKernels[T]{less, true})
 }
 
-// sortKernels is the element-level work under the parallel mergesort
-// recursion. The recursion stops splitting at sortLeafSize elements and
-// calls a kernel once per leaf, merge block or split point, so the
-// indirect call is amortised over thousands of elements while the
+// sortKernels is the element-level work under the parallel mergesort and
+// merge. They call a kernel once per leaf, merge block or split point, so
+// the indirect call is amortised over thousands of elements while the
 // per-element comparison lives inside the kernel.
 type sortKernels[T any] interface {
-	leaf(s []T)                // sequential leaf sort
-	merge(dst, a, b []T)       // sequential stable merge of sorted a and b
-	lowerBound(s []T, v T) int // first i with !(s[i] < v)
-	upperBound(s []T, v T) int // first i with v < s[i]
+	leaf(s []T)                    // sequential leaf sort
+	merge(dst, a, b []T)           // sequential stable merge of sorted a and b
+	mergeRuns(dst []T, runs [][]T) // sequential merge of sorted runs, ties from earlier runs first
+	lowerBound(s []T, v T) int     // first i with !(s[i] < v)
+	upperBound(s []T, v T) int     // first i with v < s[i]
 }
 
 // orderedKernels compare with cmp.Less inline. They carry no state, so
@@ -79,6 +85,10 @@ func (orderedKernels[T]) merge(dst, a, b []T) {
 	}
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
+}
+
+func (k orderedKernels[T]) mergeRuns(dst []T, runs [][]T) {
+	mergeRunsBy(dst, runs, cmp.Less[T], k.merge)
 }
 
 func (orderedKernels[T]) lowerBound(s []T, v T) int {
@@ -117,9 +127,38 @@ func (k lessKernels[T]) leaf(s []T) {
 
 func (k lessKernels[T]) merge(dst, a, b []T) { seqMerge(dst, a, b, k.less) }
 
+func (k lessKernels[T]) mergeRuns(dst []T, runs [][]T) { mergeRunsBy(dst, runs, k.less, k.merge) }
+
 func (k lessKernels[T]) lowerBound(s []T, v T) int { return lowerBound(s, v, k.less) }
 
 func (k lessKernels[T]) upperBound(s []T, v T) int { return upperBound(s, v, k.less) }
+
+// mergeRunsBy merges sorted runs into dst. While more than two runs are
+// left it scans their heads for the least, dropping each run as it
+// empties, at len(runs)-1 comparisons per element; the last two go to the
+// kernel's two-way merge2. Ties are taken from the earlier run.
+func mergeRunsBy[T any](dst []T, runs [][]T, less func(a, b T) bool, merge2 func(dst, a, b []T)) {
+	runs = slices.DeleteFunc(runs, func(r []T) bool { return len(r) == 0 })
+	for len(runs) > 2 {
+		b := 0
+		for m := 1; m < len(runs); m++ {
+			if less(runs[m][0], runs[b][0]) {
+				b = m
+			}
+		}
+		dst[0] = runs[b][0]
+		dst = dst[1:]
+		if runs[b] = runs[b][1:]; len(runs[b]) == 0 {
+			runs = slices.Delete(runs, b, b+1)
+		}
+	}
+	switch len(runs) {
+	case 2:
+		merge2(dst, runs[0], runs[1])
+	case 1:
+		copy(dst, runs[0])
+	}
+}
 
 // lessToCmp adapts a less predicate to the three-way comparison the slices
 // package expects. Equality is reported as 0 via double negation, which is
@@ -137,8 +176,8 @@ func lessToCmp[T any](less func(a, b T) bool) func(a, b T) int {
 	}
 }
 
-// mergeDepth returns the recursion depth that yields at least one leaf per
-// worker (2^depth >= workers).
+// mergeDepth returns the parallel merge's recursion depth that yields at
+// least one merge block per worker (2^depth >= workers).
 func mergeDepth(workers int) int {
 	d := 0
 	for 1<<d < workers {
@@ -148,37 +187,143 @@ func mergeDepth(workers int) int {
 }
 
 // parallelSort sorts s, which the caller has judged large enough to
-// parallelise, with a merge scratch buffer of the same length.
+// parallelise, by multiway mergesort. The static split cuts s into one run
+// per worker; each run is copied into a cached scratch buffer and
+// leaf-sorted there. Output part q, the q-th chunk of the same split, then
+// merges its share of every run straight back into s. The shares come from
+// selectRank, so the parts are exact and disjoint, and equal elements keep
+// run order, which makes the sort stable when the leaf sort is.
 func parallelSort[T any, K sortKernels[T]](p Policy, s []T, k K) {
-	parallelMergeSort(p, s, make([]T, len(s)), k, mergeDepth(p.workers()))
-}
-
-// parallelMergeSort sorts s in place using tmp (same length) as merge
-// scratch.
-func parallelMergeSort[T any, K sortKernels[T]](p Policy, s, tmp []T, k K, depth int) {
-	if p.Canceled() {
-		return // abandon the subtree; the result is discarded by contract
+	runs := exec.Static.Chunks(len(s), p.workers())
+	parts := runs.Len()
+	cache := scratchFor[T]()
+	buf := getScratch[T](cache, len(s))
+	defer putScratch(cache, buf, len(s))
+	tmp := (*buf)[:len(s)]
+	run := func(m int) []T {
+		r := runs.At(m)
+		return tmp[r.Lo:r.Hi]
 	}
-	if depth == 0 || len(s) <= sortLeafSize {
-		k.leaf(s)
-		return
-	}
-	mid := len(s) / 2
-	p.pool().Do(
-		func() { parallelMergeSort(p, s[:mid], tmp[:mid], k, depth-1) },
-		func() { parallelMergeSort(p, s[mid:], tmp[mid:], k, depth-1) },
-	)
-	parallelMergeInto(p, tmp, s[:mid], s[mid:], k, depth)
-	copyChunked(p, s, tmp)
-}
-
-// copyChunked is a parallel copy used inside the sort, bypassing the
-// policy's sequential threshold (the surrounding sort already decided to be
-// parallel).
-func copyChunked[T any](p Policy, dst, src []T) {
-	p.ParallelFor(len(src), func(_, lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
+	p.forEachChunk(parts, func(q int) {
+		r := runs.At(q)
+		copy(tmp[r.Lo:r.Hi], s[r.Lo:r.Hi])
+		k.leaf(tmp[r.Lo:r.Hi])
 	})
+	if p.Canceled() {
+		return // the result is discarded by contract
+	}
+	// Row q of bounds holds where output part q starts in every run, row
+	// parts where the runs end. Choosing the parts-1 inner rows is the
+	// short sequential section between the two parallel passes.
+	bounds := make([]int, (parts+3)*parts)
+	hi, pos := bounds[(parts+1)*parts:(parts+2)*parts], bounds[(parts+2)*parts:]
+	for m := range parts {
+		bounds[parts*parts+m] = len(run(m))
+	}
+	for q := 1; q < parts; q++ {
+		selectRank(run, runs.At(q).Lo, bounds[q*parts:(q+1)*parts], hi, pos, k)
+	}
+	heads := make([][]T, parts*parts)
+	// The merge pass overwrites s. If less panics in it, s is refilled from
+	// the runs, so it still holds the input's elements.
+	defer func() {
+		if r := recover(); r != nil {
+			copy(s, tmp)
+			panic(r)
+		}
+	}()
+	p.forEachChunk(parts, func(q int) {
+		from, to := bounds[q*parts:(q+1)*parts], bounds[(q+1)*parts:(q+2)*parts]
+		h := heads[q*parts : (q+1)*parts]
+		for m := range h {
+			h[m] = run(m)[from[m]:to[m]]
+		}
+		r := runs.At(q)
+		k.mergeRuns(s[r.Lo:r.Hi], h)
+	})
+}
+
+// selectRank sets off[m], for each of the len(off) sorted runs run(m), to
+// the number of elements of run m among the first r of their stable merge,
+// which orders by value, then by run index, then by position in the run.
+// lo (which is off) and hi bracket the answer in every run; a pivot, the
+// middle of the widest bracket, is ranked by one binary search per other
+// run, and its positions pos become the new lower bounds if fewer than r
+// elements precede it, or the new upper bounds otherwise. The pivot stays
+// inside every bracket, so the searches are confined to them. At two runs
+// this is the co-rank search of a parallel two-way merge.
+func selectRank[T any, K sortKernels[T]](run func(m int) []T, r int, off, hi, pos []int, k K) {
+	lo := off
+	for m := range lo {
+		lo[m], hi[m] = 0, len(run(m))
+	}
+	for {
+		j, width := 0, 0
+		for m := range lo {
+			if hi[m]-lo[m] > width {
+				j, width = m, hi[m]-lo[m]
+			}
+		}
+		if width == 0 {
+			return // every bracket has closed on the answer
+		}
+		c := lo[j] + width/2
+		v := run(j)[c]
+		rank := 0
+		for m := range pos {
+			w := run(m)[lo[m]:hi[m]]
+			switch {
+			case m < j: // equal elements of earlier runs come first
+				pos[m] = lo[m] + k.upperBound(w, v)
+			case m > j:
+				pos[m] = lo[m] + k.lowerBound(w, v)
+			default:
+				pos[m] = c
+			}
+			rank += pos[m]
+		}
+		switch {
+		case rank == r: // the pivot is the first element past the split
+			copy(lo, pos)
+			return
+		case rank < r:
+			copy(lo, pos)
+			lo[j] = c + 1
+		default:
+			copy(hi, pos)
+		}
+	}
+}
+
+// scratchCaches maps each element type to the *sync.Pool (of *[]T) that
+// reuses parallel sorts' n-element scratch buffers across calls, so a sort
+// neither allocates one per call nor leaves one per call for the collector.
+var scratchCaches sync.Map
+
+func scratchFor[T any]() *sync.Pool {
+	t := reflect.TypeFor[T]()
+	if c, ok := scratchCaches.Load(t); ok {
+		return c.(*sync.Pool)
+	}
+	c, _ := scratchCaches.LoadOrStore(t, new(sync.Pool))
+	return c.(*sync.Pool)
+}
+
+// getScratch returns a cached buffer of at least n elements; a cached one
+// that is too short is dropped for a new one.
+func getScratch[T any](c *sync.Pool, n int) *[]T {
+	if b, ok := c.Get().(*[]T); ok && len(*b) >= n {
+		return b
+	}
+	b := make([]T, n)
+	return &b
+}
+
+// putScratch clears the first n elements of b, the ones the sort used, so
+// the cache keeps no caller data reachable, and returns b to the cache.
+func putScratch[T any](c *sync.Pool, b *[]T, n int) {
+	clear((*b)[:n])
+	c.Put(b)
 }
 
 // Merge merges the sorted slices a and b into dst (std::merge). dst must

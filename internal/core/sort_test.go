@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pstlbench/internal/exec"
 	"pstlbench/internal/native"
@@ -72,20 +75,24 @@ func TestSortAlreadySortedAndReversed(t *testing.T) {
 
 type pair struct{ key, seq int }
 
+// TestStableSortPreservesEqualOrder runs under every policy of the matrix,
+// which includes a 3-worker pool: uneven runs and a three-way merge.
 func TestStableSortPreservesEqualOrder(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, p Policy) {
 		rng := rand.New(rand.NewSource(31))
-		s := make([]pair, 30000)
-		for i := range s {
-			s[i] = pair{key: rng.Intn(20), seq: i}
-		}
-		StableSort(p, s, func(a, b pair) bool { return a.key < b.key })
-		for i := 1; i < len(s); i++ {
-			if s[i-1].key > s[i].key {
-				t.Fatalf("not sorted at %d", i)
+		for _, n := range []int{30000, 1<<16 + 3} {
+			s := make([]pair, n)
+			for i := range s {
+				s[i] = pair{key: rng.Intn(20), seq: i}
 			}
-			if s[i-1].key == s[i].key && s[i-1].seq >= s[i].seq {
-				t.Fatalf("stability violated at %d: seq %d then %d", i, s[i-1].seq, s[i].seq)
+			StableSort(p, s, func(a, b pair) bool { return a.key < b.key })
+			for i := 1; i < len(s); i++ {
+				if s[i-1].key > s[i].key {
+					t.Fatalf("n=%d: not sorted at %d", n, i)
+				}
+				if s[i-1].key == s[i].key && s[i-1].seq >= s[i].seq {
+					t.Fatalf("n=%d: stability violated at %d: seq %d then %d", n, i, s[i-1].seq, s[i].seq)
+				}
 			}
 		}
 	})
@@ -291,7 +298,7 @@ func TestIsHeap(t *testing.T) {
 }
 
 func TestSortLargeUnderFineGrain(t *testing.T) {
-	// Stress the merge recursion with a pool smaller than the task tree.
+	// Runs of many leaf sizes under every pool and grain of the matrix.
 	forEachPolicy(t, func(t *testing.T, p Policy) {
 		rng := rand.New(rand.NewSource(61))
 		s := shuffledPermutation(rng, 1<<17)
@@ -305,18 +312,19 @@ func TestSortLargeUnderFineGrain(t *testing.T) {
 }
 
 // sortParityPolicies are the policies the ordered-sort parity tests run
-// under: Seq, a 1-worker pool (which takes the sequential path), and 2- and
-// 4-worker pools (which run the parallel recursion).
+// under: Seq, a 1-worker pool (which takes the sequential path), and 2-, 3-
+// and 4-worker pools (which run the multiway mergesort; 3 workers give
+// uneven runs and a three-way merge).
 func sortParityPolicies() []policyCase {
 	cases := []policyCase{{"seq", func(*testing.T) Policy { return Seq() }}}
-	for _, w := range []int{1, 2, 4} {
+	for _, w := range []int{1, 2, 3, 4} {
 		cases = append(cases, policyCase{fmt.Sprintf("%dw", w), poolPolicy(native.StrategyStealing, w, exec.Auto)})
 	}
 	return cases
 }
 
-// sortParitySizes straddle the leaf size and reach two and eight levels of
-// parallel merging.
+// sortParitySizes straddle the leaf size, where the parallel path starts,
+// and reach runs of 2^18 elements and more.
 var sortParitySizes = []int{0, 1, sortLeafSize - 1, sortLeafSize, sortLeafSize + 1, 1<<16 + 3, 1 << 20}
 
 // sortParityInputs returns named integer patterns of length n. At 2^20 only
@@ -423,7 +431,9 @@ func TestSortOrderedNaNsFirst(t *testing.T) {
 
 // TestSortAllocs pins that the ordered sort allocates nothing up to the leaf
 // size, and on the parallel path no more than SortFunc with a capture-free
-// less: the ordered kernels carry no state to allocate.
+// less: the ordered kernels carry no state to allocate. The parallel path
+// reuses its n-element scratch, also after a cancelled call, so after
+// warm-up a call allocates far less than the scratch's n*8 bytes.
 func TestSortAllocs(t *testing.T) {
 	pool := native.New(2, native.StrategyStealing)
 	defer pool.Close()
@@ -450,8 +460,127 @@ func TestSortAllocs(t *testing.T) {
 		copy(buf, in)
 		SortFunc(par, buf, func(a, b float64) bool { return a < b })
 	})
-	if ordered > byFunc {
+	// -race's sync.Pool drops a random share of Puts, so either side may
+	// allocate a new scratch in some of its calls.
+	slack := 0.0
+	if raceEnabled {
+		slack = 1
+	}
+	if ordered > byFunc+slack {
 		t.Errorf("parallel Sort allocates %v per call, SortFunc %v", ordered, byFunc)
+	}
+	if raceEnabled {
+		return // the byte bound below relies on every Put being kept
+	}
+	tok := &exec.Cancel{}
+	tok.Cancel()
+	for name, p := range map[string]Policy{"2w": par, "2w cancelled": par.WithCancel(tok)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			copy(buf, in)
+			Sort(p, buf)
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / 20; b >= uint64(len(in)*8/4) {
+			t.Errorf("%s n=%d: Sort allocates %d bytes per call, want < %d", name, len(in), b, len(in)*8/4)
+		}
+	}
+}
+
+// TestSortScratchPinsNothing pins that the cached scratch keeps no caller
+// element reachable: after SortFunc and StableSort of pointers, one of
+// them cancelled after its runs were copied into the scratch, every
+// element is collected once the caller drops it.
+func TestSortScratchPinsNothing(t *testing.T) {
+	pool := native.New(2, native.StrategyStealing)
+	defer pool.Close()
+	par := Par(pool)
+	const n = 1 << 16
+	less := func(a, b *int) bool { return *a < *b }
+	var freed atomic.Int64
+	sortDropped := func(sortFn func(s []*int)) {
+		s := make([]*int, n)
+		for i := range s {
+			// A 16-byte block is never shared by the tiny allocator,
+			// whose shared blocks may not run their finalizers.
+			v := &new([2]int)[0]
+			*v = i * 7919 % n
+			runtime.SetFinalizer(v, func(*int) { freed.Add(1) })
+			s[i] = v
+		}
+		sortFn(s)
+	}
+	sortDropped(func(s []*int) { SortFunc(par, s, less) })
+	sortDropped(func(s []*int) { StableSort(par, s, less) })
+	sortDropped(func(s []*int) {
+		tok := &exec.Cancel{}
+		var calls atomic.Int64
+		StableSort(par.WithCancel(tok), s, func(a, b *int) bool {
+			if calls.Add(1) == 1000 {
+				tok.Cancel()
+			}
+			return *a < *b
+		})
+		if !tok.Canceled() {
+			t.Fatal("sort not cancelled")
+		}
+	})
+	runtime.GC()
+	for deadline := time.Now().Add(time.Second); freed.Load() < 3*n && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := freed.Load(); got != 3*n {
+		t.Fatalf("%d of %d sorted elements collected: the sort scratch keeps the rest reachable", got, 3*n)
+	}
+}
+
+// TestSortPanicInMergeKeepsElements pins that a comparator panic in the
+// merge pass, which overwrites s, still leaves s holding the input's
+// elements: with a two-way merge on a stealing pool and with the head scan
+// of a four-way merge on a central-queue pool.
+func TestSortPanicInMergeKeepsElements(t *testing.T) {
+	for _, c := range []struct {
+		workers  int
+		strategy native.Strategy
+	}{{2, native.StrategyStealing}, {4, native.StrategyCentralQueue}} {
+		t.Run(fmt.Sprintf("%dw/%v", c.workers, c.strategy), func(t *testing.T) {
+			pool := native.New(c.workers, c.strategy)
+			defer pool.Close()
+			const n = 1 << 15
+			w := c.workers
+			rng := rand.New(rand.NewSource(83))
+			// Run m holds the values congruent to m modulo the worker
+			// count, so only the split selection and the merge compare
+			// across runs.
+			s := make([]int, n)
+			for i, v := range rng.Perm(n / w) {
+				for m := range w {
+					s[m*n/w+i] = w*v + m
+				}
+			}
+			want := slicesSorted(s)
+			var cross atomic.Int64
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("comparator panic lost")
+					}
+				}()
+				SortFunc(Par(pool), s, func(a, b int) bool {
+					// Selecting the splits compares across runs a few
+					// hundred times at most, the merge at least once per
+					// element.
+					if a%w != b%w && cross.Add(1) > 2000 {
+						panic("comparator exploded")
+					}
+					return a < b
+				})
+			}()
+			if !slices.Equal(slicesSorted(s), want) {
+				t.Fatal("elements lost during the panicked merge")
+			}
+		})
 	}
 }
 
@@ -483,7 +612,8 @@ func fuzzFloats(data []byte) []float64 {
 	return s
 }
 
-func FuzzSortOrdered(f *testing.F) {
+// addSortSeeds adds the fuzzFloats seeds both sort fuzzers start from.
+func addSortSeeds(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0xff, 1, 0xfe})                            // NaN, 1, +Inf
 	f.Add([]byte{0x03, 0x00, 0xff, 0xff, 0x80, 0x7f, 0xfd, 0xfe}) // NaN, NaN, -128
@@ -491,12 +621,60 @@ func FuzzSortOrdered(f *testing.F) {
 	f.Add([]byte{0x01, 0x10, 7, 0xff, 7, 0xfc, 0})                // 4097: parallel
 	f.Add([]byte{0x34, 0x92, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0xfc}) // 37428: descending runs
 	f.Add([]byte{0xff, 0xff, 0x42})                               // 65535: every byte value
-	pool := native.New(2, native.StrategyStealing)
-	f.Cleanup(pool.Close)
-	p := Par(pool)
+}
+
+// fuzzPools returns parallel policies over stealing pools of the given
+// sizes, closed when the fuzz target finishes.
+func fuzzPools(f *testing.F, workers ...int) []Policy {
+	var ps []Policy
+	for _, w := range workers {
+		pool := native.New(w, native.StrategyStealing)
+		f.Cleanup(pool.Close)
+		ps = append(ps, Par(pool))
+	}
+	return ps
+}
+
+// FuzzSortOrdered checks Sort against slices.Sort on 2- and 3-worker
+// pools, an even and an uneven split into runs.
+func FuzzSortOrdered(f *testing.F) {
+	addSortSeeds(f)
+	ps := fuzzPools(f, 2, 3)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzFloats(data)
-		checkSortParity(t, p, in, slicesSorted(in))
+		want := slicesSorted(in)
+		for _, p := range ps {
+			checkSortParity(t, p, in, want)
+		}
+	})
+}
+
+// FuzzStableSort sorts (key, original index) pairs by key alone with
+// StableSort on a 3-worker pool, whose runs are uneven and whose merge is
+// three-way, and compares the order with slices.SortStableFunc. The keys
+// are fuzzFloats values under cmp.Compare, so duplicates, NaNs and ±0 all
+// form tie classes whose order only stability decides.
+func FuzzStableSort(f *testing.F) {
+	addSortSeeds(f)
+	p := fuzzPools(f, 3)[0]
+	type keyed struct {
+		key float64
+		seq int
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys := fuzzFloats(data)
+		got := make([]keyed, len(keys))
+		for i, k := range keys {
+			got[i] = keyed{k, i}
+		}
+		want := slices.Clone(got)
+		slices.SortStableFunc(want, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+		StableSort(p, got, func(a, b keyed) bool { return cmp.Less(a.key, b.key) })
+		for i := range want {
+			if got[i].seq != want[i].seq {
+				t.Fatalf("n=%d: StableSort[%d] is input %d, slices.SortStableFunc input %d", len(keys), i, got[i].seq, want[i].seq)
+			}
+		}
 	})
 }
 

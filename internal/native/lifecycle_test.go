@@ -1,10 +1,12 @@
 package native
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pstlbench/internal/exec"
 )
@@ -24,6 +26,26 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	wg.Wait()
 	p.Close() // and once more after everyone is done
+}
+
+// TestDoReleasesThunks pins that a finished Do leaves none of its thunks,
+// nor what they capture, reachable through the pool's recycled job.
+func TestDoReleasesThunks(t *testing.T) {
+	p := New(2, StrategyStealing)
+	defer p.Close()
+	var freed atomic.Bool
+	func() {
+		v := new([2]int)
+		runtime.SetFinalizer(v, func(*[2]int) { freed.Store(true) })
+		p.Do(func() { v[0]++ }, func() { v[1]++ })
+	}()
+	runtime.GC()
+	for deadline := time.Now().Add(time.Second); !freed.Load() && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("data captured by Do's thunks is still reachable after Do returned")
+	}
 }
 
 func mustPanicWith(t *testing.T, substr string, fn func()) {

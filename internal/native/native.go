@@ -265,6 +265,7 @@ func (p *Pool) acquireJob() *job {
 func (p *Pool) releaseJob(j *job) {
 	j.body = nil
 	j.cancel = nil
+	clear(j.fns)
 	j.fns = j.fns[:0]
 	p.jobMu.Lock()
 	p.free = append(p.free, j.slot)
