@@ -11,9 +11,10 @@ import (
 )
 
 // sortLeafSize is the input size below which the sorts and the parallel
-// merge run sequentially. It bounds task overhead the same way
-// the TBB and GNU runtimes' sequential-fallback thresholds do (the paper
-// observes both fall back below ~2^9 elements).
+// merge run sequentially, so that each task sorts or merges thousands of
+// elements and its dispatch cost stays a small share of the work. It plays
+// the part of the TBB and GNU runtimes' sequential fallback, which the
+// paper observes below about 2^9 elements, at a higher cut of 2^12.
 const sortLeafSize = 1 << 12
 
 // Sort sorts s in ascending order (std::sort with execution policy). The
@@ -23,13 +24,26 @@ const sortLeafSize = 1 << 12
 // calls, then one pass in which every worker merges its exact share of all
 // the runs back into s. Like std::sort on a template, the comparison is
 // compiled into the leaf sort and the merge loop rather than called
-// through a function value. NaNs sort first, as under cmp.Less.
+// through a function value. The sequential sort, which is also each
+// parallel leaf, is an in-place radix sort for []float64 and slices.Sort
+// for every other type. NaNs sort first, as under cmp.Less; the order of
+// -0 and +0, which compare equal, is unspecified.
 func Sort[T cmp.Ordered](p Policy, s []T) {
 	if !p.parallel(len(s)) || len(s) <= sortLeafSize {
-		slices.Sort(s)
+		sortOrdered(s)
 		return
 	}
 	parallelSort(p, s, orderedKernels[T]{})
+}
+
+// sortOrdered is the ordered sequential sort: sortFloat64s for []float64,
+// the element type every timed sort uses, and slices.Sort otherwise.
+func sortOrdered[T cmp.Ordered](s []T) {
+	if f, ok := any(s).([]float64); ok {
+		sortFloat64s(f)
+		return
+	}
+	slices.Sort(s)
 }
 
 // SortFunc sorts s under the strict weak ordering less.
@@ -69,7 +83,7 @@ type sortKernels[T any] interface {
 // using them allocates nothing.
 type orderedKernels[T cmp.Ordered] struct{}
 
-func (orderedKernels[T]) leaf(s []T) { slices.Sort(s) }
+func (orderedKernels[T]) leaf(s []T) { sortOrdered(s) }
 
 func (orderedKernels[T]) merge(dst, a, b []T) {
 	i, j, k := 0, 0, 0

@@ -618,6 +618,8 @@ func addSortSeeds(f *testing.F) {
 	f.Add([]byte{3, 0, 0xff, 1, 0xfe})                            // NaN, 1, +Inf
 	f.Add([]byte{0x03, 0x00, 0xff, 0xff, 0x80, 0x7f, 0xfd, 0xfe}) // NaN, NaN, -128
 	f.Add([]byte{0x00, 0x10, 0xff, 0xfe, 0xfd, 0xfc, 0, 1, 1, 2}) // 4096: leaf size
+	f.Add([]byte{0xff, 0x00, 0xfc, 3, 0xff, 0, 0xfd, 0xfe, 1})    // 255: below the radix cut-off
+	f.Add([]byte{0x00, 0x01, 0xfc, 3, 0xff, 0, 0xfd, 0xfe, 1})    // 256: radix sort
 	f.Add([]byte{0x01, 0x10, 7, 0xff, 7, 0xfc, 0})                // 4097: parallel
 	f.Add([]byte{0x34, 0x92, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0xfc}) // 37428: descending runs
 	f.Add([]byte{0xff, 0xff, 0x42})                               // 65535: every byte value
@@ -635,16 +637,64 @@ func fuzzPools(f *testing.F, workers ...int) []Policy {
 	return ps
 }
 
-// FuzzSortOrdered checks Sort against slices.Sort on 2- and 3-worker
-// pools, an even and an uneven split into runs.
+// fuzzBits decodes fuzz bytes into a float slice in which every bit of a
+// value can vary: the first two bytes give the length, as in fuzzFloats,
+// and each further 8 bytes the bits of one pattern value, repeated to fill
+// it. Repetition r adds r to the bits, so repeats differ in their low key
+// bytes and share the high ones.
+func fuzzBits(data []byte) []float64 {
+	if len(data) < 10 {
+		return nil
+	}
+	n, pat := int(binary.LittleEndian.Uint16(data)), data[2:]
+	m := len(pat) / 8
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(pat[8*(i%m):]) + uint64(i/m))
+	}
+	return s
+}
+
+// bitsSeed encodes a fuzzBits input of length n repeating vals.
+func bitsSeed(n uint16, vals ...uint64) []byte {
+	b := binary.LittleEndian.AppendUint16(nil, n)
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// FuzzSortOrdered checks Sort against slices.Sort on Seq and on 2- and
+// 3-worker pools, an even and an uneven split into runs. Every input is
+// decoded twice: by fuzzFloats, whose small integers share most key bytes,
+// and by fuzzBits, whose values reach every key byte, NaN payloads of
+// either sign, subnormals, ±0 and ±Inf.
 func FuzzSortOrdered(f *testing.F) {
 	addSortSeeds(f)
-	ps := fuzzPools(f, 2, 3)
+	special := []uint64{
+		0xfff8000000000001, // -NaN with a payload
+		0x7ff0000000000001, // signalling NaN
+		0x0000000000000001, // smallest subnormal
+		0x800000000000000f, // negative subnormal
+		0x8000000000000000, // -0
+		0x0000000000000000, // +0
+		0x7ff0000000000000, // +Inf
+		0xfff0000000000000, // -Inf
+		0x3ff8000000000000, // 1.5
+		0xc0f0000000000000, // -65536
+	}
+	for _, n := range []uint16{255, 256, 4097} {
+		f.Add(bitsSeed(n, special...))
+	}
+	f.Add(bitsSeed(40000, 0x4130000000000000, 0xbff0000000000000)) // 2^20, -1: long runs of neighbours
+	f.Add(bitsSeed(300, 0x7ff8000000000000))                       // NaNs only
+	ps := append([]Policy{Seq()}, fuzzPools(f, 2, 3)...)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzFloats(data)
-		want := slicesSorted(in)
-		for _, p := range ps {
-			checkSortParity(t, p, in, want)
+		for _, in := range [][]float64{fuzzFloats(data), fuzzBits(data)} {
+			want := slicesSorted(in)
+			for _, p := range ps {
+				checkSortParity(t, p, in, want)
+			}
 		}
 	})
 }
@@ -681,9 +731,13 @@ func FuzzStableSort(f *testing.F) {
 // BenchmarkSort times ordered Sort against SortFunc with the same order at
 // three shapes: 2^10 on Seq, 2^16 on a 1-worker pool (a pstld sort job's
 // shape, which takes the sequential path), and 2^22 on 2 workers (the
-// parallel recursion beyond the last-level cache). Each iteration restores
-// the input inside the timed loop, because StopTimer's memstats read would
-// swamp the microsecond-scale calls.
+// parallel recursion beyond the last-level cache). Each shape runs two
+// inputs that sit on either side of the float radix sort's digit skip:
+// "frac" holds rng.Float64() values, whose key bytes are nearly all live,
+// and "int" integer-valued floats below 2^20, the keys every perfbench
+// sort uses, whose low four key bytes are constant. Each iteration
+// restores the input inside the timed loop, because StopTimer's memstats
+// read would swamp the microsecond-scale calls.
 func BenchmarkSort(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -699,26 +753,34 @@ func BenchmarkSort(b *testing.B) {
 			defer pool.Close()
 			p = Par(pool)
 		}
-		rng := rand.New(rand.NewSource(79))
-		in := make([]float64, c.n)
-		for i := range in {
-			in[i] = rng.Float64()
-		}
 		buf := make([]float64, c.n)
-		for _, k := range []struct {
+		for _, in := range []struct {
 			name string
-			sort func()
+			gen  func(rng *rand.Rand) float64
 		}{
-			{"ordered", func() { Sort(p, buf) }},
-			{"func", func() { SortFunc(p, buf, func(x, y float64) bool { return x < y }) }},
+			{"frac", func(rng *rand.Rand) float64 { return rng.Float64() }},
+			{"int", func(rng *rand.Rand) float64 { return float64(rng.Intn(1 << 20)) }},
 		} {
-			b.Run(c.name+"/"+k.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					copy(buf, in)
-					k.sort()
-				}
-				b.ReportMetric(float64(c.n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
-			})
+			rng := rand.New(rand.NewSource(79))
+			vals := make([]float64, c.n)
+			for i := range vals {
+				vals[i] = in.gen(rng)
+			}
+			for _, k := range []struct {
+				name string
+				sort func()
+			}{
+				{"ordered", func() { Sort(p, buf) }},
+				{"func", func() { SortFunc(p, buf, func(x, y float64) bool { return x < y }) }},
+			} {
+				b.Run(c.name+"/"+in.name+"/"+k.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(buf, vals)
+						k.sort()
+					}
+					b.ReportMetric(float64(c.n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+				})
+			}
 		}
 	}
 }

@@ -3,8 +3,12 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"pstlbench/internal/core"
 )
 
 // TestRetainDoneBoundsJobsMap is the regression test for the unbounded
@@ -68,6 +72,40 @@ func TestRetainDoneNeverEvictsLiveJobs(t *testing.T) {
 	}
 	waitJob(t, blocker)
 	waitJob(t, queued)
+}
+
+// TestRetiredJobReleasesBody pins that a retained terminal record does not
+// keep its Fn body reachable: the 1 MiB slice an Fn job's closure captures
+// (as a streaming window's closure captures its events) is collected once
+// the caller drops it, while the record still reports done with its
+// checksum.
+func TestRetiredJobReleasesBody(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var freed atomic.Bool
+	submit := func() *Job {
+		buf := make([]float64, 1<<17)
+		buf[len(buf)-1] = 42
+		runtime.SetFinalizer(&buf[0], func(*float64) { freed.Store(true) })
+		j, err := s.Submit(Spec{Kernel: "custom", N: len(buf), Tenant: "w",
+			Fn: func(core.Policy) float64 { return buf[len(buf)-1] }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	j := submit()
+	waitJob(t, j)
+	runtime.GC()
+	for deadline := time.Now().Add(time.Second); !freed.Load() && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		runtime.GC()
+	}
+	if !freed.Load() {
+		t.Fatal("the retained job record keeps its Fn's captures reachable")
+	}
+	if info := s.Info(j); info.State != "done" || info.Checksum != 42 {
+		t.Fatalf("retired job reads %s with checksum %v, want done with 42", info.State, info.Checksum)
+	}
 }
 
 // TestCloseDrainsWithoutServiceClockLeak is the regression test for the

@@ -635,7 +635,11 @@ func (s *Server) finishJobLocked(j *Job, sum float64, ok bool) {
 // evicting the oldest terminal records beyond RetainDone so the jobs map
 // honors the documented QueueCap + MaxConcurrent + RetainDone bound.
 // Queued and running jobs never enter the ring, so they are never evicted.
+// A retired job never runs again, so its Fn is dropped: a retained record
+// must not keep the body's captures (a window's events) reachable.
+// Withdrawn jobs never retire, so they keep Fn for resubmission.
 func (s *Server) retireLocked(j *Job) {
+	j.spec.Fn = nil
 	if s.retainDone < 0 {
 		return
 	}
