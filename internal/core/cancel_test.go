@@ -71,6 +71,38 @@ func TestCancelSortEitherCompleteOrFlagged(t *testing.T) {
 	}
 }
 
+// TestCancelMergeEitherCompleteOrFlagged runs the same property through
+// Merge: either the token fired, or dst is the complete merge.
+func TestCancelMergeEitherCompleteOrFlagged(t *testing.T) {
+	pool := native.New(4, native.StrategyStealing)
+	defer pool.Close()
+	const n = 1 << 16
+	a, b := make([]int, n/2), make([]int, n/2)
+	for i := range a {
+		a[i], b[i] = 2*i, 2*i+1
+	}
+	less := func(x, y int) bool { return x < y }
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 20; trial++ {
+		dst := make([]int, n)
+		tok := &exec.Cancel{}
+		p := core.Par(pool).WithCancel(tok)
+		delay := time.Duration(rng.Intn(100)) * time.Microsecond
+		go func() {
+			time.Sleep(delay)
+			tok.Cancel()
+		}()
+		core.Merge(p, dst, a, b, less)
+		if !tok.Canceled() {
+			for i, v := range dst {
+				if v != i {
+					t.Fatalf("trial %d: token clean but dst[%d] = %d", trial, i, v)
+				}
+			}
+		}
+	}
+}
+
 // TestCancelStopsWork pins that a pre-fired token suppresses the loop body
 // entirely, and a mid-loop cancel abandons most of the iteration space.
 func TestCancelStopsWork(t *testing.T) {

@@ -35,6 +35,7 @@ func Includes[T any](p Policy, a, b []T, less func(x, y T) bool) bool {
 		bounds[ci] = lo
 	}
 	bounds[chunks.Len()] = len(b)
+	k := lessKernels[T]{less: less}
 	var failed atomic.Bool
 	p.forEachChunk(chunks.Len(), func(ci int) {
 		lo, hi := bounds[ci], bounds[ci+1]
@@ -43,8 +44,8 @@ func Includes[T any](p Policy, a, b []T, less func(x, y T) bool) bool {
 		}
 		// Bracket the relevant part of a: everything >= b[lo] and
 		// <= b[hi-1].
-		alo := lowerBound(a, b[lo], less)
-		ahi := upperBound(a, b[hi-1], less)
+		alo := k.lowerBound(a, b[lo])
+		ahi := k.upperBound(a, b[hi-1])
 		if !includesSeq(a[alo:ahi], b[lo:hi], less) {
 			failed.Store(true)
 		}

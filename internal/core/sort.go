@@ -139,13 +139,31 @@ func (k lessKernels[T]) leaf(s []T) {
 	}
 }
 
-func (k lessKernels[T]) merge(dst, a, b []T) { seqMerge(dst, a, b, k.less) }
+func (k lessKernels[T]) merge(dst, a, b []T) {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if k.less(b[j], a[i]) {
+			dst[n] = b[j]
+			j++
+		} else {
+			dst[n] = a[i]
+			i++
+		}
+		n++
+	}
+	n += copy(dst[n:], a[i:])
+	copy(dst[n:], b[j:])
+}
 
 func (k lessKernels[T]) mergeRuns(dst []T, runs [][]T) { mergeRunsBy(dst, runs, k.less, k.merge) }
 
-func (k lessKernels[T]) lowerBound(s []T, v T) int { return lowerBound(s, v, k.less) }
+func (k lessKernels[T]) lowerBound(s []T, v T) int {
+	return sort.Search(len(s), func(i int) bool { return !k.less(s[i], v) })
+}
 
-func (k lessKernels[T]) upperBound(s []T, v T) int { return upperBound(s, v, k.less) }
+func (k lessKernels[T]) upperBound(s []T, v T) int {
+	return sort.Search(len(s), func(i int) bool { return k.less(v, s[i]) })
+}
 
 // mergeRunsBy merges sorted runs into dst. While more than two runs are
 // left it scans their heads for the least, dropping each run as it
@@ -190,86 +208,89 @@ func lessToCmp[T any](less func(a, b T) bool) func(a, b T) int {
 	}
 }
 
-// mergeDepth returns the parallel merge's recursion depth that yields at
-// least one merge block per worker (2^depth >= workers).
-func mergeDepth(workers int) int {
-	d := 0
-	for 1<<d < workers {
-		d++
-	}
-	return d + 1 // one extra level so stealing has slack to balance
-}
-
 // parallelSort sorts s, which the caller has judged large enough to
 // parallelise, by multiway mergesort. The static split cuts s into one run
 // per worker; each run is copied into a cached scratch buffer and
-// leaf-sorted there. Output part q, the q-th chunk of the same split, then
-// merges its share of every run straight back into s. The shares come from
-// selectRank, so the parts are exact and disjoint, and equal elements keep
-// run order, which makes the sort stable when the leaf sort is.
+// leaf-sorted there, and mergeParallel then merges the runs straight back
+// into s. Equal elements keep run order, which makes the sort stable when
+// the leaf sort is.
 func parallelSort[T any, K sortKernels[T]](p Policy, s []T, k K) {
-	runs := exec.Static.Chunks(len(s), p.workers())
-	parts := runs.Len()
+	split := exec.Static.Chunks(len(s), p.workers())
 	cache := scratchFor[T]()
 	buf := getScratch[T](cache, len(s))
 	defer putScratch(cache, buf, len(s))
 	tmp := (*buf)[:len(s)]
-	run := func(m int) []T {
-		r := runs.At(m)
-		return tmp[r.Lo:r.Hi]
+	runs := make([][]T, split.Len())
+	for m := range runs {
+		r := split.At(m)
+		runs[m] = tmp[r.Lo:r.Hi]
 	}
-	p.forEachChunk(parts, func(q int) {
-		r := runs.At(q)
-		copy(tmp[r.Lo:r.Hi], s[r.Lo:r.Hi])
-		k.leaf(tmp[r.Lo:r.Hi])
+	p.forEachChunk(len(runs), func(m int) {
+		r := split.At(m)
+		copy(runs[m], s[r.Lo:r.Hi])
+		k.leaf(runs[m])
 	})
 	if p.Canceled() {
 		return // the result is discarded by contract
 	}
+	defer refillOnPanic(s, tmp)
+	mergeParallel(p, s, runs, k)
+}
+
+// refillOnPanic, deferred before a merge pass overwrites s from its copy
+// tmp, refills s from tmp if less panics, so that s still holds the
+// input's elements, and re-raises the panic.
+func refillOnPanic[T any](s, tmp []T) {
+	if r := recover(); r != nil {
+		copy(s, tmp)
+		panic(r)
+	}
+}
+
+// mergeParallel merges the sorted runs into dst, whose length is the sum
+// of theirs and which overlaps none of them. The static split cuts dst into
+// one part per worker. Output part q then merges its share of every run,
+// and all parts run in one parallel pass. The shares come from selectRank,
+// so the parts are exact and disjoint, and equal elements keep run order.
+func mergeParallel[T any, K sortKernels[T]](p Policy, dst []T, runs [][]T, k K) {
+	out := exec.Static.Chunks(len(dst), p.workers())
+	parts, nr := out.Len(), len(runs)
 	// Row q of bounds holds where output part q starts in every run, row
 	// parts where the runs end. Choosing the parts-1 inner rows is the
-	// short sequential section between the two parallel passes.
-	bounds := make([]int, (parts+3)*parts)
-	hi, pos := bounds[(parts+1)*parts:(parts+2)*parts], bounds[(parts+2)*parts:]
-	for m := range parts {
-		bounds[parts*parts+m] = len(run(m))
+	// short sequential section before the parallel pass.
+	bounds := make([]int, (parts+3)*nr)
+	hi, pos := bounds[(parts+1)*nr:(parts+2)*nr], bounds[(parts+2)*nr:]
+	for m, r := range runs {
+		bounds[parts*nr+m] = len(r)
 	}
 	for q := 1; q < parts; q++ {
-		selectRank(run, runs.At(q).Lo, bounds[q*parts:(q+1)*parts], hi, pos, k)
+		selectRank(runs, out.At(q).Lo, bounds[q*nr:(q+1)*nr], hi, pos, k)
 	}
-	heads := make([][]T, parts*parts)
-	// The merge pass overwrites s. If less panics in it, s is refilled from
-	// the runs, so it still holds the input's elements.
-	defer func() {
-		if r := recover(); r != nil {
-			copy(s, tmp)
-			panic(r)
-		}
-	}()
+	heads := make([][]T, parts*nr)
 	p.forEachChunk(parts, func(q int) {
-		from, to := bounds[q*parts:(q+1)*parts], bounds[(q+1)*parts:(q+2)*parts]
-		h := heads[q*parts : (q+1)*parts]
+		from, to := bounds[q*nr:(q+1)*nr], bounds[(q+1)*nr:(q+2)*nr]
+		h := heads[q*nr : (q+1)*nr]
 		for m := range h {
-			h[m] = run(m)[from[m]:to[m]]
+			h[m] = runs[m][from[m]:to[m]]
 		}
-		r := runs.At(q)
-		k.mergeRuns(s[r.Lo:r.Hi], h)
+		r := out.At(q)
+		k.mergeRuns(dst[r.Lo:r.Hi], h)
 	})
 }
 
-// selectRank sets off[m], for each of the len(off) sorted runs run(m), to
-// the number of elements of run m among the first r of their stable merge,
-// which orders by value, then by run index, then by position in the run.
+// selectRank sets off[m], for each of the sorted runs[m], to the number of
+// elements of run m among the first r of their stable merge, which orders
+// by value, then by run index, then by position in the run.
 // lo (which is off) and hi bracket the answer in every run; a pivot, the
 // middle of the widest bracket, is ranked by one binary search per other
 // run, and its positions pos become the new lower bounds if fewer than r
 // elements precede it, or the new upper bounds otherwise. The pivot stays
 // inside every bracket, so the searches are confined to them. At two runs
 // this is the co-rank search of a parallel two-way merge.
-func selectRank[T any, K sortKernels[T]](run func(m int) []T, r int, off, hi, pos []int, k K) {
+func selectRank[T any, K sortKernels[T]](runs [][]T, r int, off, hi, pos []int, k K) {
 	lo := off
 	for m := range lo {
-		lo[m], hi[m] = 0, len(run(m))
+		lo[m], hi[m] = 0, len(runs[m])
 	}
 	for {
 		j, width := 0, 0
@@ -282,10 +303,10 @@ func selectRank[T any, K sortKernels[T]](run func(m int) []T, r int, off, hi, po
 			return // every bracket has closed on the answer
 		}
 		c := lo[j] + width/2
-		v := run(j)[c]
+		v := runs[j][c]
 		rank := 0
 		for m := range pos {
-			w := run(m)[lo[m]:hi[m]]
+			w := runs[m][lo[m]:hi[m]]
 			switch {
 			case m < j: // equal elements of earlier runs come first
 				pos[m] = lo[m] + k.upperBound(w, v)
@@ -310,8 +331,9 @@ func selectRank[T any, K sortKernels[T]](run func(m int) []T, r int, off, hi, po
 }
 
 // scratchCaches maps each element type to the *sync.Pool (of *[]T) that
-// reuses parallel sorts' n-element scratch buffers across calls, so a sort
-// neither allocates one per call nor leaves one per call for the collector.
+// reuses the n-element scratch buffers of parallel sorts and InplaceMerge
+// across calls, so a call neither allocates one nor leaves one for the
+// collector.
 var scratchCaches sync.Map
 
 func scratchFor[T any]() *sync.Pool {
@@ -342,85 +364,24 @@ func putScratch[T any](c *sync.Pool, b *[]T, n int) {
 
 // Merge merges the sorted slices a and b into dst (std::merge). dst must
 // have length len(a)+len(b) and must not overlap a or b. The merge is
-// stable: equal elements are taken from a first.
+// stable: equal elements are taken from a first. In parallel it is the
+// two-run case of the sort's merge pass.
 func Merge[T any](p Policy, dst, a, b []T, less func(x, y T) bool) {
 	if len(dst) != len(a)+len(b) {
 		panic("core.Merge: dst length must be len(a)+len(b)")
 	}
-	if !p.parallel(len(dst)) {
-		seqMerge(dst, a, b, less)
-		return
-	}
-	parallelMergeInto(p, dst, a, b, lessKernels[T]{less: less}, mergeDepth(p.workers()))
-}
-
-// parallelMergeInto recursively splits the larger input at its median,
-// binary-searches the split point in the other input, and merges the two
-// halves concurrently — the classic divide-and-conquer parallel merge.
-// Stability (equal elements of a before equal elements of b) is preserved
-// by the asymmetric split rules: splitting on a's median uses lower_bound
-// in b, splitting on b's median uses upper_bound in a.
-func parallelMergeInto[T any, K sortKernels[T]](p Policy, dst, a, b []T, k K, depth int) {
-	if p.Canceled() {
-		return
-	}
-	if depth <= 0 || len(a)+len(b) <= sortLeafSize {
+	k := lessKernels[T]{less: less}
+	if !p.parallel(len(dst)) || len(dst) <= sortLeafSize {
 		k.merge(dst, a, b)
 		return
 	}
-	if len(a) >= len(b) {
-		ma := len(a) / 2
-		pivot := a[ma]
-		mb := k.lowerBound(b, pivot) // b-elements equal to pivot go right of it
-		dst[ma+mb] = pivot
-		p.pool().Do(
-			func() { parallelMergeInto(p, dst[:ma+mb], a[:ma], b[:mb], k, depth-1) },
-			func() { parallelMergeInto(p, dst[ma+mb+1:], a[ma+1:], b[mb:], k, depth-1) },
-		)
-		return
-	}
-	mb := len(b) / 2
-	pivot := b[mb]
-	ma := k.upperBound(a, pivot) // a-elements equal to pivot go left of it
-	dst[ma+mb] = pivot
-	p.pool().Do(
-		func() { parallelMergeInto(p, dst[:ma+mb], a[:ma], b[:mb], k, depth-1) },
-		func() { parallelMergeInto(p, dst[ma+mb+1:], a[ma:], b[mb+1:], k, depth-1) },
-	)
-}
-
-// lowerBound returns the first index i in sorted s with !less(s[i], v),
-// i.e. the std::lower_bound insertion point for v.
-func lowerBound[T any](s []T, v T, less func(x, y T) bool) int {
-	return sort.Search(len(s), func(i int) bool { return !less(s[i], v) })
-}
-
-// upperBound returns the first index i in sorted s with less(v, s[i]),
-// i.e. the std::upper_bound insertion point for v.
-func upperBound[T any](s []T, v T, less func(x, y T) bool) int {
-	return sort.Search(len(s), func(i int) bool { return less(v, s[i]) })
-}
-
-// seqMerge is the sequential stable merge of sorted a and b into dst.
-func seqMerge[T any](dst, a, b []T, less func(x, y T) bool) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
+	mergeParallel(p, dst, [][]T{a, b}, k)
 }
 
 // InplaceMerge merges the two consecutive sorted ranges s[:mid] and s[mid:]
 // into a single sorted range (std::inplace_merge). Like libstdc++'s
-// implementation, it uses a temporary buffer.
+// implementation, it uses a temporary buffer: it copies s into the sorts'
+// cached scratch and merges the two halves from there back into s.
 func InplaceMerge[T any](p Policy, s []T, mid int, less func(x, y T) bool) {
 	if mid < 0 || mid > len(s) {
 		panic("core.InplaceMerge: mid out of range")
@@ -428,9 +389,16 @@ func InplaceMerge[T any](p Policy, s []T, mid int, less func(x, y T) bool) {
 	if mid == 0 || mid == len(s) {
 		return
 	}
-	tmp := make([]T, len(s))
-	Merge(p, tmp, s[:mid], s[mid:], less)
-	Copy(p, s, tmp)
+	cache := scratchFor[T]()
+	buf := getScratch[T](cache, len(s))
+	defer putScratch(cache, buf, len(s))
+	tmp := (*buf)[:len(s)]
+	Copy(p, tmp, s)
+	if p.Canceled() {
+		return // the result is discarded by contract
+	}
+	defer refillOnPanic(s, tmp)
+	Merge(p, s, tmp[:mid], tmp[mid:], less)
 }
 
 // PartialSort rearranges s so that its first k elements are the k smallest

@@ -98,8 +98,19 @@ func TestStableSortPreservesEqualOrder(t *testing.T) {
 	})
 }
 
+// forEachMergePolicy runs fn under every cell of the policy matrix and under
+// a 2-worker pool, the smallest that takes the parallel merge, whose two
+// output parts meet at a single co-rank split.
+func forEachMergePolicy(t *testing.T, fn func(t *testing.T, p Policy)) {
+	t.Helper()
+	forEachPolicy(t, fn)
+	t.Run("stealing/2w", func(t *testing.T) {
+		fn(t, poolPolicy(native.StrategyStealing, 2, exec.Auto)(t))
+	})
+}
+
 func TestMerge(t *testing.T) {
-	forEachPolicy(t, func(t *testing.T, p Policy) {
+	forEachMergePolicy(t, func(t *testing.T, p Policy) {
 		rng := rand.New(rand.NewSource(37))
 		for _, sizes := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1000, 3000}, {20000, 20000}, {17, 40000}} {
 			a := randomInts(rng, sizes[0], 1000)
@@ -118,7 +129,7 @@ func TestMerge(t *testing.T) {
 }
 
 func TestMergeStability(t *testing.T) {
-	forEachPolicy(t, func(t *testing.T, p Policy) {
+	forEachMergePolicy(t, func(t *testing.T, p Policy) {
 		// a-elements carry seq < 100000; b-elements >= 100000. For equal
 		// keys, all a's must precede all b's.
 		mk := func(n, base int, rng *rand.Rand) []pair {
@@ -163,7 +174,7 @@ func TestMergePanicsOnBadDst(t *testing.T) {
 }
 
 func TestInplaceMerge(t *testing.T) {
-	forEachPolicy(t, func(t *testing.T, p Policy) {
+	forEachMergePolicy(t, func(t *testing.T, p Policy) {
 		rng := rand.New(rand.NewSource(43))
 		s := randomInts(rng, 30000, 500)
 		mid := 13000
@@ -183,6 +194,106 @@ func TestInplaceMerge(t *testing.T) {
 			t.Fatal("degenerate mid mutated slice")
 		}
 	})
+}
+
+// TestInplaceMergeAllocs pins that InplaceMerge takes its buffer from the
+// sorts' cached scratch: after warm-up a call on a pool allocates far less
+// than an n-element buffer.
+func TestInplaceMergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race's sync.Pool drops a random share of Puts")
+	}
+	pool := native.New(2, native.StrategyStealing)
+	defer pool.Close()
+	p := Par(pool)
+	const n, mid = 1 << 16, 1 << 16 / 3
+	in := make([]float64, n)
+	for i := range in {
+		if in[i] = float64(2 * i); i >= mid {
+			in[i] = float64(2*(i-mid) + 1)
+		}
+	}
+	buf := make([]float64, n)
+	less := func(a, b float64) bool { return a < b }
+	copy(buf, in)
+	InplaceMerge(p, buf, mid, less)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 20 {
+		copy(buf, in)
+		InplaceMerge(p, buf, mid, less)
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 20; b >= n*8/4 {
+		t.Errorf("InplaceMerge allocates %d bytes per call, want < %d", b, n*8/4)
+	}
+	if !slices.IsSorted(buf) {
+		t.Fatal("InplaceMerge result not sorted")
+	}
+}
+
+// TestInplaceMergePanicKeepsElements pins that a comparator panic while
+// InplaceMerge merges back into s, sequentially or on a pool, leaves s
+// holding the input's elements.
+func TestInplaceMergePanicKeepsElements(t *testing.T) {
+	for _, pc := range []policyCase{
+		{"seq", func(*testing.T) Policy { return Seq() }},
+		{"2w", poolPolicy(native.StrategyStealing, 2, exec.Auto)},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			p := pc.mk(t)
+			const n, mid = 1 << 15, 1<<15/2 + 77
+			rng := rand.New(rand.NewSource(89))
+			s := randomInts(rng, n, n)
+			slices.Sort(s[:mid])
+			slices.Sort(s[mid:])
+			want := slicesSorted(s)
+			var calls atomic.Int64
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("comparator panic lost")
+					}
+				}()
+				// The co-rank split takes a few dozen comparisons, the
+				// merge about one per element.
+				InplaceMerge(p, s, mid, func(a, b int) bool {
+					if calls.Add(1) > 2000 {
+						panic("comparator exploded")
+					}
+					return a < b
+				})
+			}()
+			if !slices.Equal(slicesSorted(s), want) {
+				t.Fatal("elements lost during the panicked merge")
+			}
+		})
+	}
+}
+
+// TestMergeStampsFirstChunk pins that the parallel Merge dispatches through
+// the policy, which stamps FirstChunkNS on its first chunk.
+func TestMergeStampsFirstChunk(t *testing.T) {
+	pool := native.New(2, native.StrategyStealing)
+	defer pool.Close()
+	var first int64
+	p := Par(pool)
+	p.FirstChunkNS = &first
+	const n = 1 << 16
+	a, b := make([]int, n/2), make([]int, n-n/2)
+	for i := range a {
+		a[i], b[i] = 2*i, 2*i+1
+	}
+	dst := make([]int, n)
+	Merge(p, dst, a, b, intLess)
+	if first == 0 {
+		t.Fatal("parallel Merge left FirstChunkNS unstamped")
+	}
+	for i, v := range dst {
+		if v != i {
+			t.Fatalf("dst[%d] = %d", i, v)
+		}
+	}
 }
 
 func TestIsSortedAndUntil(t *testing.T) {
@@ -489,9 +600,9 @@ func TestSortAllocs(t *testing.T) {
 }
 
 // TestSortScratchPinsNothing pins that the cached scratch keeps no caller
-// element reachable: after SortFunc and StableSort of pointers, one of
-// them cancelled after its runs were copied into the scratch, every
-// element is collected once the caller drops it.
+// element reachable: after SortFunc, StableSort and InplaceMerge of
+// pointers, one of the sorts cancelled after its runs were copied into the
+// scratch, every element is collected once the caller drops it.
 func TestSortScratchPinsNothing(t *testing.T) {
 	pool := native.New(2, native.StrategyStealing)
 	defer pool.Close()
@@ -526,12 +637,17 @@ func TestSortScratchPinsNothing(t *testing.T) {
 			t.Fatal("sort not cancelled")
 		}
 	})
+	sortDropped(func(s []*int) {
+		slices.SortFunc(s[:n/3], lessToCmp(less))
+		slices.SortFunc(s[n/3:], lessToCmp(less))
+		InplaceMerge(par, s, n/3, less)
+	})
 	runtime.GC()
-	for deadline := time.Now().Add(time.Second); freed.Load() < 3*n && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(time.Second); freed.Load() < 4*n && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := freed.Load(); got != 3*n {
-		t.Fatalf("%d of %d sorted elements collected: the sort scratch keeps the rest reachable", got, 3*n)
+	if got := freed.Load(); got != 4*n {
+		t.Fatalf("%d of %d sorted elements collected: the sort scratch keeps the rest reachable", got, 4*n)
 	}
 }
 
@@ -723,6 +839,51 @@ func FuzzStableSort(f *testing.F) {
 		for i := range want {
 			if got[i].seq != want[i].seq {
 				t.Fatalf("n=%d: StableSort[%d] is input %d, slices.SortStableFunc input %d", len(keys), i, got[i].seq, want[i].seq)
+			}
+		}
+	})
+}
+
+// FuzzMerge merges (key, original index) pairs by key alone on Seq and on
+// 2- and 3-worker pools and compares the order with slices.SortStableFunc
+// of a followed by b, so on equal keys every element of a must come first.
+// The keys are fuzzFloats values under cmp.Compare; the last input byte
+// picks where the input splits into a and b, each then sorted stably.
+func FuzzMerge(f *testing.F) {
+	addSortSeeds(f)
+	f.Add([]byte{0x20, 0x4e, 3, 0xff, 3, 0xfc, 0, 1, 0x01})        // 20000, a of 78
+	f.Add([]byte{0x20, 0x4e, 5, 4, 5, 0xfe, 0x80})                 // 20000, split near the middle
+	f.Add([]byte{0x01, 0x20, 0xfd, 9, 9, 9, 0xff, 0xfe})           // 8193, b of 33
+	f.Add([]byte{0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0xab}) // 65535, many tie classes
+	ps := append([]Policy{Seq()}, fuzzPools(f, 2, 3)...)
+	type keyed struct {
+		key float64
+		seq int
+	}
+	byKey := func(a, b keyed) int { return cmp.Compare(a.key, b.key) }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys := fuzzFloats(data)
+		in := make([]keyed, len(keys))
+		for i, k := range keys {
+			in[i] = keyed{k, i}
+		}
+		mid := 0
+		if len(data) > 0 {
+			mid = len(in) * int(data[len(data)-1]) / 255
+		}
+		a, b := in[:mid], in[mid:]
+		slices.SortStableFunc(a, byKey)
+		slices.SortStableFunc(b, byKey)
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, byKey)
+		got := make([]keyed, len(in))
+		for _, p := range ps {
+			clear(got)
+			Merge(p, got, a, b, func(x, y keyed) bool { return cmp.Less(x.key, y.key) })
+			for i := range want {
+				if got[i].seq != want[i].seq {
+					t.Fatalf("n=%d mid=%d workers=%d: Merge[%d] is input %d, slices.SortStableFunc input %d", len(in), mid, p.workers(), i, got[i].seq, want[i].seq)
+				}
 			}
 		}
 	})

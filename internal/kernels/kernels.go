@@ -300,10 +300,20 @@ func allOf(p core.Policy, n, _ int) (func(), func(), func() bool) {
 		func() bool { return ok }
 }
 
+// merge merges [1..h] with [1..n-h], h = n/2, so the result is 1, 1, 2, 2,
+// ..., h, h, then h+1, ..., n-h.
 func merge(p core.Policy, n, _ int) (func(), func(), func() bool) {
-	a, b, dst := increasing(p, n/2), increasing(p, n-n/2), make([]Elem, n)
+	h := n / 2
+	a, b, dst := increasing(p, h), increasing(p, n-h), make([]Elem, n)
 	return nil, func() { core.Merge(p, dst, a, b, less) },
-		func() bool { return core.IsSorted(p, dst, less) }
+		func() bool {
+			for i, v := range dst {
+				if i < 2*h && v != Elem(i/2+1) || i >= 2*h && v != Elem(i-h+1) {
+					return false
+				}
+			}
+			return true
+		}
 }
 
 // partition and unique restore their input before each call, untimed.
