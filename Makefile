@@ -32,8 +32,8 @@ perfbench:
 # the algorithms that drive it, the fused pipelines compiled onto it, the
 # event-tracing layer its workers write to, the simulator that emits
 # virtual-time traces, the adaptive grain tuner fed concurrently by harness
-# observations, the multi-tenant job server racing batched submits against
-# cancels on one shared pool, the sharded router racing submits and
+# observations, the multi-tenant job server racing submits against cancels
+# and deadlines on one shared pool, the sharded router racing submits and
 # cancels against a mid-backlog kill and log replay, the cluster transport
 # racing retries, polls, and heartbeats against abrupt worker death, and
 # the observability layer whose atomic instruments those servers update
@@ -48,14 +48,12 @@ bench:
 	$(GO) test -run 'xxx' -bench '^BenchmarkElementKernels$$' -benchmem ./internal/core/
 
 # Fused-pipeline comparison: the 3-stage chain as staged core passes vs one
-# fused chunk-granular pass (the chain entries of the kernel table), and
-# small jobs dispatched one by one vs in batches (Go benchmarks, then the
-# pstlbench chain rows with modeled traffic columns — the measured side),
-# then the ext-fusion report (the simulator's predicted traffic drop and
-# speedup).
+# fused chunk-granular pass (the chain entries of the kernel table: Go
+# benchmarks, then the pstlbench chain rows with modeled traffic columns —
+# the measured side), then the ext-fusion report (the simulator's predicted
+# traffic drop and speedup).
 fusion:
 	$(GO) test -run 'xxx' -bench 'NativeKernels/chain' -benchtime 3x .
-	$(GO) test -run 'xxx' -bench 'BatchedDispatch' -benchtime 3x ./internal/serve/
 	$(GO) run ./cmd/pstlbench -mode native -algo chains -minexp 20 -maxexp 22
 	$(GO) run ./cmd/pstlreport -exp ext-fusion -scale 4
 

@@ -88,7 +88,6 @@ func main() {
 		queueCap = flag.Int("queue-cap", 64, "admission queue bound (jobs waiting beyond it are rejected with Retry-After)")
 		maxConc  = flag.Int("max-concurrent", 1, "jobs running on the pool at once")
 		weights  = flag.String("weights", "", "per-tenant WFQ weights, e.g. gold=3,bronze=1")
-		smallMax = flag.Int("small-job-max", 0, "batch same-tenant jobs of n <= this into one pool submission (0 disables)")
 		shards   = flag.Int("shards", 1, "server shards behind the consistent-hash router (1 = single server, no router)")
 		joblog   = flag.String("joblog", "", "append-only job log path for restart-safe serving (enables the router)")
 		quota    = flag.Int("quota", 0, "per-tenant queued-job quota (0 disables)")
@@ -131,7 +130,6 @@ func main() {
 		QueueCap:      *queueCap,
 		MaxConcurrent: *maxConc,
 		Weights:       parseWeights(*weights),
-		SmallJobMax:   *smallMax,
 		TenantQuota:   *quota,
 		RetainDone:    *retain,
 		SLOObjective:  *slo,

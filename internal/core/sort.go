@@ -417,13 +417,17 @@ func PartialSort[T any](p Policy, s []T, k int, less func(a, b T) bool) {
 
 // PartialSortCopy copies the min(len(dst), len(src)) smallest elements of
 // src into dst in ascending order and returns that count
-// (std::partial_sort_copy).
+// (std::partial_sort_copy). src is partially sorted in a copy taken from
+// the sorts' cached scratch.
 func PartialSortCopy[T any](p Policy, dst, src []T, less func(a, b T) bool) int {
 	k := min(len(dst), len(src))
 	if k == 0 {
 		return 0
 	}
-	tmp := make([]T, len(src))
+	cache := scratchFor[T]()
+	buf := getScratch[T](cache, len(src))
+	defer putScratch(cache, buf, len(src))
+	tmp := (*buf)[:len(src)]
 	Copy(p, tmp, src)
 	PartialSort(p, tmp, k, less)
 	Copy(p, dst[:k], tmp[:k])
@@ -433,26 +437,37 @@ func PartialSortCopy[T any](p Policy, dst, src []T, less func(a, b T) bool) int 
 // NthElement rearranges s so that s[k] holds the element that would be
 // there if s were fully sorted, with everything before it no greater and
 // everything after no smaller (std::nth_element). It is a quickselect whose
-// partition step runs through the parallel compaction machinery.
+// partition step runs through the parallel compaction machinery: each
+// round compacts the elements less than, equal to and greater than the
+// pivot into consecutive parts of one buffer from the sorts' cached
+// scratch, then copies the buffer back into s.
 func NthElement[T any](p Policy, s []T, k int, less func(a, b T) bool) {
 	if k < 0 || k >= len(s) {
 		panic("core.NthElement: k out of range")
 	}
+	var cache *sync.Pool
+	var buf *[]T
 	for len(s) > 1 {
 		if len(s) <= sortLeafSize || !p.parallel(len(s)) {
 			slices.SortFunc(s, lessToCmp(less))
 			return
 		}
+		if buf == nil {
+			cache = scratchFor[T]()
+			buf = getScratch[T](cache, len(s))
+			defer putScratch(cache, buf, len(s))
+		}
+		part := (*buf)[:len(s)]
 		pivot := medianOfThree(s, less)
-		lt := make([]T, 0, len(s))
-		eq := make([]T, 0, len(s))
-		gt := make([]T, 0, len(s))
-		nlt := CopyIf(p, lt, s, func(v T) bool { return less(v, pivot) })
-		neq := CopyIf(p, eq, s, func(v T) bool { return !less(v, pivot) && !less(pivot, v) })
-		ngt := CopyIf(p, gt, s, func(v T) bool { return less(pivot, v) })
-		Copy(p, s, lt[:nlt])
-		Copy(p, s[nlt:], eq[:neq])
-		Copy(p, s[nlt+neq:], gt[:ngt])
+		nlt := CopyIf(p, part, s, func(v T) bool { return less(v, pivot) })
+		neq := CopyIf(p, part[nlt:], s, func(v T) bool { return !less(v, pivot) && !less(pivot, v) })
+		ngt := CopyIf(p, part[nlt+neq:], s, func(v T) bool { return less(pivot, v) })
+		if p.Canceled() {
+			// Skipped chunks make the counts short: a round could make no
+			// progress. The result is discarded by contract.
+			return
+		}
+		Copy(p, s, part[:nlt+neq+ngt])
 		switch {
 		case k < nlt:
 			s = s[:nlt]

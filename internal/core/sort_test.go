@@ -347,6 +347,68 @@ func TestNthElement(t *testing.T) {
 	})
 }
 
+// TestNthElementAllocs pins that NthElement partitions, and
+// PartialSortCopy copies, into the sorts' cached scratch: after warm-up a
+// call on a pool allocates far less than its n-element input.
+func TestNthElementAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race's sync.Pool drops a random share of Puts")
+	}
+	pool := native.New(2, native.StrategyStealing)
+	defer pool.Close()
+	p := Par(pool)
+	const n, k = 1 << 16, 100
+	in := randomInts(rand.New(rand.NewSource(97)), n, n)
+	want := slicesSorted(in)
+	buf := make([]int, n)
+	dst := make([]int, k)
+	for _, c := range []struct {
+		name  string
+		call  func()
+		check func() bool
+	}{
+		{"NthElement", func() { copy(buf, in); NthElement(p, buf, n/3, intLess) },
+			func() bool { return buf[n/3] == want[n/3] }},
+		{"PartialSortCopy", func() { PartialSortCopy(p, dst, in, intLess) },
+			func() bool { return slices.Equal(dst, want[:k]) }},
+	} {
+		c.call()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			c.call()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / 20; b >= n*8/4 {
+			t.Errorf("%s allocates %d bytes per call, want < %d", c.name, b, n*8/4)
+		}
+		if !c.check() {
+			t.Errorf("%s result wrong", c.name)
+		}
+	}
+}
+
+// TestNthElementCanceledReturns: under a fired cancel token a partition
+// round skips every chunk and moves nothing, so NthElement must return
+// rather than repeat the round forever.
+func TestNthElementCanceledReturns(t *testing.T) {
+	pool := native.New(2, native.StrategyStealing)
+	defer pool.Close()
+	tok := &exec.Cancel{}
+	tok.Cancel()
+	s := randomInts(rand.New(rand.NewSource(101)), 1<<16, 1000)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NthElement(Par(pool).WithCancel(tok), s, 100, intLess)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("NthElement did not return under a fired cancel token")
+	}
+}
+
 func TestPartialSort(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, p Policy) {
 		rng := rand.New(rand.NewSource(53))

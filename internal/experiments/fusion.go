@@ -20,8 +20,7 @@ import (
 // time toward the traffic ratio as the chain becomes memory-bound. The
 // native counterparts are measured elsewhere: the chain entries of the
 // kernel table (BenchmarkNativeKernels/chain_*, `pstlbench -mode native
-// -algo chains`) for fusion, BenchmarkBatchedDispatch (internal/serve) for
-// batched small-job dispatch.
+// -algo chains`).
 func ExtensionFusion(cfg Config) *Report {
 	m := machine.MachA()
 	b := backend.GCCTBB()

@@ -93,9 +93,10 @@ func simulateServing(d serve.Discipline, streams []dsStream, horizon float64, qc
 	i := 0
 	for i < len(arrivals) || busy {
 		if busy && (i >= len(arrivals) || curDone <= arrivals[i].arrival) {
-			// Completion fires first: record, then pull the next job.
+			// Completion fires first: record, retire, then pull the next job.
 			now := curDone
 			lat[cur.tenant] = append(lat[cur.tenant], now-cur.arrival)
+			q.Done(cur)
 			if it, ok := q.Pop(); ok {
 				cur = it.Value.(dsJob)
 				curDone = now + service[cur.tenant]

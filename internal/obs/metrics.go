@@ -1,8 +1,8 @@
 // Package obs is the serving-tier observability layer: a dependency-free
 // Prometheus-text-format metrics registry (counters, gauges, fixed-bucket
 // histograms with allocation-free atomic updates), per-job lifecycle spans
-// that stitch a job's path through router, shard queue, batch, and pool
-// into one phase-stamped record, and rolling-window latency histograms with
+// that stitch a job's path through router, shard queue, and pool into
+// one phase-stamped record, and rolling-window latency histograms with
 // SLO burn-rate tracking.
 //
 // The split of labor with the sibling packages: internal/trace sees the
@@ -243,8 +243,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // powers of two — wide enough for fsync stalls and 2^30 sorts alike.
 var LatencyBuckets = ExpBuckets(1e-5, 2, 24)
 
-// SizeBuckets is the default count ladder (batch occupancy, group-commit
-// size): 1 to 32768 in powers of two.
+// SizeBuckets is the default count ladder (group-commit size, events per
+// window): 1 to 32768 in powers of two.
 var SizeBuckets = ExpBuckets(1, 2, 16)
 
 // metric kinds inside a family.

@@ -24,8 +24,6 @@ const (
 	PhaseEnqueued
 	// PhaseDequeued: the fair queue released it to a concurrency slot.
 	PhaseDequeued
-	// PhaseBatched: it was coalesced into a small-job batch.
-	PhaseBatched
 	// PhaseMigrated: the rebalancer withdrew it for another shard.
 	PhaseMigrated
 	// PhaseStarted: its kernel began executing on the pool.
@@ -47,7 +45,7 @@ const (
 )
 
 var phaseNames = [NumPhases]string{
-	"admitted", "enqueued", "dequeued", "batched", "migrated",
+	"admitted", "enqueued", "dequeued", "migrated",
 	"started", "first-chunk", "replayed", "completed", "canceled", "failed",
 }
 
@@ -73,7 +71,7 @@ func ParsePhase(s string) (Phase, bool) {
 // nanosecond stamp per phase. Phase marks are atomic stores, so producers
 // on different goroutines (submit path, pool worker, deadline timer,
 // watcher) need no shared lock; identity fields are written once at
-// creation. The Shard/Batch/Migrations fields are atomics because the
+// creation. The Shard/Migrations fields are atomics because the
 // router rewrites them on spill and migration.
 type JobSpan struct {
 	ID     string
@@ -83,7 +81,6 @@ type JobSpan struct {
 	N      int
 
 	shard      atomic.Int64
-	batch      atomic.Int64
 	migrations atomic.Int64
 	ts         [NumPhases]int64 // UnixNano, 0 = phase never reached
 }
@@ -156,21 +153,6 @@ func (s *JobSpan) Shard() int {
 		return -1
 	}
 	return int(s.shard.Load())
-}
-
-// SetBatch records the batch a coalesced job rode in (0 = unbatched).
-func (s *JobSpan) SetBatch(id int64) {
-	if s != nil {
-		s.batch.Store(id)
-	}
-}
-
-// Batch returns the batch id (0 = solo dispatch).
-func (s *JobSpan) Batch() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.batch.Load()
 }
 
 // Migrations returns how many times the job moved between shards.
@@ -270,7 +252,6 @@ type SpanInfo struct {
 	Kernel     string           `json:"kernel"`
 	N          int              `json:"n"`
 	Shard      int              `json:"shard"`
-	Batch      int64            `json:"batch,omitempty"`
 	Migrations int64            `json:"migrations,omitempty"`
 	Phases     map[string]int64 `json:"phases"`
 	// Attribution in seconds: Queue + Exec ~= Total for a run job.
@@ -286,7 +267,7 @@ func (s *JobSpan) Info() SpanInfo {
 	}
 	return SpanInfo{
 		ID: s.ID, Tenant: s.Tenant, Kernel: s.Kernel, N: s.N,
-		Shard: s.Shard(), Batch: s.Batch(), Migrations: s.Migrations(),
+		Shard: s.Shard(), Migrations: s.Migrations(),
 		Phases:       s.Phases(),
 		QueueSeconds: s.QueueSeconds(),
 		ExecSeconds:  s.ExecSeconds(),
@@ -377,7 +358,7 @@ func ChromeTrack(spans []*JobSpan, epochUnixNano int64) trace.ExportTrack {
 			End:   end - epochUnixNano,
 			Args: map[string]any{
 				"id": s.ID, "tenant": s.Tenant, "kernel": s.Kernel,
-				"n": s.N, "shard": info.Shard, "batch": info.Batch,
+				"n": s.N, "shard": info.Shard,
 				"terminal": term.String(), "phases": info.Phases,
 				"queue_seconds": info.QueueSeconds, "exec_seconds": info.ExecSeconds,
 			},

@@ -109,10 +109,9 @@ func TestRetiredJobReleasesBody(t *testing.T) {
 }
 
 // TestCloseDrainsWithoutServiceClockLeak is the regression test for the
-// shutdown leak: under TrackService (MaxConcurrent > 1), draining the
-// queue through Pop inserted every never-run job into the in-service map
-// with no paired Done, and advanced the virtual clock for jobs that never
-// ran. After Close both must be clean.
+// shutdown leak: draining the queue through Pop inserted every never-run
+// job into the in-service map with no paired Done, and advanced the virtual
+// clock for jobs that never ran. After Close both must be clean.
 func TestCloseDrainsWithoutServiceClockLeak(t *testing.T) {
 	s := New(Config{Workers: 4, MaxConcurrent: 2, QueueCap: 32})
 	for i := 0; i < 12; i++ {
@@ -133,6 +132,69 @@ func TestCloseDrainsWithoutServiceClockLeak(t *testing.T) {
 	// only come from billing never-run jobs.
 	if s.q.virtual != virtualBefore {
 		t.Fatalf("virtual clock moved %v -> %v during shutdown drain", virtualBefore, s.q.virtual)
+	}
+}
+
+// TestInServiceBoundedByMaxConcurrent: every dispatched job leaves the
+// fair queue's in-service set when it finishes — completed, canceled while
+// running or expired by its deadline — so after any job finishes the set
+// holds exactly the running jobs, never more than MaxConcurrent, and it is
+// empty after Close.
+func TestInServiceBoundedByMaxConcurrent(t *testing.T) {
+	for _, maxc := range []int{1, 2} {
+		t.Run(fmt.Sprintf("max%d", maxc), func(t *testing.T) {
+			s := New(Config{Workers: 2, MaxConcurrent: maxc, QueueCap: 64})
+			check := func(when string) {
+				t.Helper()
+				s.mu.Lock()
+				n, running := len(s.q.inService), s.running
+				s.mu.Unlock()
+				if n > maxc || n != running {
+					t.Fatalf("%s: inService holds %d entries with %d running, want them equal and <= %d",
+						when, n, running, maxc)
+				}
+			}
+			var jobs []*Job
+			for i := 0; i < 48; i++ {
+				spec := Spec{Kernel: "sort", N: 1 << 14, Tenant: fmt.Sprintf("t%d", i%3)}
+				switch i % 4 {
+				case 1:
+					spec.Kernel = "reduce"
+				case 2:
+					// Expires queued or mid-run, depending on the backlog.
+					spec.N, spec.Deadline = 1<<16, 2*time.Millisecond
+				}
+				j, err := s.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs = append(jobs, j)
+				if i%5 == 3 {
+					// An earlier job: queued, running or already done.
+					if _, err := s.Cancel(jobs[i/2].ID()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, j := range jobs {
+				select {
+				case <-j.Done():
+				case <-time.After(30 * time.Second):
+					t.Fatalf("job %s did not finish", j.ID())
+				}
+				check("after " + j.ID() + " finished")
+			}
+			// Close with jobs running and queued.
+			for i := 0; i < 8; i++ {
+				if _, err := s.Submit(Spec{Kernel: "sort", N: 1 << 16, Tenant: "late"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			if n := len(s.q.inService); n != 0 || s.running != 0 {
+				t.Fatalf("after Close: inService holds %d entries with %d running, want 0 and 0", n, s.running)
+			}
+		})
 	}
 }
 

@@ -25,9 +25,11 @@ func TestFairQueueLongRunNoLaneLeak(t *testing.T) {
 		}
 		// ...that are fully served before the next tenant appears.
 		for q.Len() > 0 {
-			if _, ok := q.Pop(); !ok {
+			it, ok := q.Pop()
+			if !ok {
 				t.Fatal("pop failed with items queued")
 			}
+			q.Done(it.Value)
 		}
 		if q.virtual < lastVirtual {
 			t.Fatalf("gen %d: virtual clock moved backwards %v -> %v", g, lastVirtual, q.virtual)
@@ -55,9 +57,11 @@ func TestFairQueueLongRunClockTracksService(t *testing.T) {
 		if !q.Push(Item{Tenant: "steady", Cost: 1, Value: i}) {
 			t.Fatalf("push %d rejected", i)
 		}
-		if _, ok := q.Pop(); !ok {
+		it, ok := q.Pop()
+		if !ok {
 			t.Fatalf("pop %d failed", i)
 		}
+		q.Done(it.Value)
 	}
 	// Start tags: job i starts at finish of job i-1 = i, so after n jobs
 	// the clock sits at the last start tag, n-1.
@@ -84,7 +88,8 @@ func TestFairQueueLaneStatePreservedAcrossPrune(t *testing.T) {
 		q.Push(Item{Tenant: fmt.Sprintf("churn-%d", g), Cost: 1, Value: g})
 	}
 	for q.Len() > 0 {
-		q.Pop()
+		it, _ := q.Pop()
+		q.Done(it.Value)
 	}
 	if got := q.lanes["heavy"]; got != heavyFinish {
 		t.Fatalf("live lane perturbed by pruning: finish %v, want %v", got, heavyFinish)

@@ -80,11 +80,7 @@ func (s *Server) initObs(cfg Config) {
 	ctr("pstld_jobs_completed_total", "Jobs finished with a result.", func() int64 { return s.completed })
 	ctr("pstld_jobs_canceled_total", "Jobs canceled (client, deadline, shutdown).", func() int64 { return s.canceled })
 	ctr("pstld_jobs_expired_total", "Jobs canceled by their deadline.", func() int64 { return s.expired })
-	ctr("pstld_batches_total", "Batched small-job dispatches.", func() int64 { return s.batches })
-	ctr("pstld_batched_jobs_total", "Jobs carried inside batches.", func() int64 { return s.batchedJobs })
 	ctr("pstld_jobs_withdrawn_total", "Queued jobs withdrawn for migration.", func() int64 { return s.withdrawn })
-	s.batchHist = m.Histogram("pstld_batch_jobs",
-		"Jobs coalesced per batched dispatch.", obs.SizeBuckets, l...)
 }
 
 // ensureTenantObs creates the tenant's windows and metric instruments.

@@ -71,9 +71,12 @@ type queued struct {
 	index  int     // heap position
 }
 
-// FairQueue is a bounded job queue under a FIFO or WFQ discipline. It is
-// not safe for concurrent use — the Server serializes access under its own
-// lock, and the discrete-event experiment drives it single-threaded.
+// FairQueue is a bounded job queue under a FIFO or WFQ discipline. Every
+// Pop must be paired with a Done for the popped value once its service
+// completes: under WFQ the virtual clock cannot pass a job still in
+// service. It is not safe for concurrent use — the Server serializes
+// access under its own lock, and the discrete-event experiment drives it
+// single-threaded.
 type FairQueue struct {
 	disc    Discipline
 	cap     int
@@ -84,19 +87,15 @@ type FairQueue struct {
 	counts  map[string]int // queued items per tenant (quota enforcement)
 	h       queueHeap
 
-	// track enables the multi-slot virtual clock (TrackService). With one
-	// concurrency slot the classic SFQ rule — advance the clock to the
-	// start tag of each popped entry — gives the one-residual fairness
-	// bound: a light tenant waits at most one in-flight heavy job. With D
-	// slots that rule lets the clock race ahead through D consecutive pops
-	// while the earliest-tagged job is still in service, so a tenant
-	// arriving mid-burst gets a start tag up to D-1 service quanta in the
-	// future and its earned lane debt is erased. Tracking keeps the clock
-	// at the MINIMUM start tag among in-service entries (the SFQ(D) rule),
-	// restoring the one-residual bound per slot; Done retires an entry
-	// from the in-service set. Off by default so single-slot behavior is
-	// bit-identical to the validated ext-serve model.
-	track     bool
+	// inService maps each dispatched payload value to its virtual start
+	// tag until Done retires it. The clock follows the MINIMUM start tag
+	// among in-service entries (the SFQ(D) rule): with D slots, advancing
+	// it to each popped entry's start would let it race ahead through D
+	// consecutive pops while the earliest-tagged job is still running, so a
+	// tenant arriving mid-burst would be tagged up to D-1 service quanta in
+	// the future and lose its earned share. With one slot the minimum is
+	// the popped entry's own start tag — the classic SFQ rule, which bounds
+	// a light tenant's wait by one in-flight heavy job.
 	inService map[any]float64 // payload value -> virtual start tag
 }
 
@@ -104,11 +103,12 @@ type FairQueue struct {
 // (capacity <= 0 means unbounded — the Server always passes a bound).
 func NewQueue(d Discipline, capacity int) *FairQueue {
 	return &FairQueue{
-		disc:    d,
-		cap:     capacity,
-		lanes:   make(map[string]float64),
-		weights: make(map[string]float64),
-		counts:  make(map[string]int),
+		disc:      d,
+		cap:       capacity,
+		lanes:     make(map[string]float64),
+		weights:   make(map[string]float64),
+		counts:    make(map[string]int),
+		inService: make(map[any]float64),
 	}
 }
 
@@ -171,9 +171,9 @@ func (q *FairQueue) Push(it Item) bool {
 }
 
 // Pop dequeues the next item under the discipline; ok=false when empty.
-// Under WFQ the virtual clock advances to the popped entry's start tag —
-// or, with service tracking on, to the minimum start tag still in service,
-// which never exceeds the former (the clock stays monotone either way).
+// The caller must call Done with the item's Value when its service
+// completes. Under WFQ the virtual clock advances to the minimum start tag
+// still in service (see the inService field), so it stays monotone.
 func (q *FairQueue) Pop() (Item, bool) {
 	if len(q.h) == 0 {
 		return Item{}, false
@@ -186,34 +186,14 @@ func (q *FairQueue) Pop() (Item, bool) {
 	return e.Item, true
 }
 
-// TrackService switches the WFQ virtual clock to the multi-slot rule (see
-// the FairQueue field docs). The Server enables it when MaxConcurrent > 1;
-// callers that enable it must pair every Pop/TakeMatching dispatch with a
-// Done when the item's service completes.
-func (q *FairQueue) TrackService(on bool) {
-	q.track = on
-	if on && q.inService == nil {
-		q.inService = make(map[any]float64)
-	}
-}
-
-// Done retires a dispatched item's payload value from the in-service set.
-// A no-op when tracking is off or the value is unknown.
+// Done retires a popped item's payload value from the in-service set; it
+// pairs with every Pop. A no-op for an unknown value.
 func (q *FairQueue) Done(v any) {
-	if q.track {
-		delete(q.inService, v)
-	}
+	delete(q.inService, v)
 }
 
 // noteService folds a dispatched entry into the virtual clock.
 func (q *FairQueue) noteService(e *queued) {
-	if !q.track {
-		if e.start > q.virtual {
-			q.virtual = e.start
-		}
-		q.pruneLanes()
-		return
-	}
 	q.inService[e.Value] = e.start
 	min := e.start
 	for _, st := range q.inService {
@@ -268,42 +248,6 @@ func (q *FairQueue) VirtualLag() float64 {
 	return lag
 }
 
-// TakeMatching removes and returns up to max queued items satisfying
-// match, in dequeue order — the batched small-job path uses it to coalesce
-// same-tenant small jobs behind the entry Pop just selected. Each taken
-// item counts as dispatched for the fair-queuing clock, exactly as if
-// popped.
-func (q *FairQueue) TakeMatching(max int, match func(it Item) bool) []Item {
-	if max <= 0 || len(q.h) == 0 {
-		return nil
-	}
-	picked := make([]*queued, 0, max)
-	for _, e := range q.h {
-		if match(e.Item) {
-			picked = append(picked, e)
-		}
-	}
-	sort.Slice(picked, func(i, j int) bool {
-		if picked[i].finish != picked[j].finish {
-			return picked[i].finish < picked[j].finish
-		}
-		return picked[i].seq < picked[j].seq
-	})
-	if len(picked) > max {
-		picked = picked[:max]
-	}
-	out := make([]Item, len(picked))
-	for i, e := range picked {
-		heap.Remove(&q.h, e.index)
-		q.uncount(e.Tenant)
-		out[i] = e.Item
-		if q.disc == WFQ {
-			q.noteService(e)
-		}
-	}
-	return out
-}
-
 // TakeBack removes and returns up to max items from the BACK of the
 // dispatch order — the largest virtual finish times, the jobs least likely
 // to run soon — without touching the virtual clock or the in-service set:
@@ -336,9 +280,8 @@ func (q *FairQueue) TakeBack(max int) []Item {
 // DrainAll empties the queue and returns every item in no particular
 // order, WITHOUT advancing the virtual clock or registering anything in
 // the in-service set — drained items are being discarded (shutdown), not
-// dispatched. Using Pop for this leaks inService entries under
-// TrackService (no paired Done ever comes) and mutates the clock for jobs
-// that never run.
+// dispatched. Using Pop for this leaks inService entries (no paired Done
+// ever comes) and mutates the clock for jobs that never run.
 func (q *FairQueue) DrainAll() []Item {
 	out := make([]Item, len(q.h))
 	for i, e := range q.h {

@@ -54,19 +54,6 @@ type Config struct {
 	// bound QueueCap + MaxConcurrent + RetainDone job records holds.
 	RetainDone int
 
-	// SmallJobMax, when positive, enables the batched small-job fast path:
-	// when the next job to run is small (N <= SmallJobMax), up to
-	// batchMax-1 further queued small jobs from the SAME tenant are
-	// coalesced with it into one pool submission occupying ONE concurrency
-	// slot. Tiny kernels are dominated by per-job admission and dispatch
-	// overhead, not compute (the small-n regime of the paper, where the
-	// GNU runtime goes sequential); batching amortizes that overhead while
-	// each job keeps its own completion, checksum, cancellation token and
-	// deadline. Jobs inside a batch run single-threaded — the batch is the
-	// unit of parallelism. 0 disables batching (the default: single-job
-	// dispatch is the behavior the ext-serve experiment validates).
-	SmallJobMax int
-
 	// Metrics receives the server's Prometheus instruments (queue depth,
 	// running, load, admission counters, per-tenant latency and
 	// windowed-latency histograms — see obs.go); the per-tenant latency
@@ -107,8 +94,6 @@ const (
 	// otherwise quote minutes — and clients that honor the hint would
 	// never come back.
 	retryAfterMax = 30 * time.Second
-	// batchMax caps the jobs coalesced into one batched dispatch.
-	batchMax = 16
 )
 
 // SaturatedError is the admission-control rejection: the queue is at
@@ -238,7 +223,6 @@ type Server struct {
 	ownPool bool
 
 	maxConcurrent int
-	smallJobMax   int
 	retainDone    int
 	quota         int
 
@@ -260,17 +244,14 @@ type Server struct {
 	metrics      *obs.Registry
 	mlabels      []string
 	spans        *obs.SpanLog
-	batchHist    *obs.Histogram
 	sloObjective time.Duration
 	sloTarget    float64
 	winCfg       obs.WindowConfig
 	obsMu        sync.Mutex
 	tenantObsM   map[string]*tenantObs
-	nextBatch    int64
 
-	accepted, rejected, completed, canceled, expired int64
-	batches, batchedJobs, withdrawn                  int64
-	tenants                                          map[string]*tenantCounts
+	accepted, rejected, completed, canceled, expired, withdrawn int64
+	tenants                                                     map[string]*tenantCounts
 	// emaRun tracks service time to derive the Retry-After hint.
 	emaRun float64
 	// emaAdm tracks queue occupancy at admission time — the saturation
@@ -320,14 +301,10 @@ func New(cfg Config) *Server {
 	for t, w := range cfg.Weights {
 		q.SetWeight(t, w)
 	}
-	// Multi-slot servers use the in-service virtual clock so the WFQ
-	// fairness bound holds per slot (see FairQueue.TrackService).
-	q.TrackService(maxc > 1)
 	s := &Server{
 		pool:          pool,
 		ownPool:       own,
 		maxConcurrent: maxc,
-		smallJobMax:   cfg.SmallJobMax,
 		retainDone:    retain,
 		quota:         cfg.TenantQuota,
 		q:             q,
@@ -546,11 +523,7 @@ func (s *Server) tenant(name string) *tenantCounts {
 	return tc
 }
 
-// drainLocked starts queued jobs while concurrency slots are free. With
-// batching enabled and a small job at the head, further small jobs of the
-// same tenant are coalesced into the same slot (see Config.SmallJobMax);
-// the fair queue charges each of them as dispatched, so tenant accounting
-// is unchanged — the batch only amortizes dispatch overhead.
+// drainLocked starts queued jobs while concurrency slots are free.
 func (s *Server) drainLocked() {
 	for !s.closed && s.running < s.maxConcurrent {
 		it, ok := s.q.Pop()
@@ -559,38 +532,12 @@ func (s *Server) drainLocked() {
 		}
 		j := it.Value.(*Job)
 		j.spec.Span.Mark(obs.PhaseDequeued)
-		batch := []*Job{j}
-		if s.smallJobMax > 0 && j.spec.N <= s.smallJobMax {
-			tenant := j.spec.Tenant
-			for _, bi := range s.q.TakeMatching(batchMax-1, func(q Item) bool {
-				return q.Tenant == tenant && q.Value.(*Job).spec.N <= s.smallJobMax
-			}) {
-				batch = append(batch, bi.Value.(*Job))
-			}
-		}
-		now := time.Now()
-		if len(batch) > 1 {
-			s.nextBatch++
-			for _, bj := range batch {
-				bj.spec.Span.Mark(obs.PhaseBatched)
-				bj.spec.Span.SetBatch(s.nextBatch)
-			}
-		}
-		for _, bj := range batch {
-			bj.state = StateRunning
-			bj.started = now
-			bj.spec.Span.MarkAt(obs.PhaseStarted, now.UnixNano())
-		}
+		j.state = StateRunning
+		j.started = time.Now()
+		j.spec.Span.MarkAt(obs.PhaseStarted, j.started.UnixNano())
 		s.running++
 		s.wg.Add(1)
-		if len(batch) == 1 {
-			go s.run(j)
-		} else {
-			s.batches++
-			s.batchedJobs += int64(len(batch))
-			s.batchHist.Observe(float64(len(batch)))
-			go s.runBatch(batch)
-		}
+		go s.run(j)
 	}
 }
 
@@ -661,43 +608,6 @@ func (s *Server) run(j *Job) {
 
 	s.mu.Lock()
 	s.finishJobLocked(j, sum, ok)
-	s.running--
-	s.drainLocked()
-	s.mu.Unlock()
-}
-
-// runBatch executes a coalesced set of same-tenant small jobs as ONE pool
-// submission: each job is one task of a single Do call, so the batch pays
-// one dispatch through the concurrency gate instead of len(jobs). Each
-// task runs its kernel single-threaded (small jobs are overhead-bound, not
-// compute-bound; the batch itself is the unit of parallelism) under the
-// job's own cancellation token, and each job is finalized individually as
-// its task completes — per-job completion, checksum, deadline and
-// cancellation semantics are identical to solo dispatch. A job whose token
-// fired before its task starts is finalized canceled without running.
-func (s *Server) runBatch(jobs []*Job) {
-	defer s.wg.Done()
-	tasks := make([]func(), len(jobs))
-	for i, j := range jobs {
-		j := j
-		tasks[i] = func() {
-			var sum float64
-			ok := false
-			if !j.token.Canceled() {
-				// Batched jobs run sequentially (no chunk dispatch), so the
-				// task's own start stands in for the first chunk.
-				j.spec.Span.MarkOnce(obs.PhaseFirstChunk)
-				p := core.Policy{Cancel: j.token}
-				sum, ok = runJob(p, j.spec)
-			}
-			s.mu.Lock()
-			s.finishJobLocked(j, sum, ok)
-			s.mu.Unlock()
-		}
-	}
-	s.pool.Do(tasks...)
-
-	s.mu.Lock()
 	s.running--
 	s.drainLocked()
 	s.mu.Unlock()
@@ -872,10 +782,6 @@ type Stats struct {
 	Completed  int64  `json:"completed"`
 	Canceled   int64  `json:"canceled"`
 	Expired    int64  `json:"expired"`
-	// Batches counts batched small-job dispatches; BatchedJobs the jobs
-	// they carried (0/0 unless Config.SmallJobMax enables batching).
-	Batches     int64 `json:"batches,omitempty"`
-	BatchedJobs int64 `json:"batched_jobs,omitempty"`
 	// Withdrawn counts queued jobs a shard router migrated away.
 	Withdrawn int64 `json:"withdrawn,omitempty"`
 	// Load is the admission-pressure signal (see Server.Load).
@@ -896,18 +802,16 @@ func (s *Server) Stats() Stats {
 	}
 	sort.Strings(names)
 	st := Stats{
-		Discipline:  s.q.disc.String(),
-		Workers:     s.pool.Workers(),
-		Queued:      s.q.Len(),
-		Running:     s.running,
-		Accepted:    s.accepted,
-		Rejected:    s.rejected,
-		Completed:   s.completed,
-		Canceled:    s.canceled,
-		Expired:     s.expired,
-		Batches:     s.batches,
-		BatchedJobs: s.batchedJobs,
-		Withdrawn:   s.withdrawn,
+		Discipline: s.q.disc.String(),
+		Workers:    s.pool.Workers(),
+		Queued:     s.q.Len(),
+		Running:    s.running,
+		Accepted:   s.accepted,
+		Rejected:   s.rejected,
+		Completed:  s.completed,
+		Canceled:   s.canceled,
+		Expired:    s.expired,
+		Withdrawn:  s.withdrawn,
 	}
 	occ := float64(s.q.Len()) / float64(s.q.cap)
 	st.Load = s.emaAdm
@@ -966,9 +870,8 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	// DrainAll, not a Pop loop: popping bills the WFQ virtual clock for
-	// jobs that will never run and — under TrackService — inserts each into
-	// the in-service set with no Done ever coming, leaking one map entry
-	// per drained job.
+	// jobs that will never run and inserts each into the in-service set
+	// with no Done ever coming, leaking one map entry per drained job.
 	for _, it := range s.q.DrainAll() {
 		s.finishCanceledLocked(it.Value.(*Job), "shutdown")
 	}

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -138,6 +140,63 @@ func TestReplayPreservesSpanPhases(t *testing.T) {
 	}
 	if checked != len(ids) {
 		t.Fatalf("checked %d replayed spans, want %d", checked, len(ids))
+	}
+}
+
+// TestReplayIgnoresRetiredBatchedPhase: a job-log record written by an
+// older binary may carry a "batched" stamp in its phase map, a phase this
+// build no longer has. Replay must still resume the job with its other
+// pre-crash stamps, and the unknown name is dropped from its span.
+func TestReplayIgnoresRetiredBatchedPhase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.jsonl")
+	adm := time.Now().Add(-time.Minute).UnixNano()
+	rec := Record{T: "submit", ID: "job-1", Seq: 1, Kernel: "reduce", N: 1 << 10, Tenant: "a",
+		Phases: map[string]int64{"admitted": adm, "enqueued": adm + 1e3, "dequeued": adm + 2e3, "batched": adm + 3e3}}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Shards:  2,
+		Serve:   serve.Config{Workers: 1, QueueCap: 16, MaxConcurrent: 1},
+		LogPath: path,
+		Spans:   obs.NewSpanLog(16),
+	}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if st := r.Stats(); st.Replayed != 1 {
+		t.Fatalf("replayed %d jobs, want 1", st.Replayed)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		info, ok := r.Get("job-1")
+		if ok && info.State == "done" {
+			if want := serve.ExpectedChecksum("reduce", 1<<10); info.Checksum != want {
+				t.Fatalf("checksum %v, want %v", info.Checksum, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed job never completed (now %+v)", info)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	spans := cfg.Spans.Spans()
+	if len(spans) != 1 || spans[0].ID != "job-1" {
+		t.Fatalf("span log holds %d spans, want job-1 alone", len(spans))
+	}
+	phases := spans[0].Phases()
+	if _, ok := phases["batched"]; ok {
+		t.Errorf("replayed span kept the unknown phase: %v", phases)
+	}
+	if phases["admitted"] != adm || phases["replayed"] == 0 || phases["completed"] == 0 {
+		t.Errorf("replayed span phases %v, want the pre-crash admission, replayed and completed", phases)
 	}
 }
 
