@@ -247,7 +247,7 @@ func BenchmarkAdaptiveGrain(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/adaptive", a.name), func(b *testing.B) {
 			pool := native.New(workers, native.StrategyStealing)
 			defer pool.Close()
-			tuner := tune.New(tune.Options{})
+			tuner := tune.New()
 			p := core.Par(pool).WithGrainSource(tuner.Site(a.name))
 			key := tune.Key{Site: a.name, N: n, Workers: pool.Workers()}
 			data := make([]float64, n)
@@ -273,7 +273,7 @@ func BenchmarkAdaptiveGrain(b *testing.B) {
 	// Decision overhead: one Propose + one Observe against a converged
 	// operating point — the tuner work added to every tuned invocation.
 	b.Run("decision-overhead", func(b *testing.B) {
-		tuner := tune.New(tune.Options{})
+		tuner := tune.New()
 		key := tune.Key{Site: "overhead", N: n, Workers: workers}
 		// Drive to the locked steady state first.
 		for i := 0; i < 16; i++ {

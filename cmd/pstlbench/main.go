@@ -88,7 +88,7 @@ func main() {
 
 	gs := parseGrain(*grainName)
 	if gs.adaptive {
-		gs.tuner = tune.New(tune.Options{})
+		gs.tuner = tune.New()
 		if *tuneCache != "" {
 			if n, err := gs.tuner.LoadFile(*tuneCache); err != nil {
 				fatal("%v", err)

@@ -17,7 +17,10 @@ import (
 	"pstlbench/internal/skeleton"
 )
 
-func gantt(title string, m *machine.Machine, b *backend.Backend, op backend.Op, n int64, threads int) {
+// gantt simulates one invocation and prints its per-core Gantt chart. The
+// title is built from the highest phase index in the trace, so a title that
+// counts phases follows the model.
+func gantt(title func(lastPhase int) string, m *machine.Machine, b *backend.Backend, op backend.Op, n int64, threads int) {
 	r := simexec.Run(simexec.Config{
 		Machine: m, Backend: b,
 		Workload: skeleton.Workload{Op: op, N: n, ElemBytes: 8, Kit: 1, HitFrac: 0.6},
@@ -28,7 +31,9 @@ func gantt(title string, m *machine.Machine, b *backend.Backend, op backend.Op, 
 	for c := range rows {
 		rows[c].Label = fmt.Sprintf("core %2d", c)
 	}
+	last := 0
 	for _, s := range r.Trace {
+		last = max(last, s.Phase)
 		mark := byte('0' + byte(s.Phase)%10)
 		if s.Truncated {
 			mark = 'x'
@@ -37,11 +42,14 @@ func gantt(title string, m *machine.Machine, b *backend.Backend, op backend.Op, 
 	}
 	g := report.Gantt{
 		Title: fmt.Sprintf("%s — %s, %s, n=%d, %d threads (%d task spans, %s total)",
-			title, b.ID, op, n, threads, len(r.Trace), fmtDur(r.Seconds)),
+			title(last), b.ID, op, n, threads, len(r.Trace), fmtDur(r.Seconds)),
 		Rows: rows,
 	}
 	fmt.Println(g.String())
 }
+
+// label is a title that does not depend on the trace.
+func label(s string) func(int) string { return func(int) string { return s } }
 
 func fmtDur(s float64) string {
 	switch {
@@ -58,12 +66,13 @@ func main() {
 	m := machine.MachA()
 	// Digits mark the phase of each span; 'x' marks tasks truncated by
 	// find's cancellation.
-	gantt("parallel sort: leaf phase (0) + merge rounds (1..5)",
-		m, backend.GCCTBB(), backend.OpSort, 1<<24, 8)
-	gantt("two-phase scan: reduce pass (0) + rescan pass (1)",
+	gantt(func(last int) string {
+		return fmt.Sprintf("parallel sort: leaf phase (0) + merge rounds (1..%d)", last)
+	}, m, backend.GCCTBB(), backend.OpSort, 1<<24, 8)
+	gantt(label("two-phase scan: reduce pass (0) + rescan pass (1)"),
 		m, backend.GCCTBB(), backend.OpInclusiveScan, 1<<24, 8)
-	gantt("early-exit find: cancellation truncates the losers",
+	gantt(label("early-exit find: cancellation truncates the losers"),
 		m, backend.GCCTBB(), backend.OpFind, 1<<24, 8)
-	gantt("HPX central queue: serialized task starts",
+	gantt(label("HPX central queue: serialized task starts"),
 		m, backend.GCCHPX(), backend.OpForEach, 1<<20, 8)
 }

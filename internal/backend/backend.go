@@ -74,19 +74,6 @@ func ExtOps() []Op {
 	return []Op{OpTransform, OpCopy, OpCount, OpMinMax}
 }
 
-// AllOps returns every simulated operation.
-func AllOps() []Op { return append(Ops(), ExtOps()...) }
-
-// OpByName returns the operation with the given kernel name.
-func OpByName(name string) (Op, bool) {
-	for _, o := range AllOps() {
-		if o.String() == name {
-			return o, true
-		}
-	}
-	return 0, false
-}
-
 // Strategy is the scheduling strategy class of a backend.
 type Strategy int
 

@@ -110,18 +110,6 @@ func TestICCUnavailableOnMachB(t *testing.T) {
 	}
 }
 
-func TestOpNamesRoundTrip(t *testing.T) {
-	for _, op := range Ops() {
-		got, ok := OpByName(op.String())
-		if !ok || got != op {
-			t.Errorf("OpByName(%q) = %v, %v", op.String(), got, ok)
-		}
-	}
-	if _, ok := OpByName("bogus"); ok {
-		t.Error("bogus op resolved")
-	}
-}
-
 func TestSetTrait(t *testing.T) {
 	b := GCCTBB()
 	orig := b.Traits(OpReduce).AffinityMatch

@@ -160,8 +160,3 @@ func (plainPool) ForChunks(n int, g exec.Grain, body func(worker, lo, hi int)) {
 		body(0, r.Lo, r.Hi)
 	}
 }
-func (plainPool) Do(fns ...func()) {
-	for _, fn := range fns {
-		fn()
-	}
-}

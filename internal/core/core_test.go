@@ -33,11 +33,10 @@ func policyMatrix() []policyCase {
 		{"stealing/auto", poolPolicy(native.StrategyStealing, 4, exec.Auto)},
 		{"centralqueue/fine", poolPolicy(native.StrategyCentralQueue, 4, exec.Fine)},
 		{"stealing/fine3w", poolPolicy(native.StrategyStealing, 3, exec.Fine)},
-		{"forkjoin/threshold", func(t *testing.T) Policy {
-			p := native.New(4, native.StrategyForkJoin)
-			t.Cleanup(p.Close)
-			return Par(p).WithSeqThreshold(64)
-		}},
+		// Below twice its MinChunk the grain yields one chunk, which the
+		// pool runs inline on the caller: the small-input threshold, set
+		// through the grain.
+		{"forkjoin/threshold", poolPolicy(native.StrategyForkJoin, 4, exec.Grain{ChunksPerWorker: 1, MinChunk: 64})},
 	}
 }
 

@@ -4,11 +4,13 @@
 //
 // Every algorithm takes a Policy as its first argument, mirroring the
 // std::execution policy parameter of the C++ parallel STL. The policy
-// bundles the execution pool with the partitioning grain and a sequential
-// fallback threshold — the paper shows that backends differ substantially
-// in all three (e.g. GNU's runtime silently runs sequentially below ~2^10
-// elements, TBB auto-partitions into a few chunks per worker, HPX uses a
-// fine task decomposition).
+// bundles the execution pool with the partitioning grain — the paper shows
+// that backends differ substantially in both (TBB auto-partitions into a
+// few chunks per worker, HPX uses a fine task decomposition). A policy runs
+// every input of at least two elements in parallel when its pool has at
+// least two workers; the size below which a backend's runtime falls back to
+// sequential code (GNU's ~2^10 elements) is modeled by the simulator's
+// backend traits, not by the library.
 //
 // Algorithms with early-exit semantics (Find, AnyOf, Mismatch, ...) use a
 // shared atomic bound so that workers abandon chunks that can no longer
@@ -50,11 +52,6 @@ type Policy struct {
 	// share a consistent chunk set.
 	Grains GrainSource
 
-	// SeqThreshold is the input size below which algorithms fall back to
-	// their sequential implementation, as the GNU and TBB runtimes do.
-	// 0 means "always parallel when a pool is present".
-	SeqThreshold int
-
 	// Cancel, when non-nil, is checked at chunk granularity by every
 	// parallel loop the policy runs: once it fires, remaining chunks are
 	// skipped and the algorithm returns early with an incomplete result.
@@ -95,13 +92,6 @@ func (p Policy) WithGrainSource(src GrainSource) Policy {
 	return p
 }
 
-// WithSeqThreshold returns a copy of the policy using the given sequential
-// fallback threshold.
-func (p Policy) WithSeqThreshold(n int) Policy {
-	p.SeqThreshold = n
-	return p
-}
-
 // WithCancel returns a copy of the policy whose parallel loops check the
 // given cancellation token before every chunk (nil removes the token).
 func (p Policy) WithCancel(c *exec.Cancel) Policy {
@@ -122,15 +112,10 @@ func (p Policy) Canceled() bool { return p.Cancel.Canceled() }
 func (p Policy) ShouldParallelize(n int) bool { return p.parallel(n) }
 
 // parallel reports whether an input of n elements should take the parallel
-// path under this policy.
+// path under this policy: a pool of at least two workers and at least two
+// elements.
 func (p Policy) parallel(n int) bool {
-	if p.Pool == nil || p.Pool.Workers() < 2 {
-		return false
-	}
-	if n < 2 {
-		return false
-	}
-	return n >= p.SeqThreshold
+	return p.Pool != nil && p.Pool.Workers() >= 2 && n >= 2
 }
 
 // pool returns the execution pool, substituting the serial pool when none

@@ -15,8 +15,8 @@ func quickPolicy(t *testing.T) Policy {
 	t.Helper()
 	pool := native.New(4, native.StrategyStealing)
 	t.Cleanup(pool.Close)
-	// No sequential threshold: even tiny generated inputs take the
-	// parallel path so the properties exercise the interesting code.
+	// A fine grain splits even tiny generated inputs into several chunks,
+	// so the properties exercise the interesting code.
 	return Par(pool).WithGrain(exec.Fine)
 }
 

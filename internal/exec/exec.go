@@ -170,13 +170,12 @@ func (g Grain) Partition(n, workers int) []Range {
 	return out
 }
 
-// Pool is an execution substrate for parallel loops and task groups.
+// Pool is an execution substrate for parallel loops.
 //
-// Implementations must support concurrent independent loops and task
-// groups from multiple goroutines, as well as nested parallelism (a loop
-// body or task may itself call ForChunks or Do). Panics raised by loop
-// bodies or tasks are recovered on the worker and re-raised on the calling
-// goroutine once all siblings have finished.
+// Implementations must support concurrent independent loops from multiple
+// goroutines, as well as nested parallelism (a loop body may itself call
+// ForChunks). Panics raised by loop bodies are recovered on the worker and
+// re-raised on the calling goroutine once all sibling chunks have finished.
 type Pool interface {
 	// Workers returns the number of workers the pool schedules onto.
 	// Serial pools return 1.
@@ -189,10 +188,6 @@ type Pool interface {
 	// execute chunks, so per-worker state must be sized Workers()+1.
 	// ForChunks returns after every chunk has completed.
 	ForChunks(n int, g Grain, body func(worker, lo, hi int))
-
-	// Do runs the given thunks, possibly concurrently, and returns after
-	// all of them have completed.
-	Do(fns ...func())
 }
 
 // Serial is the trivial pool: everything runs inline on the calling
@@ -209,11 +204,4 @@ func (Serial) ForChunks(n int, _ Grain, body func(worker, lo, hi int)) {
 		return
 	}
 	body(0, 0, n)
-}
-
-// Do runs the thunks sequentially in order.
-func (Serial) Do(fns ...func()) {
-	for _, fn := range fns {
-		fn()
-	}
 }

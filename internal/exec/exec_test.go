@@ -152,11 +152,6 @@ func TestSerialPool(t *testing.T) {
 	if sum != 99*100/2 {
 		t.Fatalf("sum = %d", sum)
 	}
-	order := []int{}
-	p.Do(func() { order = append(order, 1) }, func() { order = append(order, 2) })
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("Do order = %v", order)
-	}
 	// Zero-length loop must not invoke the body.
 	p.ForChunks(0, Static, func(worker, lo, hi int) { t.Fatal("body called for n=0") })
 }

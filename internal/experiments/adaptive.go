@@ -63,7 +63,7 @@ func ExtensionAdaptive(cfg Config) *Report {
 
 			// Adaptive: repeated invocations of one loop site, observations
 			// fed from the simulator's modeled scheduler counters.
-			tn := tune.New(tune.Options{})
+			tn := tune.New()
 			key := tune.Key{Site: fmt.Sprintf("%s/%s", o.name, m.Name), N: int(n), Workers: threads}
 			var iters, tps []float64
 			converged := 0

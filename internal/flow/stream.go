@@ -227,14 +227,6 @@ func (s *Stream) watermarkLocked() int64 {
 	return s.maxTS - int64(s.cfg.Window.Lateness)
 }
 
-// Watermark returns the stream's current watermark (Unix ns) and whether
-// any event has been observed yet.
-func (s *Stream) Watermark() (int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watermarkLocked(), s.hasEvents
-}
-
 // WatermarkLag returns wall-clock now minus the watermark — how far event
 // time trails real time. Zero before any event.
 func (s *Stream) WatermarkLag() time.Duration {

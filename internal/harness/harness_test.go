@@ -356,7 +356,7 @@ func TestResultTraceSummarizesFinalAttemptOnly(t *testing.T) {
 // duration comes from manual timing and whose scheduler counters merge the
 // RecordCounters delta with the TuneSched snapshot delta.
 func TestTuneAutoWiring(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	sched := counters.Set{}
 	su := &Suite{
 		Tuner:     tn,
@@ -430,7 +430,7 @@ func TestTuneWithoutTunerIsNoop(t *testing.T) {
 // TestTuneObservesWallClockWithoutManualTiming: bodies that never call
 // SetIterationTime still produce observations from wall-clock deltas.
 func TestTuneObservesWallClockWithoutManualTiming(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	su := &Suite{Tuner: tn}
 	key := tune.Key{Site: "wall", N: 1 << 10, Workers: 2}
 	su.Register(Benchmark{

@@ -95,13 +95,6 @@ type GPU struct {
 // NodeBW returns the DRAM bandwidth of one NUMA node (GB/s).
 func (m *Machine) NodeBW() float64 { return m.BWAllCores / float64(m.NUMANodes) }
 
-// CoresPerNode returns the number of cores in the largest NUMA node. When
-// Cores is not divisible by NUMANodes the leading nodes hold one extra core
-// (see blockAssign), so this is the ceiling of the average.
-func (m *Machine) CoresPerNode() int {
-	return (m.Cores + m.NUMANodes - 1) / m.NUMANodes
-}
-
 // blockAssign places item into one of groups consecutive blocks covering
 // [0, items): the first items%groups blocks get one extra element, so every
 // item maps to a valid group even when items is not divisible by groups.

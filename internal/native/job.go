@@ -10,10 +10,10 @@ import (
 
 // A task word is the unit queued on the deques: the high half names a job
 // slot in the pool's job table (+1, so the zero word is never a valid task),
-// the low half is a small argument interpreted by the job kind (part index,
-// chunk index, or thunk index). Keeping tasks single words is what lets the
-// deques hold them atomically, and replacing the seed's one-closure-per-chunk
-// scheme with (job, index) pairs is what removes the per-chunk allocations.
+// the low half is a small argument interpreted by the job kind (part index
+// or chunk index). Keeping tasks single words is what lets the deques hold
+// them atomically, and replacing the seed's one-closure-per-chunk scheme
+// with (job, index) pairs is what removes the per-chunk allocations.
 func encodeTask(slot int32, arg int32) uint64 {
 	return uint64(slot+1)<<32 | uint64(uint32(arg))
 }
@@ -34,15 +34,13 @@ const (
 	kindBand
 	// kindChunk: arg is a single chunk index (HPX-style per-chunk task).
 	kindChunk
-	// kindThunk: arg indexes into fns (Do task groups).
-	kindThunk
 )
 
-// job is a schedulable operation: one ForChunks loop or one Do group. Jobs
-// live permanently in their pool's job table and are recycled through a
-// slot freelist, so steady-state dispatch does not allocate: the band array
-// and thunk slice reuse their backing storage, and completion is signalled
-// through a reusable condition variable rather than a fresh channel.
+// job is a schedulable operation: one ForChunks loop. Jobs live permanently
+// in their pool's job table and are recycled through a slot freelist, so
+// steady-state dispatch does not allocate: the band array reuses its
+// backing storage, and completion is signalled through a reusable condition
+// variable rather than a fresh channel.
 type job struct {
 	pool *Pool
 	slot int32
@@ -62,9 +60,6 @@ type job struct {
 	chunks exec.Chunks  // the loop's decomposition, read in place through j
 	parts  int          // scheduled parts (kindStatic / kindBand)
 	bands  []chunkBand
-
-	// Thunk groups.
-	fns []func()
 }
 
 // chunkBand is a [lo, hi) window of chunk indices packed into one CAS-able
@@ -147,13 +142,6 @@ func (j *job) sleep() {
 	j.wmu.Unlock()
 }
 
-// rethrow re-raises the first captured panic. Only valid after isDone.
-func (j *job) rethrow() {
-	if j.panicked.Load() {
-		panic(j.panicVal)
-	}
-}
-
 // runChunk executes one [lo, hi) chunk of the job's body, wrapping it in a
 // KindChunk span when the pool is traced.
 func (j *job) runChunk(worker, lo, hi int) {
@@ -188,15 +176,6 @@ func (j *job) runTask(arg int32, worker int) {
 		}
 		r := j.chunks.At(int(arg))
 		j.runChunk(worker, r.Lo, r.Hi)
-	case kindThunk:
-		p := j.pool
-		if tb := p.tbuf(worker); tb != nil {
-			start := p.tr.Now()
-			j.fns[arg]()
-			tb.Span(trace.KindChunk, start, p.tr.Now(), -1, int64(arg))
-			return
-		}
-		j.fns[arg]()
 	}
 }
 

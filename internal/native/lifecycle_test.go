@@ -28,24 +28,29 @@ func TestCloseIdempotent(t *testing.T) {
 	p.Close() // and once more after everyone is done
 }
 
-// TestDoReleasesThunks pins that a finished Do leaves none of its thunks,
-// nor what they capture, reachable through the pool's recycled job.
-func TestDoReleasesThunks(t *testing.T) {
-	p := New(2, StrategyStealing)
-	defer p.Close()
-	var freed atomic.Bool
-	func() {
-		v := new([2]int)
-		runtime.SetFinalizer(v, func(*[2]int) { freed.Store(true) })
-		p.Do(func() { v[0]++ }, func() { v[1]++ })
-	}()
-	runtime.GC()
-	for deadline := time.Now().Add(time.Second); !freed.Load() && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !freed.Load() {
-		t.Fatal("data captured by Do's thunks is still reachable after Do returned")
-	}
+// TestForChunksReleasesBody pins that a finished ForChunks leaves neither
+// its body nor what the body captures reachable through the pool's recycled
+// job.
+func TestForChunksReleasesBody(t *testing.T) {
+	withPools(t, 2, func(t *testing.T, p *Pool) {
+		var freed atomic.Bool
+		func() {
+			v := new([64]int) // not a tiny allocation, so its finalizer runs alone
+			runtime.SetFinalizer(v, func(*[64]int) { freed.Store(true) })
+			p.ForChunks(len(v), exec.Static, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					v[i]++
+				}
+			})
+		}()
+		runtime.GC()
+		for deadline := time.Now().Add(time.Second); !freed.Load() && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if !freed.Load() {
+			t.Fatal("data captured by the loop body is still reachable after ForChunks returned")
+		}
+	})
 }
 
 func mustPanicWith(t *testing.T, substr string, fn func()) {
@@ -72,10 +77,7 @@ func TestUseAfterClosePanics(t *testing.T) {
 		p.ForChunks(1024, exec.Auto, func(_, _, _ int) {})
 	})
 	mustPanicWith(t, "closed Pool", func() {
-		p.Do(func() {}, func() {})
-	})
-	mustPanicWith(t, "closed Pool", func() {
-		p.Do(func() {}) // even the inline single-thunk path
+		p.ForChunks(1, exec.Auto, func(_, _, _ int) {}) // even the inline one-chunk path
 	})
 }
 

@@ -27,9 +27,9 @@
 // locality-ordered stealing that keeps first-touched data from being
 // dragged across the fabric.
 //
-// Callers of ForChunks and Do help execute pending tasks while they wait,
-// which makes nested parallelism (sort's merge recursion, scan's pass
-// structure) deadlock-free on a fixed-size pool.
+// Callers of ForChunks help execute pending tasks while they wait, which
+// makes nested parallelism (a loop body that runs its own loop) deadlock-free
+// on a fixed-size pool.
 package native
 
 import (
@@ -73,9 +73,9 @@ type Pool struct {
 	strategy Strategy
 	ws       []*worker
 
-	// injector is the shared submission deque: Do thunks, central-queue
-	// chunk tasks. Pushes are serialized by injMu (submission path only);
-	// consumption is the lock-free steal path.
+	// injector is the shared submission deque of the central-queue
+	// strategy's chunk tasks. Pushes are serialized by injMu (submission
+	// path only); consumption is the lock-free steal path.
 	injector wsDeque
 	injMu    sync.Mutex
 
@@ -218,7 +218,7 @@ func (p *Pool) Stats() SchedStats {
 // Close shuts down the worker goroutines. Pending tasks are drained before
 // the workers exit. Close is idempotent: a long-running owner (the serving
 // layer) may close on several shutdown paths without coordinating. The pool
-// must not be used after Close; Do and ForChunks on a closed pool panic.
+// must not be used after Close; ForChunks on a closed pool panics.
 func (p *Pool) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		return // already closed (or closing on another goroutine)
@@ -265,49 +265,9 @@ func (p *Pool) acquireJob() *job {
 func (p *Pool) releaseJob(j *job) {
 	j.body = nil
 	j.cancel = nil
-	clear(j.fns)
-	j.fns = j.fns[:0]
 	p.jobMu.Lock()
 	p.free = append(p.free, j.slot)
 	p.jobMu.Unlock()
-}
-
-// Do runs the thunks, possibly concurrently, and returns after all have
-// completed. The calling goroutine executes at least one thunk itself and
-// helps drain the pool while waiting, so nested Do calls cannot deadlock.
-func (p *Pool) Do(fns ...func()) {
-	p.checkOpen("Do")
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		fns[0]()
-		return
-	}
-	j := p.acquireJob()
-	defer p.releaseJob(j)
-	j.fns = append(j.fns[:0], fns...)
-	j.reset(kindThunk, len(fns)-1)
-	p.injMu.Lock()
-	for i := 1; i < len(fns); i++ {
-		p.injector.push(encodeTask(j.slot, int32(i)))
-	}
-	p.injMu.Unlock()
-	p.wake(len(fns) - 1)
-	// Work-first: run the first thunk inline, then help with the rest.
-	// A panic from the inline thunk is held until the siblings finish, so
-	// no sibling is left running against unwound caller state; the inline
-	// panic takes precedence over sibling panics.
-	var inlinePanic any
-	func() {
-		defer func() { inlinePanic = recover() }()
-		fns[0]()
-	}()
-	p.wait(j)
-	if inlinePanic != nil {
-		panic(inlinePanic)
-	}
-	j.rethrow()
 }
 
 // ForChunks partitions [0, n) according to g and schedules the chunks per
@@ -352,7 +312,6 @@ func (p *Pool) ForChunksCancel(n int, g exec.Grain, c *exec.Cancel, body func(wo
 		p.submitStatic(j, cs.Len())
 	}
 	p.wait(j)
-	j.rethrow()
 }
 
 // submitStatic schedules min(P, chunks) parts, part i executing chunks

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pstlbench/internal/exec"
 )
@@ -97,33 +98,20 @@ func TestForChunksParallelSum(t *testing.T) {
 	})
 }
 
-func TestDoRunsAllThunks(t *testing.T) {
-	withPools(t, 4, func(t *testing.T, p *Pool) {
-		var ran [10]atomic.Int32
-		fns := make([]func(), len(ran))
-		for i := range fns {
-			i := i
-			fns[i] = func() { ran[i].Add(1) }
-		}
-		p.Do(fns...)
-		for i := range ran {
-			if ran[i].Load() != 1 {
-				t.Fatalf("thunk %d ran %d times", i, ran[i].Load())
-			}
-		}
-		// Degenerate arities.
-		p.Do()
-		called := false
-		p.Do(func() { called = true })
-		if !called {
-			t.Fatal("single-thunk Do did not run")
+// fork runs the tasks as one loop with a chunk per task, so every task is
+// its own schedulable unit: the fork-join task group expressed as a
+// ForChunks call.
+func fork(p *Pool, tasks ...func()) {
+	p.ForChunks(len(tasks), exec.Grain{MaxChunk: 1}, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			tasks[i]()
 		}
 	})
 }
 
 func TestNestedParallelismNoDeadlock(t *testing.T) {
-	// Recursive divide-and-conquer through Do on a pool smaller than the
-	// task tree must not deadlock (callers help while waiting).
+	// Recursive divide-and-conquer through nested loops on a pool smaller
+	// than the task tree must not deadlock (callers help while waiting).
 	withPools(t, 2, func(t *testing.T, p *Pool) {
 		var count atomic.Int64
 		var rec func(depth int)
@@ -132,7 +120,7 @@ func TestNestedParallelismNoDeadlock(t *testing.T) {
 				count.Add(1)
 				return
 			}
-			p.Do(func() { rec(depth - 1) }, func() { rec(depth - 1) })
+			fork(p, func() { rec(depth - 1) }, func() { rec(depth - 1) })
 		}
 		rec(8)
 		if got := count.Load(); got != 256 {
@@ -183,8 +171,8 @@ func TestPanicPropagation(t *testing.T) {
 				}
 			})
 		})
-		mustPanic("Do", func() {
-			p.Do(func() {}, func() { panic("boom") }, func() {})
+		mustPanic("nested ForChunks", func() {
+			fork(p, func() {}, func() { fork(p, func() {}, func() { panic("boom") }) }, func() {})
 		})
 		// The pool must remain usable after a panic.
 		var n atomic.Int32
@@ -195,18 +183,28 @@ func TestPanicPropagation(t *testing.T) {
 	})
 }
 
-func TestPanicInFirstInlineThunk(t *testing.T) {
+// TestPanicWaitsForSiblingChunks: a chunk's panic reaches the caller only
+// after every sibling chunk has returned, so no chunk keeps running against
+// the caller's unwound state.
+func TestPanicWaitsForSiblingChunks(t *testing.T) {
 	withPools(t, 2, func(t *testing.T, p *Pool) {
-		var other atomic.Bool
+		var running atomic.Int32
 		defer func() {
 			if recover() == nil {
-				t.Fatal("panic in inline thunk did not propagate")
+				t.Fatal("panic did not propagate")
 			}
-			if !other.Load() {
-				t.Error("sibling thunk did not complete before rethrow")
+			if n := running.Load(); n != 0 {
+				t.Fatalf("%d sibling chunks still running when the panic reached the caller", n)
 			}
 		}()
-		p.Do(func() { panic("boom") }, func() { other.Store(true) })
+		p.ForChunks(8, exec.Grain{MaxChunk: 1}, func(_, lo, hi int) {
+			running.Add(1)
+			defer running.Add(-1)
+			if lo == 0 {
+				panic("boom")
+			}
+			time.Sleep(time.Millisecond)
+		})
 	})
 }
 
@@ -330,19 +328,22 @@ func TestConcurrentIndependentLoops(t *testing.T) {
 	})
 }
 
+// TestConcurrentDoGroups runs task groups from 16 goroutines at once on a
+// smaller pool; each task of a group runs a nested loop of its own.
 func TestConcurrentDoGroups(t *testing.T) {
 	withPools(t, 3, func(t *testing.T, p *Pool) {
 		var total atomic.Int64
+		add := func(n int) func() {
+			return func() {
+				p.ForChunks(n, exec.Fine, func(_, lo, hi int) { total.Add(int64(hi - lo)) })
+			}
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < 16; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				p.Do(
-					func() { total.Add(1) },
-					func() { total.Add(10) },
-					func() { total.Add(100) },
-				)
+				fork(p, add(1), add(10), add(100))
 			}()
 		}
 		wg.Wait()

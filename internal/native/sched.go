@@ -410,12 +410,11 @@ func (p *Pool) wake(n int) {
 
 // wait blocks until the job completes, scavenging queued tasks from the
 // whole pool in the meantime (the caller participates with pseudo-worker id
-// len(ws)). It does not rethrow captured panics; callers do, so Do can give
-// its inline thunk's panic precedence. After a bounded number of empty
-// sweeps the caller parks on the job's completion signal instead of
-// busy-spinning: every still-pending task is then either queued (some
-// unparked worker saw it or a token is in flight) or already running, so
-// progress does not depend on this goroutine.
+// len(ws)), then re-raises the first panic a task captured. After a bounded
+// number of empty sweeps the caller parks on the job's completion signal
+// instead of busy-spinning: every still-pending task is then either queued
+// (some unparked worker saw it or a token is in flight) or already running,
+// so progress does not depend on this goroutine.
 func (p *Pool) wait(j *job) {
 	callerID := len(p.ws)
 	c := &p.stats[callerID]
@@ -441,6 +440,9 @@ func (p *Pool) wait(j *job) {
 		}
 		j.sleep()
 		break
+	}
+	if j.panicked.Load() {
+		panic(j.panicVal)
 	}
 }
 

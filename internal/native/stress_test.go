@@ -1,14 +1,15 @@
 package native
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pstlbench/internal/exec"
 )
 
-// TestNestedDoInsideForChunksStress drives recursive Do task groups from
-// inside ForChunks bodies on every strategy: the deque scheduler must keep
+// TestNestedDoInsideForChunksStress drives recursive two-task groups (fork)
+// from inside ForChunks bodies on every strategy: the deque scheduler must keep
 // nested parallelism deadlock-free (callers scavenge while waiting) and
 // cover the iteration space exactly once. Run with -race this doubles as
 // the data-race stress for the deques, inboxes and band CASes.
@@ -23,7 +24,7 @@ func TestNestedDoInsideForChunksStress(t *testing.T) {
 				leaves.Add(1)
 				return
 			}
-			p.Do(func() { rec(d - 1) }, func() { rec(d - 1) })
+			fork(p, func() { rec(d - 1) }, func() { rec(d - 1) })
 		}
 		hits := make([]int32, n)
 		p.ForChunks(n, exec.Fine, func(_, lo, hi int) {
@@ -61,10 +62,7 @@ func TestNestedForChunksPanicFirstWins(t *testing.T) {
 					}
 				}()
 				p.ForChunks(64, exec.Auto, func(_, lo, hi int) {
-					p.Do(
-						func() {},
-						func() { panic("inner") },
-					)
+					fork(p, func() {}, func() { panic("inner") })
 				})
 			}()
 			// The pool must remain fully usable after unwinding.
@@ -116,6 +114,38 @@ func TestConcurrentNestedLoopsStress(t *testing.T) {
 		close(errs)
 		for e := range errs {
 			t.Fatal(e)
+		}
+	})
+}
+
+// TestTwoCallersNestedLoopsNoLivelock is the shape that livelocks a waiter
+// which hands tasks of other jobs back to the pool instead of running them:
+// two goroutines each run a loop on a 2-worker pool, and every chunk body
+// runs a nested loop, so both workers and both callers end up waiting in
+// nested calls while the other side's tasks are queued. It must finish.
+func TestTwoCallersNestedLoopsNoLivelock(t *testing.T) {
+	withPools(t, 2, func(t *testing.T, p *Pool) {
+		const outer, inner = 8, 64
+		var wg sync.WaitGroup
+		var total atomic.Int64
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for round := 0; round < 10; round++ {
+					p.ForChunks(outer, exec.Grain{MaxChunk: 1}, func(_, lo, hi int) {
+						for i := lo; i < hi; i++ {
+							p.ForChunks(inner, exec.Fine, func(_, lo, hi int) {
+								total.Add(int64(hi - lo))
+							})
+						}
+					})
+				}
+			}()
+		}
+		wg.Wait()
+		if want := int64(2 * 10 * outer * inner); total.Load() != want {
+			t.Fatalf("ran %d iterations, want %d", total.Load(), want)
 		}
 	})
 }

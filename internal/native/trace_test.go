@@ -96,31 +96,6 @@ func TestTracedStealEventsMatchStats(t *testing.T) {
 	}
 }
 
-func TestTracedDoRecordsThunkSpans(t *testing.T) {
-	const workers = 2
-	tr := trace.New(workers+1, trace.DefaultCapacity)
-	p := NewTraced(workers, StrategyStealing, Topology{}, tr)
-	defer p.Close()
-	var a, b, c bool
-	p.Do(func() { a = true }, func() { b = true }, func() { c = true })
-	if !a || !b || !c {
-		t.Fatal("Do did not run every thunk")
-	}
-	// Do runs fns[0] inline (untraced) and schedules the rest as thunk
-	// tasks, which appear as KindChunk spans with A0 == -1.
-	thunks := 0
-	for ti := 0; ti < tr.Tracks(); ti++ {
-		for _, e := range tr.Events(ti) {
-			if e.Kind == trace.KindChunk && e.A0 == -1 {
-				thunks++
-			}
-		}
-	}
-	if thunks != 2 {
-		t.Fatalf("recorded %d thunk spans, want 2", thunks)
-	}
-}
-
 func TestNewTracedRejectsShortTracer(t *testing.T) {
 	defer func() {
 		if recover() == nil {

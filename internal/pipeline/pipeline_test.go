@@ -16,8 +16,8 @@ func testPolicy(t *testing.T) core.Policy {
 	t.Helper()
 	pool := native.New(4, native.StrategyStealing)
 	t.Cleanup(pool.Close)
-	// Fine grain, no sequential threshold: even tiny inputs take the
-	// parallel path so the fusion properties exercise chunked dispatch.
+	// A fine grain splits even tiny inputs into several chunks, so the
+	// fusion properties exercise chunked dispatch.
 	return core.Par(pool).WithGrain(exec.Fine)
 }
 

@@ -3,9 +3,11 @@ package serve
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pstlbench/internal/exec"
 	"pstlbench/internal/native"
 )
 
@@ -231,9 +233,9 @@ func TestSharedPoolNotClosed(t *testing.T) {
 	waitJob(t, j)
 	s.Close()
 	// The pool still works.
-	var sum int
-	pool.Do(func() { sum++ })
-	if sum != 1 {
+	var sum atomic.Int64
+	pool.ForChunks(1000, exec.Fine, func(_, lo, hi int) { sum.Add(int64(hi - lo)) })
+	if sum.Load() != 1000 {
 		t.Fatal("shared pool unusable after server Close")
 	}
 	if _, err := s.Submit(Spec{Kernel: "reduce", N: 1}); !errors.Is(err, ErrClosed) {

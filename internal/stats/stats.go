@@ -20,20 +20,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Median returns the median of xs (0 for an empty slice).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	if len(xs) < 2 {
@@ -80,30 +66,6 @@ func PercentileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(i)
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
-// CV returns the coefficient of variation (stddev/mean).
-func CV(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
-}
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Speedup returns baseline/parallel, the paper's speedup definition

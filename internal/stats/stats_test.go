@@ -8,46 +8,22 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestMeanMedianStdDev(t *testing.T) {
+func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if !approx(Mean(xs), 5) {
 		t.Fatalf("Mean = %v", Mean(xs))
 	}
-	if !approx(Median(xs), 4.5) {
-		t.Fatalf("Median = %v", Median(xs))
-	}
 	if got := StdDev(xs); math.Abs(got-2.138089935) > 1e-6 {
 		t.Fatalf("StdDev = %v", got)
-	}
-	if !approx(Median([]float64{3, 1, 2}), 2) {
-		t.Fatal("odd median")
 	}
 }
 
 func TestEmptyAndDegenerate(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 || StdDev(nil) != 0 || CV(nil) != 0 || GeoMean(nil) != 0 {
+	if Mean(nil) != 0 || StdDev(nil) != 0 || Percentile(nil, 0.5) != 0 {
 		t.Fatal("empty-slice statistics should be 0")
 	}
 	if StdDev([]float64{5}) != 0 {
 		t.Fatal("single-value stddev")
-	}
-	if GeoMean([]float64{2, -1}) != 0 {
-		t.Fatal("geomean with nonpositive value")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("GeoMean = %v", got)
-	}
-}
-
-func TestCV(t *testing.T) {
-	if got := CV([]float64{10, 10, 10}); got != 0 {
-		t.Fatalf("constant CV = %v", got)
-	}
-	if CV([]float64{0, 0}) != 0 {
-		t.Fatal("zero-mean CV")
 	}
 }
 

@@ -34,10 +34,9 @@ import (
 type Kind uint8
 
 const (
-	// KindChunk is a span: one loop chunk (or Do thunk) executed by a
-	// worker. A0/A1 are the chunk's [lo, hi) element range natively, or
-	// the simulator's task element range; Do thunks use A0 = -1 and
-	// A1 = thunk index.
+	// KindChunk is a span: one loop chunk executed by a worker. A0/A1 are
+	// the chunk's [lo, hi) element range natively, or the simulator's task
+	// element range.
 	KindChunk Kind = iota
 	// KindSteal is an instant: the track's worker acquired work away from
 	// its home queue. A0 is the victim worker (or -1 for the shared

@@ -218,9 +218,10 @@ func TestSummarizeWindowFilters(t *testing.T) {
 func TestBusyUnionMergesNestedSpans(t *testing.T) {
 	tr := New(1, 16)
 	b := tr.Buf(0)
-	// A thunk span [0, 10ms] wrapping two inner chunk spans (helping).
+	// An outer loop chunk [0, 10ms] wrapping two chunks of a nested loop
+	// that the worker ran while waiting for it.
 	ms := int64(1e6)
-	b.Span(KindChunk, 0, 10*ms, -1, 0)
+	b.Span(KindChunk, 0, 10*ms, 0, 4)
 	b.Span(KindChunk, 1*ms, 3*ms, 0, 50)
 	b.Span(KindChunk, 4*ms, 6*ms, 50, 100)
 	s := Summarize(tr)

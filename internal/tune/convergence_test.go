@@ -74,7 +74,7 @@ func TestConvergesWithinTenPercentOfSweep(t *testing.T) {
 					}
 
 					// Adaptive: repeated invocations of the same loop site.
-					tn := tune.New(tune.Options{})
+					tn := tune.New()
 					k := tune.Key{Site: name, N: int(n), Workers: threads}
 					for i := 0; i < maxInvocations; i++ {
 						g := tn.Propose(k)

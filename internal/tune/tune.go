@@ -11,13 +11,13 @@
 //
 //   - remote-steal-dominated loops coarsen: every remote steal drags
 //     first-touched data across the NUMA fabric, so remote steals are
-//     weighted RemoteWeight× heavier than local ones, and when they
+//     weighted remoteWeight× heavier than local ones, and when they
 //     dominate the steal mix the tuner grows the chunk size;
 //   - purely-local stealing is tolerated: local deque steals are the
 //     mechanism of load balance, not a pathology, so they never force a
 //     direction on their own;
 //   - idle-gap mass above threshold refines: when a trace window shows
-//     workers idle for more than IdleFracRefine of the measured span, the
+//     workers idle for more than idleFracRefine of the measured span, the
 //     chunks are too coarse to balance and the tuner shrinks them.
 //
 // Absent a forcing signal the climb is throughput-driven: keep moving
@@ -55,62 +55,38 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/n=%d/w=%d", k.Site, k.N, k.Workers)
 }
 
-// Options configures a Tuner. The zero value selects the defaults below.
-type Options struct {
-	// RemoteWeight is the weight of a remote (cross-NUMA) steal relative
-	// to a local one in the steal-pressure signal. Default 4: the Table 6
-	// knee shows remote steals cost a small multiple of local ones.
-	RemoteWeight float64
-	// CoarsenStealsPerChunk is the weighted-steal-per-chunk pressure above
-	// which a remote-dominated steal mix forces coarsening. Default 0.25.
-	CoarsenStealsPerChunk float64
-	// IdleFracRefine is the idle-gap mass (fraction of the trace window the
-	// workers spent idle) above which the tuner refines. Default 0.25.
-	IdleFracRefine float64
-	// MinGain is the minimum relative throughput improvement that counts
-	// as progress; below it the climb is on a plateau and locks. The
-	// effective threshold is max(MinGain, relative stddev of the current
-	// operating point's per-invocation seconds). Default 0.02.
-	MinGain float64
-	// DriftTolerance is the relative throughput loss after lock that, seen
+// The controller's constants.
+const (
+	// remoteWeight is the weight of a remote (cross-NUMA) steal relative to
+	// a local one in the steal-pressure signal: the Table 6 knee shows
+	// remote steals cost a small multiple of local ones.
+	remoteWeight = 4
+	// coarsenStealsPerChunk is the weighted-steal-per-chunk pressure above
+	// which a remote-dominated steal mix forces coarsening.
+	coarsenStealsPerChunk = 0.25
+	// idleFracRefine is the idle-gap mass (fraction of the trace window the
+	// workers spent idle) above which the tuner refines.
+	idleFracRefine = 0.25
+	// minGain is the minimum relative throughput improvement that counts as
+	// progress; below it the climb is on a plateau and locks. The effective
+	// threshold is max(minGain, relative stddev of the current operating
+	// point's per-invocation seconds).
+	minGain = 0.02
+	// driftTolerance is the relative throughput loss after lock that, seen
 	// twice in a row, reopens the climb (the workload or machine state
-	// drifted). Default 0.3.
-	DriftTolerance float64
-	// MinChunk is the smallest chunk size the tuner proposes. Default 1.
-	MinChunk int
-	// Registry receives one Seconds sample per observation under a
-	// "tune:<key>/c=<chunk>" region; its per-region stddev is the noise
-	// floor of the stop condition. A private registry is created when nil.
-	Registry *counters.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.RemoteWeight <= 0 {
-		o.RemoteWeight = 4
-	}
-	if o.CoarsenStealsPerChunk <= 0 {
-		o.CoarsenStealsPerChunk = 0.25
-	}
-	if o.IdleFracRefine <= 0 {
-		o.IdleFracRefine = 0.25
-	}
-	if o.MinGain <= 0 {
-		o.MinGain = 0.02
-	}
-	if o.DriftTolerance <= 0 {
-		o.DriftTolerance = 0.3
-	}
-	if o.MinChunk <= 0 {
-		o.MinChunk = 1
-	}
-	return o
-}
+	// drifted).
+	driftTolerance = 0.3
+	// minChunk is the smallest chunk size the tuner proposes.
+	minChunk = 1
+)
 
 // Tuner is the adaptive grain controller. It is safe for concurrent use;
 // all methods take an internal lock.
 type Tuner struct {
-	mu  sync.Mutex
-	opt Options
+	mu sync.Mutex
+	// reg receives one Seconds sample per observation under a
+	// "tune:<key>/c=<chunk>" region; its per-region stddev is the noise
+	// floor of the stop condition.
 	reg *counters.Registry
 	st  map[Key]*state
 }
@@ -140,14 +116,9 @@ type state struct {
 	hasPending      bool
 }
 
-// New returns a Tuner with the given options (zero value for defaults).
-func New(opt Options) *Tuner {
-	opt = opt.withDefaults()
-	reg := opt.Registry
-	if reg == nil {
-		reg = counters.NewRegistry()
-	}
-	return &Tuner{opt: opt, reg: reg, st: make(map[Key]*state)}
+// New returns a Tuner with no tuned state.
+func New() *Tuner {
+	return &Tuner{reg: counters.NewRegistry(), st: make(map[Key]*state)}
 }
 
 // Registry returns the registry holding the tuner's per-operating-point
@@ -272,8 +243,8 @@ func extrapolate(a, b struct{ ln, lc float64 }, x float64) float64 {
 }
 
 func (t *Tuner) clamp(k Key, c int) int {
-	if c < t.opt.MinChunk {
-		c = t.opt.MinChunk
+	if c < minChunk {
+		c = minChunk
 	}
 	if max := maxChunkFor(k); c > max {
 		c = max
@@ -349,7 +320,7 @@ func (t *Tuner) Observe(k Key, o Observation) {
 		// Drift watch: two consecutive invocations well below the locked
 		// throughput mean the landscape moved — restart the climb from
 		// the current point.
-		if tp < s.bestTp*(1-t.opt.DriftTolerance) {
+		if tp < s.bestTp*(1-driftTolerance) {
 			s.driftBad++
 		} else {
 			s.driftBad = 0
@@ -381,8 +352,8 @@ func (t *Tuner) Observe(k Key, o Observation) {
 	}
 
 	// Noise floor: the relative stddev of this operating point's timing
-	// region, but never below MinGain.
-	noise := t.opt.MinGain
+	// region, but never below minGain.
+	noise := minGain
 	if rs := t.reg.Stats(region); rs.Calls >= 2 && rs.Mean > 0 {
 		if rel := rs.StdDev / rs.Mean; rel > noise {
 			noise = rel
@@ -420,18 +391,18 @@ func (t *Tuner) direction(k Key, s *state, o Observation) int {
 	if chunks < 1 {
 		chunks = 1
 	}
-	weighted := (o.LocalSteals + t.opt.RemoteWeight*o.RemoteSteals) / chunks
-	if o.RemoteSteals > o.LocalSteals && weighted > t.opt.CoarsenStealsPerChunk {
+	weighted := (o.LocalSteals + remoteWeight*o.RemoteSteals) / chunks
+	if o.RemoteSteals > o.LocalSteals && weighted > coarsenStealsPerChunk {
 		return +1
 	}
-	if s.hasPending && s.pendingIdleFrac > t.opt.IdleFracRefine {
+	if s.hasPending && s.pendingIdleFrac > idleFracRefine {
 		return -1
 	}
 	return 0
 }
 
 // advance moves the operating point one ladder step in s.dir, bouncing off
-// the [MinChunk, ceil(n/workers)] bounds and locking when the next step
+// the [minChunk, ceil(n/workers)] bounds and locking when the next step
 // would only re-visit explored, not-better ground.
 func (s *state) advance(t *Tuner, k Key) {
 	for bounce := 0; bounce < 2; bounce++ {

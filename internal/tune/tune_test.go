@@ -25,7 +25,7 @@ func chunkOf(t *testing.T, g exec.Grain) int {
 }
 
 func TestProposeStartsAtAuto(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	k := tune.Key{Site: "for_each", N: 1 << 16, Workers: 8}
 	g := tn.Propose(k)
 	want := exec.Auto.Chunks(k.N, k.Workers).Len()
@@ -38,7 +38,7 @@ func TestProposeStartsAtAuto(t *testing.T) {
 }
 
 func TestProposeDegenerateKeys(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	if g := tn.Propose(tune.Key{Site: "x", N: 0, Workers: 8}); g != exec.Auto {
 		t.Fatalf("n=0 proposal = %+v, want exec.Auto", g)
 	}
@@ -49,7 +49,7 @@ func TestProposeDegenerateKeys(t *testing.T) {
 }
 
 func TestCoarsensOnRemoteSteals(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	k := tune.Key{Site: "for_each", N: 1 << 16, Workers: 8}
 	secs := 1.0
 	prev := chunkOf(t, tn.Propose(k))
@@ -70,7 +70,7 @@ func TestCoarsensOnRemoteSteals(t *testing.T) {
 }
 
 func TestRefinesOnIdleGapMass(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	k := tune.Key{Site: "reduce", N: 1 << 16, Workers: 8}
 	secs := 1.0
 	prev := chunkOf(t, tn.Propose(k))
@@ -96,7 +96,7 @@ func idleSummary(idle float64) *trace.Summary {
 }
 
 func TestObserveSummaryFeedsIdleIntoCounterObservations(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	k := tune.Key{Site: "scan", N: 1 << 16, Workers: 8}
 	start := chunkOf(t, tn.Propose(k))
 	// A trace summary showing 60% idle, then a counter-only observation:
@@ -112,7 +112,7 @@ func TestObserveSummaryFeedsIdleIntoCounterObservations(t *testing.T) {
 }
 
 func TestReversalLocksAtBest(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	k := tune.Key{Site: "for_each", N: 1 << 16, Workers: 8}
 	// Improving, improving, then worse: the climb must turn around once
 	// and settle on the best-seen operating point.
@@ -133,7 +133,7 @@ func TestReversalLocksAtBest(t *testing.T) {
 }
 
 func TestPlateauLocks(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	k := tune.Key{Site: "for_each", N: 1 << 16, Workers: 8}
 	tn.Propose(k)
 	tn.Observe(k, tune.Observation{Seconds: 1.0})
@@ -145,7 +145,7 @@ func TestPlateauLocks(t *testing.T) {
 }
 
 func TestDriftReopensAfterLock(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	k := tune.Key{Site: "for_each", N: 1 << 16, Workers: 8}
 	for _, secs := range []float64{1.0, 0.7, 0.9} {
 		tn.Propose(k)
@@ -164,7 +164,7 @@ func TestDriftReopensAfterLock(t *testing.T) {
 }
 
 func TestCacheRoundTrip(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	k := tune.Key{Site: "for_each", N: 1 << 16, Workers: 8}
 	for _, secs := range []float64{1.0, 0.7, 0.9} {
 		tn.Propose(k)
@@ -184,7 +184,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatalf("cache = %+v, want one converged entry", c)
 	}
 
-	warm := tune.New(tune.Options{})
+	warm := tune.New()
 	applied, err := warm.Import(c)
 	if err != nil || applied != 1 {
 		t.Fatalf("Import applied %d entries, err %v", applied, err)
@@ -198,7 +198,7 @@ func TestCacheRoundTrip(t *testing.T) {
 }
 
 func TestImportRejectsWrongVersion(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	if _, err := tn.Import(tune.Cache{Version: 99}); err == nil {
 		t.Fatal("version 99 accepted")
 	}
@@ -209,7 +209,7 @@ func TestImportRejectsWrongVersion(t *testing.T) {
 // must never hand algorithms an overlapping or lossy decomposition.
 func TestProposalsAlwaysTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	for trial := 0; trial < 200; trial++ {
 		k := tune.Key{
 			Site:    "prop",
@@ -264,7 +264,7 @@ func checkTiling(t *testing.T, g exec.Grain, n, workers int) {
 }
 
 func TestSourceKeysBySize(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	src := tn.Site("for_each")
 	g1 := src.Grain(1<<16, 8)
 	checkTiling(t, g1, 1<<16, 8)
@@ -307,7 +307,7 @@ func driveToLock(t *testing.T, tn *tune.Tuner, k tune.Key) int {
 // climb at the unseen 2^21 near the scaled optimum, shortening convergence
 // relative to a cold start from exec.Auto.
 func TestCrossSizeSeeding(t *testing.T) {
-	warm := tune.New(tune.Options{})
+	warm := tune.New()
 	k20 := tune.Key{Site: "for_each", N: 1 << 20, Workers: 8}
 	k21 := tune.Key{Site: "for_each", N: 1 << 21, Workers: 8}
 	driveToLock(t, warm, k20)
@@ -320,7 +320,7 @@ func TestCrossSizeSeeding(t *testing.T) {
 		t.Fatalf("warm seed chunk = %d, want within 2x of %d", seed, opt)
 	}
 
-	cold := tune.New(tune.Options{})
+	cold := tune.New()
 	warmIters := driveToLock(t, warm, k21)
 	coldIters := driveToLock(t, cold, k21)
 	if warmIters >= coldIters {
@@ -340,7 +340,7 @@ func TestCrossSizeSeeding(t *testing.T) {
 // TestCrossSizeSeedingInterpolates: with two converged sizes the seed for
 // an in-between size interpolates the (log2 n, log2 chunk) ladder.
 func TestCrossSizeSeedingInterpolates(t *testing.T) {
-	tn := tune.New(tune.Options{})
+	tn := tune.New()
 	driveToLock(t, tn, tune.Key{Site: "scan", N: 1 << 18, Workers: 8})
 	driveToLock(t, tn, tune.Key{Site: "scan", N: 1 << 22, Workers: 8})
 	seed := chunkOf(t, tn.Propose(tune.Key{Site: "scan", N: 1 << 20, Workers: 8}))
@@ -350,7 +350,7 @@ func TestCrossSizeSeedingInterpolates(t *testing.T) {
 	}
 	// A different site or worker count must not inherit the ladder.
 	other := chunkOf(t, tn.Propose(tune.Key{Site: "sort", N: 1 << 20, Workers: 8}))
-	want := chunkOf(t, tune.New(tune.Options{}).Propose(tune.Key{Site: "sort", N: 1 << 20, Workers: 8}))
+	want := chunkOf(t, tune.New().Propose(tune.Key{Site: "sort", N: 1 << 20, Workers: 8}))
 	if other != want {
 		t.Fatalf("unrelated site seeded to %d, want auto's %d", other, want)
 	}
