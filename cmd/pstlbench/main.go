@@ -101,7 +101,7 @@ func main() {
 	}
 
 	selKernels := selectKernels(*algos)
-	suite := &harness.Suite{Registry: counters.NewRegistry(), Tuner: gs.tuner}
+	suite := &harness.Suite{Tuner: gs.tuner}
 	tracing := *traceOut != ""
 	switch *mode {
 	case "sim":

@@ -1,10 +1,6 @@
 package counters
 
-import (
-	"math"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestAddAndScale(t *testing.T) {
 	a := Set{Instructions: 10, FPScalar: 2, FP128: 1, FP256: 1, DRAMBytes: 100, Seconds: 1}
@@ -64,109 +60,6 @@ func TestSIFormatting(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Record("reduce", Set{Instructions: 10})
-	r.Record("reduce", Set{Instructions: 5})
-	r.Record("find", Set{Instructions: 1})
-	s, calls := r.Region("reduce")
-	if s.Instructions != 15 || calls != 2 {
-		t.Fatalf("reduce region: %v, %d calls", s.Instructions, calls)
-	}
-	if _, calls := r.Region("missing"); calls != 0 {
-		t.Fatal("missing region should have 0 calls")
-	}
-	names := r.Regions()
-	if len(names) != 2 || names[0] != "find" || names[1] != "reduce" {
-		t.Fatalf("Regions = %v", names)
-	}
-	r.Reset()
-	if _, calls := r.Region("reduce"); calls != 0 {
-		t.Fatal("Reset did not clear")
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Record("hot", Set{Instructions: 1})
-			}
-		}()
-	}
-	wg.Wait()
-	s, calls := r.Region("hot")
-	if s.Instructions != 8000 || calls != 8000 {
-		t.Fatalf("concurrent recording lost samples: %v/%d", s.Instructions, calls)
-	}
-}
-
-func TestRegionStats(t *testing.T) {
-	r := NewRegistry()
-	if s := r.Stats("missing"); s != (RegionStats{}) {
-		t.Fatalf("unknown region stats = %+v, want zero", s)
-	}
-	for _, sec := range []float64{2e-3, 4e-3, 6e-3} {
-		r.Record("loop", Set{Seconds: sec})
-	}
-	// A counter-only record must not perturb the timing distribution.
-	r.Record("loop", Set{Instructions: 100})
-	s := r.Stats("loop")
-	if s.Calls != 3 {
-		t.Fatalf("Calls = %d, want 3 (counter-only record counted)", s.Calls)
-	}
-	if math.Abs(s.Min-2e-3) > 1e-12 || math.Abs(s.Max-6e-3) > 1e-12 {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if math.Abs(s.Mean-4e-3) > 1e-12 {
-		t.Fatalf("mean = %v, want 4ms", s.Mean)
-	}
-	// Population stddev of {2,4,6}ms is sqrt(8/3) ms.
-	if want := math.Sqrt(8.0/3.0) * 1e-3; math.Abs(s.StdDev-want) > 1e-9 {
-		t.Fatalf("stddev = %v, want %v", s.StdDev, want)
-	}
-	// The accumulated set still includes every record.
-	set, calls := r.Region("loop")
-	if calls != 4 || math.Abs(set.Seconds-12e-3) > 1e-12 || set.Instructions != 100 {
-		t.Fatalf("region set = %+v calls = %d", set, calls)
-	}
-}
-
-func TestRegionStatsConstantSamples(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < 100; i++ {
-		r.Record("flat", Set{Seconds: 1e-3})
-	}
-	s := r.Stats("flat")
-	if s.StdDev != 0 {
-		t.Fatalf("stddev of constant samples = %v, want exactly 0", s.StdDev)
-	}
-	if s.Min != s.Max || s.Min != 1e-3 {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-}
-
-func TestRegionStatsSingleSample(t *testing.T) {
-	r := NewRegistry()
-	r.Record("once", Set{Seconds: 0.5})
-	s := r.Stats("once")
-	if s.Calls != 1 {
-		t.Fatalf("Calls = %d, want 1", s.Calls)
-	}
-	if s.Min != 0.5 || s.Max != 0.5 || s.Mean != 0.5 {
-		t.Fatalf("min/max/mean = %v/%v/%v, want 0.5", s.Min, s.Max, s.Mean)
-	}
-	// The tuner's stop condition reads this blind: a single sample has no
-	// spread and must report exactly 0, never NaN.
-	if s.StdDev != 0 || math.IsNaN(s.StdDev) {
-		t.Fatalf("single-sample stddev = %v, want exactly 0", s.StdDev)
-	}
-}
-
 func TestSub(t *testing.T) {
 	a := Set{Instructions: 100, Seconds: 2, LocalSteals: 10, RemoteSteals: 4, Parks: 3, Wakeups: 2, EmptySpins: 7, DRAMBytes: 64}
 	b := Set{Instructions: 40, Seconds: 0.5, LocalSteals: 6, RemoteSteals: 1, Parks: 1, Wakeups: 2, EmptySpins: 5, DRAMBytes: 32}
@@ -181,57 +74,5 @@ func TestSub(t *testing.T) {
 	b.Add(d)
 	if b != a {
 		t.Fatalf("b + (a-b) = %+v, want %+v", b, a)
-	}
-}
-
-func TestRegionPercentiles(t *testing.T) {
-	r := NewRegistry()
-	// 1..100 ms: exact sample set, well under the reservoir cap.
-	for i := 1; i <= 100; i++ {
-		r.Record("lat", Set{Seconds: float64(i) / 1000})
-	}
-	s := r.Stats("lat")
-	if s.P50 < 0.049 || s.P50 > 0.052 {
-		t.Fatalf("P50 = %v, want ~0.0505", s.P50)
-	}
-	if s.P99 < 0.098 || s.P99 > 0.100 {
-		t.Fatalf("P99 = %v, want ~0.099", s.P99)
-	}
-	if s.P50 >= s.P99 {
-		t.Fatalf("P50 %v >= P99 %v", s.P50, s.P99)
-	}
-}
-
-func TestRegionPercentilesSingleSample(t *testing.T) {
-	r := NewRegistry()
-	r.Record("one", Set{Seconds: 0.25})
-	s := r.Stats("one")
-	if s.P50 != 0.25 || s.P99 != 0.25 {
-		t.Fatalf("single-sample quantiles = %v/%v, want 0.25", s.P50, s.P99)
-	}
-}
-
-// TestReservoirDecimation drives a region far past the reservoir capacity
-// and checks the quantile estimates stay close to the true distribution —
-// the property the serving layer's long-lived per-tenant regions rely on.
-func TestReservoirDecimation(t *testing.T) {
-	r := NewRegistry()
-	const n = 100_000
-	for i := 1; i <= n; i++ {
-		// Deterministic shuffle of a uniform ramp so arrival order does not
-		// line up with the systematic stride.
-		v := float64((i*7919)%n+1) / float64(n)
-		r.Record("big", Set{Seconds: v})
-	}
-	s := r.Stats("big")
-	if s.Calls != n {
-		t.Fatalf("Calls = %d, want %d", s.Calls, n)
-	}
-	// Uniform(0,1]: p50 ~ 0.5, p99 ~ 0.99. Allow the subsampling error.
-	if s.P50 < 0.45 || s.P50 > 0.55 {
-		t.Fatalf("P50 = %v, want ~0.5", s.P50)
-	}
-	if s.P99 < 0.95 || s.P99 > 1.0 {
-		t.Fatalf("P99 = %v, want ~0.99", s.P99)
 	}
 }

@@ -214,9 +214,6 @@ func (s *Stream) start() {
 // Name returns the stream name.
 func (s *Stream) Name() string { return s.cfg.Name }
 
-// Config returns the stream's resolved configuration.
-func (s *Stream) Config() StreamConfig { return s.cfg }
-
 // watermarkLocked returns the current watermark: the maximum observed
 // event time minus the allowed lateness, or math.MinInt64 before any
 // event.

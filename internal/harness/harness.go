@@ -10,8 +10,9 @@
 //     (--benchmark_min_time in the paper's setup, 5 s there);
 //   - a Suite with registration, regexp filtering, and deterministic
 //     ordering;
-//   - hardware-counter regions in the style of the Likwid Marker API,
-//     recorded into a counters.Registry.
+//   - per-call latency statistics over the measured attempt's manual
+//     timings (Result.Latency), and modeled hardware counters per
+//     iteration in the style of a Likwid Marker region.
 //
 // Manual timing also lets the simulator drive the same machinery: a
 // benchmark body can run a simulated invocation and report its virtual
@@ -21,11 +22,14 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"time"
 
 	"pstlbench/internal/counters"
+	"pstlbench/internal/stats"
 	"pstlbench/internal/trace"
 	"pstlbench/internal/tune"
 )
@@ -44,15 +48,15 @@ type State struct {
 	manualMode  bool
 	manualIter  int // iteration of the last SetIterationTime call
 	manualSeen  bool
+	lat         latency
 	bytes       int64
 	traffic     int64
 	ctr         counters.Set
 	ctrRecorded bool
 	ctrIter     int // iteration of the last RecordCounters call
 
-	tracer   *trace.Tracer
-	tbuf     *trace.Buf // harness marker track
-	registry *counters.Registry
+	tracer *trace.Tracer
+	tbuf   *trace.Buf // harness marker track
 
 	// Adaptive-grain auto-wiring (State.Tune): one tune.Observation per
 	// iteration flows to the suite's Tuner at each Next() boundary.
@@ -179,9 +183,7 @@ func (s *State) SetIterationTime(seconds float64) {
 	s.manualIter = s.iter
 	s.manualMode = true
 	s.manual += seconds
-	if s.registry != nil {
-		s.registry.Record(s.name, counters.Set{Seconds: seconds})
-	}
+	s.lat.add(seconds, s.target)
 }
 
 // SetBytesProcessed declares the total bytes processed across all
@@ -248,10 +250,10 @@ type Result struct {
 	// Counters holds accumulated modeled counters, if recorded.
 	Counters    counters.Set
 	HasCounters bool
-	// Latency is the per-call Seconds distribution (min/max/mean/stddev and
-	// p50/p99) over every SetIterationTime sample, when the suite runs with
-	// a Registry; zero-valued otherwise or under wall-clock timing.
-	Latency counters.RegionStats
+	// Latency is the per-call Seconds distribution over the final
+	// (measured) attempt's SetIterationTime calls; zero-valued under
+	// wall-clock timing.
+	Latency LatencyStats
 	// Trace summarizes the scheduler events of the final (measured)
 	// attempt, when the suite runs with a Tracer: per-worker chunk-latency
 	// distributions, steal-to-work latency, and idle-gap histograms.
@@ -278,10 +280,6 @@ type Suite struct {
 	// (native pool or simulator), so markers and scheduler events land on
 	// one timeline.
 	Tracer *trace.Tracer
-	// Registry, when non-nil, receives one Seconds sample per
-	// SetIterationTime call under the instance's full name — the region
-	// names in the registry match the KindRegion markers in the trace.
-	Registry *counters.Registry
 
 	// Tuner, when non-nil, receives one tune.Observation per iteration of
 	// every benchmark that declared a tuning key with State.Tune, and the
@@ -383,7 +381,7 @@ func (su *Suite) attempt(b Benchmark, args []int64, n int) (st *State, from, to 
 	name := instanceName(b.Name, args)
 	tb := su.markerBuf()
 	st = &State{name: name, args: args, target: n,
-		tracer: su.Tracer, tbuf: tb, registry: su.Registry,
+		tracer: su.Tracer, tbuf: tb,
 		tuner: su.Tuner, tuneSched: su.TuneSched}
 	var region int64
 	if tb != nil {
@@ -405,11 +403,9 @@ func (su *Suite) result(b Benchmark, args []int64, st *State, windowFrom, window
 		Args:       args,
 		Iterations: st.target,
 		Counters:   st.ctr,
+		Latency:    st.lat.stats(),
 	}
 	res.HasCounters = st.ctrRecorded
-	if su.Registry != nil {
-		res.Latency = su.Registry.Stats(st.name)
-	}
 	if su.markerBuf() != nil {
 		// Summarize only the final attempt — the one the timing comes from.
 		res.Trace = trace.SummarizeWindow(su.Tracer, windowFrom, windowTo)
@@ -428,6 +424,72 @@ func (su *Suite) result(b Benchmark, args []int64, st *State, windowFrom, window
 		res.BytesPerSec = float64(st.bytes) / total
 	}
 	return res
+}
+
+// LatencyStats summarizes the per-call seconds one attempt reported through
+// SetIterationTime. Calls reporting a non-positive duration are not counted.
+type LatencyStats struct {
+	Calls int
+	// Min, Max and Mean are exact over every counted call.
+	Min, Max, Mean float64
+	// StdDev is the population standard deviation over every counted call.
+	StdDev float64
+	// P50 and P99 are quantiles over every ceil(iterations/quantileSamples)-th
+	// counted call, so they are exact up to quantileSamples iterations.
+	P50, P99 float64
+}
+
+// quantileSamples bounds the calls kept per attempt for P50 and P99; at
+// 2048 the p99 rests on about 20 order statistics.
+const quantileSamples = 2048
+
+// latency accumulates one attempt's timed calls.
+type latency struct {
+	n        int
+	min, max float64
+	// mean and m2 are Welford's running mean and sum of squared
+	// deviations: constant samples give an m2 of exactly 0, where the
+	// sum-of-squares identity leaves cancellation error.
+	mean, m2 float64
+	stride   int
+	samples  []float64
+}
+
+// add records one call's seconds; target is the attempt's iteration count.
+func (l *latency) add(seconds float64, target int) {
+	if seconds <= 0 {
+		return
+	}
+	if l.n == 0 {
+		l.min, l.max = seconds, seconds
+		l.stride = max(1, (target+quantileSamples-1)/quantileSamples)
+		l.samples = make([]float64, 0, max(1, (target+l.stride-1)/l.stride))
+	}
+	if l.n%l.stride == 0 {
+		l.samples = append(l.samples, seconds)
+	}
+	l.min = min(l.min, seconds)
+	l.max = max(l.max, seconds)
+	l.n++
+	d := seconds - l.mean
+	l.mean += d / float64(l.n)
+	l.m2 += d * (seconds - l.mean)
+}
+
+func (l *latency) stats() LatencyStats {
+	if l.n == 0 {
+		return LatencyStats{}
+	}
+	slices.Sort(l.samples)
+	return LatencyStats{
+		Calls:  l.n,
+		Min:    l.min,
+		Max:    l.max,
+		Mean:   l.mean,
+		StdDev: math.Sqrt(l.m2 / float64(l.n)),
+		P50:    stats.PercentileSorted(l.samples, 0.50),
+		P99:    stats.PercentileSorted(l.samples, 0.99),
+	}
 }
 
 func (s *State) measuredSeconds() float64 {

@@ -198,9 +198,6 @@ func splitmix64(x uint64) uint64 {
 // Workers returns the number of worker goroutines.
 func (p *Pool) Workers() int { return len(p.ws) }
 
-// Strategy returns the pool's scheduling strategy.
-func (p *Pool) Strategy() Strategy { return p.strategy }
-
 // Stats returns the accumulated scheduling counters of the pool.
 func (p *Pool) Stats() SchedStats {
 	var s SchedStats

@@ -50,9 +50,10 @@ const (
 	// KindWakeup is an instant: a park token was delivered to the track's
 	// worker. A0 is the woken worker id.
 	KindWakeup
-	// KindRegion is a span bracketing one measured region (a benchmark
-	// instance), named like the counters.Registry region. A0 is the
-	// interned name id (Tracer.Intern / Tracer.NameOf).
+	// KindRegion is a span bracketing one measured region: one attempt of
+	// a benchmark instance, named by the instance's full name. A0 is the
+	// interned name id (Tracer.Intern / Tracer.NameOf), A1 the attempt's
+	// iteration count.
 	KindRegion
 	// KindIteration is an instant: the harness started a measurement
 	// iteration. A0 is the iteration index within the current run.
@@ -195,14 +196,6 @@ func (b *Buf) Len() int {
 		return int(c)
 	}
 	return int(b.pos)
-}
-
-// Cap returns the ring capacity (0 on a nil Buf).
-func (b *Buf) Cap() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.ev)
 }
 
 // Tracer owns the per-track ring buffers and the clock of one tracing
@@ -380,31 +373,6 @@ func (t *Tracer) Lost() uint64 {
 	var n uint64
 	for _, b := range t.bufs {
 		n += b.Lost()
-	}
-	return n
-}
-
-// Surviving returns how many events currently sit in the rings across all
-// tracks (TotalEvents minus Lost).
-func (t *Tracer) Surviving() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, b := range t.bufs {
-		n += b.Len()
-	}
-	return n
-}
-
-// Capacity returns the total ring capacity across all tracks.
-func (t *Tracer) Capacity() int {
-	if t == nil {
-		return 0
-	}
-	n := 0
-	for _, b := range t.bufs {
-		n += b.Cap()
 	}
 	return n
 }

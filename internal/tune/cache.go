@@ -74,16 +74,15 @@ func (t *Tuner) Import(c Cache) (int, error) {
 		}
 		chunk := t.clamp(k, e.Chunk)
 		s := &state{
-			cur:     chunk,
-			dir:     +1,
-			best:    chunk,
-			bestTp:  e.ItemsPerSec,
-			prevTp:  e.ItemsPerSec,
-			trials:  e.Trials,
-			locked:  e.Converged,
-			tried:   map[int]float64{chunk: e.ItemsPerSec},
-			regions: make(map[int]string),
-			keyStr:  k.String(),
+			cur:    chunk,
+			dir:    +1,
+			best:   chunk,
+			bestTp: e.ItemsPerSec,
+			prevTp: e.ItemsPerSec,
+			trials: e.Trials,
+			locked: e.Converged,
+			tried:  map[int]float64{chunk: e.ItemsPerSec},
+			timing: make(map[int]moments),
 		}
 		if s.trials == 0 {
 			s.trials = 1

@@ -23,10 +23,10 @@
 // Absent a forcing signal the climb is throughput-driven: keep moving
 // while the measured items/s improves by more than the noise floor,
 // reverse once on a regression, and lock onto the best-seen chunk when a
-// reversal re-visits explored ground. The noise floor is read from a
-// counters.Registry region per (site, n, workers, chunk) — the relative
-// standard deviation of the per-invocation seconds — so noisy sites need a
-// larger improvement to keep climbing (the stop condition of the issue).
+// reversal re-visits explored ground. The noise floor is the relative
+// standard deviation of the per-invocation seconds observed at the current
+// (site, n, workers, chunk), so noisy sites need a larger improvement to
+// keep climbing.
 //
 // State is keyed by (loop site, n, workers): the same loop at a different
 // size or thread count is a different optimization problem. Tuned state is
@@ -39,7 +39,6 @@ import (
 	"sort"
 	"sync"
 
-	"pstlbench/internal/counters"
 	"pstlbench/internal/exec"
 )
 
@@ -84,11 +83,7 @@ const (
 // all methods take an internal lock.
 type Tuner struct {
 	mu sync.Mutex
-	// reg receives one Seconds sample per observation under a
-	// "tune:<key>/c=<chunk>" region; its per-region stddev is the noise
-	// floor of the stop condition.
-	reg *counters.Registry
-	st  map[Key]*state
+	st map[Key]*state
 }
 
 // state is the per-key controller state.
@@ -106,24 +101,36 @@ type state struct {
 	// that turns around recognizes explored ground and locks instead of
 	// oscillating.
 	tried map[int]float64
-	// regions caches the registry region name per chunk size so the
-	// steady-state Observe path is allocation-free.
-	regions map[int]string
-	keyStr  string
+	// timing maps chunk size -> the seconds of every observation there,
+	// over the tuner's lifetime; its spread is the stop condition's noise
+	// floor.
+	timing map[int]moments
 	// pendingIdleFrac carries the idle-gap mass of the most recent trace
 	// summary (ObserveSummary) into the observations that follow it.
 	pendingIdleFrac float64
 	hasPending      bool
 }
 
-// New returns a Tuner with no tuned state.
-func New() *Tuner {
-	return &Tuner{reg: counters.NewRegistry(), st: make(map[Key]*state)}
+// moments holds the count, sum and sum of squares of a set of seconds.
+type moments struct {
+	n, sum, sumSq float64
 }
 
-// Registry returns the registry holding the tuner's per-operating-point
-// timing regions.
-func (t *Tuner) Registry() *counters.Registry { return t.reg }
+// relStdDev returns the population standard deviation relative to the
+// mean, or 0 below two samples.
+func (m moments) relStdDev() float64 {
+	if m.n < 2 {
+		return 0
+	}
+	mean := m.sum / m.n
+	variance := max(0, m.sumSq/m.n-mean*mean)
+	return math.Sqrt(variance) / mean
+}
+
+// New returns a Tuner with no tuned state.
+func New() *Tuner {
+	return &Tuner{st: make(map[Key]*state)}
+}
 
 // maxChunkFor returns the coarsest useful chunk size: one chunk per worker.
 func maxChunkFor(k Key) int {
@@ -167,12 +174,11 @@ func (t *Tuner) lookup(k Key) *state {
 	if s == nil {
 		c := t.seedChunk(k)
 		s = &state{
-			cur:     c,
-			dir:     +1,
-			best:    c,
-			tried:   make(map[int]float64),
-			regions: make(map[int]string),
-			keyStr:  k.String(),
+			cur:    c,
+			dir:    +1,
+			best:   c,
+			tried:  make(map[int]float64),
+			timing: make(map[int]moments),
 		}
 		t.st[k] = s
 	}
@@ -284,17 +290,6 @@ func (t *Tuner) Best(k Key) (chunk int, itemsPerSec float64, ok bool) {
 	return s.best, s.bestTp, true
 }
 
-// region returns the cached registry region name of s's current operating
-// point. Callers hold t.mu.
-func (s *state) region(t *Tuner) string {
-	r, ok := s.regions[s.cur]
-	if !ok {
-		r = fmt.Sprintf("tune:%s/c=%d", s.keyStr, s.cur)
-		s.regions[s.cur] = r
-	}
-	return r
-}
-
 // Observe ingests the measurement of one invocation that ran with the
 // grain last proposed for k, and advances the controller. Observations
 // with a non-positive duration are ignored.
@@ -307,8 +302,11 @@ func (t *Tuner) Observe(k Key, o Observation) {
 	s := t.lookup(k)
 	tp := float64(k.N) / o.Seconds
 	s.trials++
-	region := s.region(t)
-	t.reg.Record(region, counters.Set{Seconds: o.Seconds})
+	m := s.timing[s.cur]
+	m.n++
+	m.sum += o.Seconds
+	m.sumSq += o.Seconds * o.Seconds
+	s.timing[s.cur] = m
 	if old, seen := s.tried[s.cur]; !seen || tp > old {
 		s.tried[s.cur] = tp
 	}
@@ -351,14 +349,9 @@ func (t *Tuner) Observe(k Key, o Observation) {
 		return
 	}
 
-	// Noise floor: the relative stddev of this operating point's timing
-	// region, but never below minGain.
-	noise := minGain
-	if rs := t.reg.Stats(region); rs.Calls >= 2 && rs.Mean > 0 {
-		if rel := rs.StdDev / rs.Mean; rel > noise {
-			noise = rel
-		}
-	}
+	// Noise floor: the relative stddev of this operating point's timings,
+	// but never below minGain.
+	noise := max(minGain, m.relStdDev())
 
 	improved := tp >= s.prevTp*(1+noise)
 	worse := tp < s.prevTp*(1-noise)
