@@ -46,6 +46,7 @@ bench:
 	$(GO) test -run 'xxx' -bench 'SchedulerOverhead' -benchtime 1000x .
 	$(GO) test -run 'xxx' -bench '^BenchmarkSort$$' -benchmem ./internal/core/
 	$(GO) test -run 'xxx' -bench '^BenchmarkElementKernels$$' -benchmem ./internal/core/
+	$(GO) test -run 'xxx' -bench '^BenchmarkServeJob$$' -benchmem ./internal/serve/
 
 # Fused-pipeline comparison: the 3-stage chain as staged core passes vs one
 # fused chunk-granular pass (the chain entries of the kernel table: Go

@@ -5,14 +5,13 @@ import (
 	"slices"
 )
 
-// radixMinLen is the length below which sortFloat64s leaves the work to
-// slices.Sort: a radix level costs two 256-entry tables whatever the input
-// size, which a comparison sort of a few hundred elements does not.
-const radixMinLen = 256
-
-// radixInsertionMax is the bucket size at or below which the radix sort
-// finishes a bucket by insertion sort instead of another level.
-const radixInsertionMax = 64
+// radixMinLen is the length below which the float sorts leave the work to
+// slices.Sort: a radix sort clears eight 256-entry histograms and sums one
+// per pass whatever the input size, which a comparison sort of a few
+// hundred elements does not. At 512 the radix sort is about 20% faster on
+// integer-valued keys (four passes) and about 15% slower on full-mantissa
+// ones (seven); at 1024 it wins on both by 1.5x or more.
+const radixMinLen = 512
 
 // floatKey maps a non-NaN float64 to a uint64 whose unsigned order is the
 // float order: negatives have every bit flipped, so larger magnitudes come
@@ -25,102 +24,112 @@ func floatKey(v float64) uint64 {
 }
 
 // sortFloat64s sorts s in ascending order with NaNs first, the order of
-// slices.Sort, by in-place most-significant-digit radix sort (American
-// flag sort, McIlroy, Bostic and McIlroy 1993) on the bytes of floatKey.
-// It allocates nothing: each level counts one key byte, permutes s in
-// place by cycle-leader swaps and recurses into each bucket.
+// slices.Sort, by least-significant-digit radix sort on the bytes of
+// floatKey. Its passes alternate between s and an n-element scratch taken
+// from the sorts' cache, so after warm-up it allocates nothing.
 func sortFloat64s(s []float64) {
 	if len(s) < radixMinLen {
 		slices.Sort(s)
 		return
 	}
-	var count [256]int
+	cache := scratchFor[float64]()
+	buf := getScratch[float64](cache, len(s))
+	if tmp := (*buf)[:len(s)]; radixSort(s, tmp) {
+		copy(s, tmp)
+	}
+	// A float references nothing, so the scratch goes back uncleared.
+	cache.Put(buf)
+}
+
+// leafFloat64s sorts the elements of src into dst, of the same length, as
+// sortFloat64s orders them: the float leaf of the parallel sort, whose
+// first radix pass reads the caller's run and writes its scratch run. src
+// is left holding a permutation of its elements.
+func leafFloat64s(dst, src []float64) {
+	if len(src) < radixMinLen {
+		copy(dst, src)
+		slices.Sort(dst)
+		return
+	}
+	if !radixSort(src, dst) {
+		copy(dst, src)
+	}
+}
+
+// radixSort sorts the elements of a in ascending order with NaNs first,
+// using b, of the same length, as the other buffer, and reports whether
+// the result is in b rather than a. One read pass builds the histograms of
+// all eight key bytes; then every byte that not all keys share, least
+// significant first, is one stable scatter pass from one buffer into the
+// other. Integer-valued floats below 2^20, the keys every perfbench sort
+// uses, share their low four key bytes and take four passes.
+func radixSort(a, b []float64) (inB bool) {
+	var count [8][256]int
 	nans := 0
-	for _, v := range s {
+	for _, v := range a {
 		if v != v {
 			nans++
+			continue
 		}
-		count[floatKey(v)>>56]++
+		k := floatKey(v)
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
 	}
 	if nans > 0 {
-		// Move the NaNs to the front and sort the rest.
+		// Move the NaNs, which the histograms leave out, to the front.
 		k := 0
-		for i, v := range s {
+		for i, v := range a {
 			if v != v {
-				s[i], s[k] = s[k], v
+				a[i], a[k] = a[k], v
 				k++
 			}
 		}
-		sortFloat64s(s[nans:])
-		return
-	}
-	radixLevel(s, 56, &count)
-}
-
-// radixLevel sorts s, which holds no NaN, by the key bytes at shift and
-// below, given count, the histogram of the key byte at shift, which it
-// overwrites.
-func radixLevel(s []float64, shift uint, count *[256]int) {
-	for count[byte(floatKey(s[0])>>shift)] == len(s) {
-		// Every key shares this byte: go one byte down without permuting.
-		if shift == 0 {
-			return
-		}
-		shift -= 8
-		*count = [256]int{}
-		for _, v := range s {
-			count[byte(floatKey(v)>>shift)]++
+		if nans == len(a) {
+			return false
 		}
 	}
-	// next[b] is where bucket b's next unplaced element goes; count
-	// becomes the buckets' ends.
-	var next [256]int
-	sum := 0
-	for b, c := range count {
-		next[b] = sum
-		sum += c
-		count[b] = sum
-	}
-	for b := range next {
-		for next[b] < count[b] {
-			// Carry s[next[b]] to its bucket, taking the element there,
-			// until the one carried belongs in bucket b.
-			v := s[next[b]]
-			for d := byte(floatKey(v) >> shift); int(d) != b; d = byte(floatKey(v) >> shift) {
-				v, s[next[d]] = s[next[d]], v
-				next[d]++
-			}
-			s[next[b]] = v
-			next[b]++
+	src, dst := a[nans:], b[nans:]
+	first := floatKey(src[0])
+	for d := range count {
+		shift := uint(8 * d)
+		next := &count[d]
+		if next[byte(first>>shift)] == len(src) {
+			continue // every key shares this byte
 		}
-	}
-	if shift == 0 {
-		return
-	}
-	lo := 0
-	var sub [256]int
-	for _, hi := range count {
-		if n := hi - lo; n > radixInsertionMax {
-			sub = [256]int{}
-			for _, v := range s[lo:hi] {
-				sub[byte(floatKey(v)>>(shift-8))]++
-			}
-			radixLevel(s[lo:hi], shift-8, &sub)
-		} else if n > 1 {
-			insertionSortFloats(s[lo:hi])
+		// The front half fills each bucket upwards from its start (next),
+		// the back half downwards from its end (end), so runs of equal
+		// bytes update two counters instead of one, and each half keeps
+		// its order: the pass stays stable.
+		var end [256]int
+		sum := 0
+		for x, c := range next {
+			next[x] = sum
+			sum += c
+			end[x] = sum
 		}
-		lo = hi
-	}
-}
-
-// insertionSortFloats sorts a short slice holding no NaN.
-func insertionSortFloats(s []float64) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i
-		for ; j > 0 && v < s[j-1]; j-- {
-			s[j] = s[j-1]
+		lo, hi := 0, len(src)-1
+		for ; lo < hi; lo, hi = lo+1, hi-1 {
+			v, w := src[lo], src[hi]
+			x, y := byte(floatKey(v)>>shift), byte(floatKey(w)>>shift)
+			dst[next[x]] = v
+			next[x]++
+			end[y]--
+			dst[end[y]] = w
 		}
-		s[j] = v
+		if lo == hi {
+			dst[next[byte(floatKey(src[lo])>>shift)]] = src[lo]
+		}
+		src, dst = dst, src
+		inB = !inB
 	}
+	if inB {
+		copy(b[:nans], a[:nans])
+	}
+	return inB
 }

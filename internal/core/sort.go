@@ -25,9 +25,10 @@ const sortLeafSize = 1 << 12
 // the runs back into s. Like std::sort on a template, the comparison is
 // compiled into the leaf sort and the merge loop rather than called
 // through a function value. The sequential sort, which is also each
-// parallel leaf, is an in-place radix sort for []float64 and slices.Sort
-// for every other type. NaNs sort first, as under cmp.Less; the order of
-// -0 and +0, which compare equal, is unspecified.
+// parallel leaf, is a least-significant-digit radix sort through a cached
+// scratch buffer for []float64 and slices.Sort for every other type. NaNs
+// sort first, as under cmp.Less; the order of -0 and +0, which compare
+// equal, is unspecified.
 func Sort[T cmp.Ordered](p Policy, s []T) {
 	if !p.parallel(len(s)) || len(s) <= sortLeafSize {
 		sortOrdered(s)
@@ -72,7 +73,7 @@ func StableSort[T any](p Policy, s []T, less func(a, b T) bool) {
 // the indirect call is amortised over thousands of elements while the
 // per-element comparison lives inside the kernel.
 type sortKernels[T any] interface {
-	leaf(s []T)                    // sequential leaf sort
+	leafInto(dst, src []T)         // sequential sort of src's elements into dst; src may be permuted
 	merge(dst, a, b []T)           // sequential stable merge of sorted a and b
 	mergeRuns(dst []T, runs [][]T) // sequential merge of sorted runs, ties from earlier runs first
 	lowerBound(s []T, v T) int     // first i with !(s[i] < v)
@@ -83,7 +84,14 @@ type sortKernels[T any] interface {
 // using them allocates nothing.
 type orderedKernels[T cmp.Ordered] struct{}
 
-func (orderedKernels[T]) leaf(s []T) { sortOrdered(s) }
+func (orderedKernels[T]) leafInto(dst, src []T) {
+	if d, ok := any(dst).([]float64); ok {
+		leafFloat64s(d, any(src).([]float64))
+		return
+	}
+	copy(dst, src)
+	slices.Sort(dst)
+}
 
 func (orderedKernels[T]) merge(dst, a, b []T) {
 	i, j, k := 0, 0, 0
@@ -131,11 +139,12 @@ type lessKernels[T any] struct {
 	stable bool
 }
 
-func (k lessKernels[T]) leaf(s []T) {
+func (k lessKernels[T]) leafInto(dst, src []T) {
+	copy(dst, src)
 	if k.stable {
-		slices.SortStableFunc(s, lessToCmp(k.less))
+		slices.SortStableFunc(dst, lessToCmp(k.less))
 	} else {
-		slices.SortFunc(s, lessToCmp(k.less))
+		slices.SortFunc(dst, lessToCmp(k.less))
 	}
 }
 
@@ -210,8 +219,8 @@ func lessToCmp[T any](less func(a, b T) bool) func(a, b T) int {
 
 // parallelSort sorts s, which the caller has judged large enough to
 // parallelise, by multiway mergesort. The static split cuts s into one run
-// per worker; each run is copied into a cached scratch buffer and
-// leaf-sorted there, and mergeParallel then merges the runs straight back
+// per worker; each run is leaf-sorted from s into its part of a cached
+// scratch buffer, and mergeParallel then merges the runs straight back
 // into s. Equal elements keep run order, which makes the sort stable when
 // the leaf sort is.
 func parallelSort[T any, K sortKernels[T]](p Policy, s []T, k K) {
@@ -227,8 +236,7 @@ func parallelSort[T any, K sortKernels[T]](p Policy, s []T, k K) {
 	}
 	p.forEachChunk(len(runs), func(m int) {
 		r := split.At(m)
-		copy(runs[m], s[r.Lo:r.Hi])
-		k.leaf(runs[m])
+		k.leafInto(runs[m], s[r.Lo:r.Hi])
 	})
 	if p.Canceled() {
 		return // the result is discarded by contract
@@ -331,9 +339,9 @@ func selectRank[T any, K sortKernels[T]](runs [][]T, r int, off, hi, pos []int, 
 }
 
 // scratchCaches maps each element type to the *sync.Pool (of *[]T) that
-// reuses the n-element scratch buffers of parallel sorts and InplaceMerge
-// across calls, so a call neither allocates one nor leaves one for the
-// collector.
+// reuses the n-element scratch buffers of the parallel sorts, the float
+// radix sort, InplaceMerge, NthElement and PartialSortCopy across calls,
+// so a call neither allocates one nor leaves one for the collector.
 var scratchCaches sync.Map
 
 func scratchFor[T any]() *sync.Pool {

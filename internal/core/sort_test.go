@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -602,6 +603,112 @@ func TestSortOrderedNaNsFirst(t *testing.T) {
 	}
 }
 
+// radixShape returns n floats near ±1.5 whose keys share every byte but the
+// low live ones, each of which takes both extreme values, so the float
+// radix sort makes exactly live scatter passes.
+func radixShape(rng *rand.Rand, n, live int, neg bool) []float64 {
+	base := math.Float64bits(1.5)
+	if neg {
+		base |= 1 << 63
+	}
+	mask := uint64(1)<<(8*live) - 1
+	s := make([]float64, n)
+	for i := range s {
+		var low uint64
+		switch i % 1000 {
+		case 0:
+		case 1:
+			low = mask
+		default:
+			low = rng.Uint64() & mask
+		}
+		s[i] = math.Float64frombits(base&^mask | low)
+	}
+	return s
+}
+
+// TestRadixPasses pins where the float radix sort leaves its result: after
+// an odd number of scatter passes in the other buffer, after an even one
+// (none included) in the input. Each shape is also sorted by Seq and by
+// the parallel sort on 2 and 3 workers, whose leaves radix from s into the
+// scratch and copy the run over when the result stays in s.
+func TestRadixPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	policies := []Policy{Seq()}
+	for _, w := range []int{2, 3} {
+		pool := native.New(w, native.StrategyStealing)
+		defer pool.Close()
+		policies = append(policies, Par(pool))
+	}
+	for live := range 4 {
+		for _, neg := range []bool{false, true} {
+			in := radixShape(rng, 2*sortLeafSize+5, live, neg)
+			want := slicesSorted(in)
+			a, b := slices.Clone(in), make([]float64, len(in))
+			inB := radixSort(a, b)
+			if inB != (live%2 == 1) {
+				t.Errorf("live=%d neg=%v: result in b is %v after %d passes", live, neg, inB, live)
+			}
+			got := a
+			if inB {
+				got = b
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("live=%d neg=%v: radixSort result differs from slices.Sort", live, neg)
+			}
+			for _, p := range policies {
+				checkSortParity(t, p, in, want)
+			}
+		}
+	}
+}
+
+// TestRadixLeafSpecials runs the float leaf of the parallel sort on mixes
+// of NaNs of either sign, ±0, subnormals, ±Inf and ordinary values, on
+// both sides of the radix cut-off and with the result landing in either
+// buffer, and checks that dst is sorted as by slices.Sort and that src
+// still holds the input's elements.
+func TestRadixLeafSpecials(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000001), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -1, 1,
+	}
+	mixes := map[string]func(i int) float64{
+		"specials":      func(i int) float64 { return specials[rng.Intn(len(specials))] },
+		"specials+rand": func(i int) float64 { return []float64{specials[i%len(specials)], rng.NormFloat64()}[i%2] },
+		// One live byte besides the NaNs: one pass, so the result and the
+		// NaN prefix land in dst.
+		"nans+1byte": func(i int) float64 {
+			if i%7 == 0 {
+				return math.NaN()
+			}
+			return math.Float64frombits(math.Float64bits(1.5) | uint64(rng.Intn(256)))
+		},
+		"nans": func(int) float64 { return math.NaN() },
+	}
+	for _, n := range []int{radixMinLen - 1, radixMinLen, 3000} {
+		for name, gen := range mixes {
+			in := make([]float64, n)
+			for i := range in {
+				in[i] = gen(i)
+			}
+			want := slicesSorted(in)
+			src, dst := slices.Clone(in), make([]float64, n)
+			orderedKernels[float64]{}.leafInto(dst, src)
+			for i := range want {
+				if cmp.Compare(dst[i], want[i]) != 0 {
+					t.Fatalf("%s n=%d: leaf[%d] = %v, slices.Sort %v", name, n, i, dst[i], want[i])
+				}
+			}
+			if got := slicesSorted(src); !slices.EqualFunc(got, want, func(a, b float64) bool { return cmp.Compare(a, b) == 0 }) {
+				t.Fatalf("%s n=%d: src no longer holds the input's elements", name, n)
+			}
+		}
+	}
+}
+
 // TestSortAllocs pins that the ordered sort allocates nothing up to the leaf
 // size, and on the parallel path no more than SortFunc with a capture-free
 // less: the ordered kernels carry no state to allocate. The parallel path
@@ -622,7 +729,11 @@ func TestSortAllocs(t *testing.T) {
 	for _, n := range []int{2, 100, sortLeafSize} {
 		in, buf := fill(n)
 		for name, p := range map[string]Policy{"seq": Seq(), "2w": par} {
-			if a := testing.AllocsPerRun(20, func() { copy(buf, in); Sort(p, buf) }); a != 0 {
+			// The float radix sort borrows the cached scratch. -race's
+			// sync.Pool drops a quarter of Puts, so there about one call
+			// in four allocates a scratch (two allocations); the whole
+			// number AllocsPerRun reports over 100 calls stays 0.
+			if a := testing.AllocsPerRun(100, func() { copy(buf, in); Sort(p, buf) }); a != 0 {
 				t.Errorf("%s n=%d: Sort allocates %v per call, want 0", name, n, a)
 			}
 		}
@@ -796,8 +907,8 @@ func addSortSeeds(f *testing.F) {
 	f.Add([]byte{3, 0, 0xff, 1, 0xfe})                            // NaN, 1, +Inf
 	f.Add([]byte{0x03, 0x00, 0xff, 0xff, 0x80, 0x7f, 0xfd, 0xfe}) // NaN, NaN, -128
 	f.Add([]byte{0x00, 0x10, 0xff, 0xfe, 0xfd, 0xfc, 0, 1, 1, 2}) // 4096: leaf size
-	f.Add([]byte{0xff, 0x00, 0xfc, 3, 0xff, 0, 0xfd, 0xfe, 1})    // 255: below the radix cut-off
-	f.Add([]byte{0x00, 0x01, 0xfc, 3, 0xff, 0, 0xfd, 0xfe, 1})    // 256: radix sort
+	f.Add([]byte{0xff, 0x01, 0xfc, 3, 0xff, 0, 0xfd, 0xfe, 1})    // 511: below the radix cut-off
+	f.Add([]byte{0x00, 0x02, 0xfc, 3, 0xff, 0, 0xfd, 0xfe, 1})    // 512: radix sort
 	f.Add([]byte{0x01, 0x10, 7, 0xff, 7, 0xfc, 0})                // 4097: parallel
 	f.Add([]byte{0x34, 0x92, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0xfc}) // 37428: descending runs
 	f.Add([]byte{0xff, 0xff, 0x42})                               // 65535: every byte value
@@ -861,11 +972,25 @@ func FuzzSortOrdered(f *testing.F) {
 		0x3ff8000000000000, // 1.5
 		0xc0f0000000000000, // -65536
 	}
-	for _, n := range []uint16{255, 256, 4097} {
+	for _, n := range []uint16{radixMinLen - 1, radixMinLen, 4097} {
 		f.Add(bitsSeed(n, special...))
 	}
 	f.Add(bitsSeed(40000, 0x4130000000000000, 0xbff0000000000000)) // 2^20, -1: long runs of neighbours
-	f.Add(bitsSeed(300, 0x7ff8000000000000))                       // NaNs only
+	f.Add(bitsSeed(600, 0x7ff8000000000000))                       // NaNs only
+	// The radix pass shapes of TestRadixPasses: 0, 1, 2 and 3 live key
+	// bytes, so the result lands in s or in the scratch, sequentially
+	// (600) and in the leaves of the parallel sort (8200).
+	f.Add(append([]byte{0x58, 0x02}, bytes.Repeat([]byte{7}, 600)...)) // 600 × 7.0: no pass
+	same := make([]uint64, 40)
+	for i := range same {
+		same[i] = 0x3ff8000000000000
+	}
+	for _, n := range []uint16{600, 8200} {
+		f.Add(bitsSeed(n, same...))                                                    // 1.5 + i/40: one pass
+		f.Add(bitsSeed(n, 0xbff8000000000000))                                         // -1.5 - i: two passes
+		f.Add(bitsSeed(n, 0x3ff8000000000000, 0x3ff8000000010000))                     // three passes
+		f.Add(bitsSeed(n, 0x7ff8000000000000, 0x3ff8000000000000, 0x8000000000000000)) // NaN, 1.5 and -0 + i/3
+	}
 	ps := append([]Policy{Seq()}, fuzzPools(f, 2, 3)...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]float64{fuzzFloats(data), fuzzBits(data)} {

@@ -418,6 +418,12 @@ func (su *Suite) result(b Benchmark, args []int64, st *State, windowFrom, window
 	total := st.measuredSeconds()
 	if st.target > 0 {
 		res.Seconds = total / float64(st.target)
+		if res.Latency.Calls > 0 {
+			// The rounded sum of the manual times, divided, can land an ulp
+			// outside the exact extremes (a row of identical calls read
+			// above its max); the time per call lies between them.
+			res.Seconds = min(max(res.Seconds, res.Latency.Min), res.Latency.Max)
+		}
 		res.TrafficBytes = st.traffic / int64(st.target)
 	}
 	if total > 0 && st.bytes > 0 {

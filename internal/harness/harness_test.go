@@ -109,6 +109,28 @@ func TestManualTimingOverridesWallClock(t *testing.T) {
 	}
 }
 
+// TestManualSecondsWithinLatencyRange pins that the time per call lies
+// between the exact min and max of the manual times, also for identical
+// calls whose rounded sum, divided by the count, lands an ulp above them
+// (0.1 over 4096 calls) or below (0.1 over 100).
+func TestManualSecondsWithinLatencyRange(t *testing.T) {
+	for _, c := range []struct {
+		v     float64
+		iters int
+	}{{3.462234432234432e-05, 10}, {0.1, 100}, {0.1, 4096}, {1.0 / 3, 10000}} {
+		su := &Suite{}
+		b := Benchmark{Name: "same", Fn: func(s *State) {
+			for s.Next() {
+				s.SetIterationTime(c.v)
+			}
+		}}
+		r := su.RunIterations(b, nil, c.iters)
+		if l := r.Latency; l.Min != c.v || l.Max != c.v || r.Seconds != c.v {
+			t.Errorf("%d calls of %v: Seconds %v, latency range [%v, %v]", c.iters, c.v, r.Seconds, l.Min, l.Max)
+		}
+	}
+}
+
 func TestBytesThroughput(t *testing.T) {
 	su := &Suite{}
 	su.Register(Benchmark{

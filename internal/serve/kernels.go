@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pstlbench/internal/core"
 )
@@ -39,37 +40,71 @@ func runJob(p core.Policy, spec Spec) (float64, bool) {
 // the token fired and the result is torn: the checksum must be discarded,
 // never reported — the invariant the cancellation property tests pin.
 //
-// Each job owns its data: inputs are allocated and filled per call, so
-// concurrent jobs on the shared pool never alias. The fill is
-// deterministic in n, making checksums reproducible for validation.
+// Each job owns its data while it runs: its input (and scan's output) is
+// taken from the inputs pool and refilled in full, deterministically in n,
+// so checksums are reproducible for validation. The buffers go back in a
+// defer, so a cancelled or panicking job returns them too. That is safe
+// because every core call returns only after each chunk of its loops has
+// completed or been skipped (the contract of ForChunksCancel, which holds
+// for a panicking chunk too: the pool re-raises the panic once the loop is
+// done), so no chunk of this job still touches a buffer another job may
+// take next.
 func runKernel(p core.Policy, kernel string, n int) (checksum float64, ok bool) {
+	in := getInput(n)
+	defer inputs.Put(in)
+	data := *in
 	switch kernel {
 	case "foreach":
-		data := fill(n, func(i int) float64 { return float64(i % 16) })
+		for i := range data {
+			data[i] = float64(i % 16)
+		}
 		core.ForEach(p, data, func(v *float64) { *v = *v*3 + 1 })
 		checksum = core.Sum(p, data, 0)
 	case "reduce":
-		data := fill(n, func(i int) float64 { return 1 })
+		for i := range data {
+			data[i] = 1
+		}
 		checksum = core.Sum(p, data, 0)
 	case "scan":
-		data := fill(n, func(i int) float64 { return 1 })
-		dst := make([]float64, n)
+		for i := range data {
+			data[i] = 1
+		}
+		out := getInput(n)
+		defer inputs.Put(out)
+		dst := *out
 		core.InclusiveScan(p, dst, data, func(a, b float64) float64 { return a + b })
 		checksum = dst[n-1]
 	case "sort":
-		data := fill(n, func(i int) float64 {
+		for i := range data {
 			// Multiplicative LCG: deterministic shuffle-like fill.
-			return float64((uint64(i+1) * 6364136223846793005) % 1_000_003)
-		})
+			data[i] = float64((uint64(i+1) * 6364136223846793005) % 1_000_003)
+		}
 		core.Sort(p, data)
 		checksum = data[0] + data[n/2] + data[n-1]
 	case "find":
-		data := fill(n, func(i int) float64 { return float64(i) })
+		for i := range data {
+			data[i] = float64(i)
+		}
 		checksum = float64(core.Find(p, data, float64(n-1)))
 	default:
 		panic(fmt.Sprintf("serve: unknown kernel %q (validated at admission)", kernel))
 	}
 	return checksum, !p.Canceled()
+}
+
+// inputs holds *[]float64 job buffers that runKernel reuses across jobs,
+// so a steady stream of jobs allocates no n-element buffer per job.
+var inputs sync.Pool
+
+// getInput returns a buffer of n elements from inputs; a pooled one too
+// short for n is dropped for a new one.
+func getInput(n int) *[]float64 {
+	if b, ok := inputs.Get().(*[]float64); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]float64, n)
+	return &b
 }
 
 // ExpectedChecksum returns the reference checksum of a kernel at size n,
@@ -96,12 +131,4 @@ func ExpectedChecksum(kernel string, n int) float64 {
 		return float64(n - 1)
 	}
 	return 0
-}
-
-func fill(n int, f func(int) float64) []float64 {
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = f(i)
-	}
-	return data
 }
