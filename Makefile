@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test golden perfbench race bench fusion serve shard obs cluster stream loadgen check
+.PHONY: all fmt vet build test cover golden perfbench race bench fusion serve shard obs cluster stream loadgen check
 
 all: check
 
@@ -16,6 +16,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+# List every function under internal/ that the tier-1 tests never run (0.0%
+# in one -coverpkg run), as file and name, and fail when one is missing from
+# the committed list .github/never-run.txt. A function leaves that list by
+# getting a test or by being deleted; CI runs the same gate.
+cover:
+	$(GO) test -coverpkg=./internal/... -coverprofile=cover.out ./...
+	$(GO) tool cover -func=cover.out | awk '$$NF == "0.0%" { sub(/^pstlbench\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' | LC_ALL=C sort > never-run.out
+	@echo "functions no test runs:"; cat never-run.out
+	@new=$$(LC_ALL=C comm -23 never-run.out .github/never-run.txt); \
+	if [ -n "$$new" ]; then echo "not in .github/never-run.txt (test or delete them):"; echo "$$new"; exit 1; fi
 
 # Rewrite internal/experiments/testdata/*.golden, the pinned (unmeasured)
 # render of every experiment at the tests' quick scale. Review the diff:

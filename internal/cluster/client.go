@@ -277,7 +277,7 @@ func (c *Client) Poll(ids []string) (jobs []serve.JobInfo, missing []string, err
 // withdraw whose response is lost has already dequeued jobs on the
 // worker, and a retry would withdraw a second batch. The lost jobs
 // surface as poll misses and re-place through the router's lost path.
-func (c *Client) Withdraw(max int) ([]serve.WithdrawnJob, error) {
+func (c *Client) Withdraw(max int) ([]string, error) {
 	status, body, err := c.do("POST", "/withdraw", serve.WithdrawRequest{Max: max}, false)
 	if err != nil {
 		return nil, err
@@ -289,7 +289,7 @@ func (c *Client) Withdraw(max int) ([]serve.WithdrawnJob, error) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return nil, err
 	}
-	return resp.Jobs, nil
+	return resp.IDs, nil
 }
 
 // Healthz probes the worker: a single attempt on purpose — the health

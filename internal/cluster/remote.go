@@ -74,12 +74,6 @@ type remoteJob struct {
 func (j *remoteJob) ID() string            { return j.id }
 func (j *remoteJob) Done() <-chan struct{} { return j.done }
 
-func (j *remoteJob) snapshot() serve.JobInfo {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.info
-}
-
 func (j *remoteJob) setInfo(info serve.JobInfo) {
 	j.mu.Lock()
 	if !j.terminal {
@@ -241,17 +235,15 @@ func (r *RemoteShard) Cancel(id string) (serve.JobInfo, error) {
 // dequeued, those jobs surface as poll misses and re-place via the lost
 // path, so the no-retry policy loses no jobs.
 func (r *RemoteShard) Withdraw(max int) []string {
-	jobs, err := r.c.Withdraw(max)
+	ids, err := r.c.Withdraw(max)
 	if err != nil {
 		return nil
 	}
-	ids := make([]string, 0, len(jobs))
 	var finished []*remoteJob
 	r.mu.Lock()
-	for _, wj := range jobs {
-		ids = append(ids, wj.ID)
-		if j := r.inflight[wj.ID]; j != nil {
-			delete(r.inflight, wj.ID)
+	for _, id := range ids {
+		if j := r.inflight[id]; j != nil {
+			delete(r.inflight, id)
 			finished = append(finished, j)
 		}
 	}

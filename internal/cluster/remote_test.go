@@ -299,3 +299,82 @@ func TestWorkerRestartLosesJobsGracefully(t *testing.T) {
 		}
 	}
 }
+
+// TestRebalanceMigratesOffRemoteWorker: a remote worker whose queue is
+// full next to an idle one gets queued jobs withdrawn over POST /withdraw
+// and resubmitted on the idle worker, and every job still ends done
+// exactly once with the right checksum.
+func TestRebalanceMigratesOffRemoteWorker(t *testing.T) {
+	cfg := serve.Config{Workers: 1, QueueCap: 8, MaxConcurrent: 1}
+	workers := []*testWorker{startWorker(t, cfg), startWorker(t, cfg)}
+	handles := []*RemoteShard{workers[0].handle(5 * time.Millisecond), workers[1].handle(5 * time.Millisecond)}
+	r, err := shard.New(shard.Config{
+		Handles:        []shard.ShardHandle{handles[0], handles[1]},
+		HeartbeatEvery: 5 * time.Millisecond,
+		SpillThreshold: 2, // no admission spill: everything queues at home
+		RebalanceEvery: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+
+	const tenant = "hot"
+	blocker, err := r.Submit(serve.Spec{Kernel: "sort", N: 1 << 22, Tenant: tenant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := r.HomeShard(tenant)
+	cold := 1 - hot
+	deadline := time.Now().Add(10 * time.Second)
+	for workers[hot].s.Stats().Running == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ids := []string{blocker.ID()}
+	for i := 0; i < 8; i++ {
+		j, err := r.Submit(serve.Spec{Kernel: "reduce", N: 1 << 12, Tenant: tenant})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids = append(ids, j.ID())
+	}
+	// The placement signals are heartbeat snapshots: wait until they show
+	// the full hot queue and the cold queue's capacity.
+	for handles[hot].Queued() != 8 || handles[cold].QueueCap() != 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("heartbeat never showed the backlog: hot queued=%d, cold cap=%d",
+				handles[hot].Queued(), handles[cold].QueueCap())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.Rebalance()
+	if got := r.Stats().Migrations; got != 4 {
+		t.Fatalf("migrations=%d, want 4", got)
+	}
+	if got := workers[hot].s.Stats().Withdrawn; got != 4 {
+		t.Fatalf("hot worker withdrew %d jobs, want 4", got)
+	}
+
+	for id, info := range waitTerminal(t, r, ids) {
+		want := serve.ExpectedChecksum("reduce", 1<<12)
+		if id == blocker.ID() {
+			want = serve.ExpectedChecksum("sort", 1<<22)
+		}
+		if info.State != "done" || info.Checksum != want {
+			t.Errorf("%s: state=%s reason=%s checksum=%v, want done/%v", id, info.State, info.Reason, info.Checksum, want)
+		}
+	}
+	waitCompleted(t, r, int64(len(ids)))
+	if got := r.Stats().Completed; got != int64(len(ids)) {
+		t.Errorf("router completed %d jobs, want %d", got, len(ids))
+	}
+	if got := workers[cold].s.Stats().Completed; got != 4 {
+		t.Errorf("cold worker completed %d jobs, want the 4 migrated ones", got)
+	}
+	if got := workers[hot].s.Stats().Completed + workers[cold].s.Stats().Completed; got != int64(len(ids)) {
+		t.Errorf("workers completed %d jobs in total, want %d (each exactly once)", got, len(ids))
+	}
+}

@@ -24,10 +24,6 @@ func CopyN[T any](p Policy, dst, src []T, n int) {
 	Copy(p, dst, src[:n])
 }
 
-// Move is Copy under Go's value semantics (std::move the algorithm; Go has
-// no move construction, so it is an assignment loop).
-func Move[T any](p Policy, dst, src []T) { Copy(p, dst, src) }
-
 // CopyIf appends the elements of src satisfying pred to dst[:0], preserving
 // their relative order as std::copy_if does, and returns the number of
 // elements written. dst must have capacity for every match (len(src) always

@@ -31,7 +31,7 @@ package core
 //	minmax_element              MinMaxElement
 //	merge                       Merge
 //	mismatch                    Mismatch / MismatchFunc
-//	move                        Move
+//	move                        Copy (Go assigns; there is no move)
 //	nth_element                 NthElement
 //	partial_sort (+_copy)       PartialSort / PartialSortCopy
 //	partition (+_copy)          Partition / PartitionCopy

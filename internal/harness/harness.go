@@ -70,9 +70,6 @@ type State struct {
 	tuneSchedPrev counters.Set
 }
 
-// Name returns the full benchmark name including arguments.
-func (s *State) Name() string { return s.name }
-
 // Range returns the i-th range argument of the benchmark instance, like
 // benchmark::State::range(i).
 func (s *State) Range(i int) int64 {

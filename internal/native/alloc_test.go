@@ -8,8 +8,8 @@ import (
 )
 
 // TestForChunksSteadyStateAllocs asserts the zero-allocation dispatch
-// property of the deque scheduler: once the pool's job descriptors, deque
-// buffers and inboxes are warm, ForChunks must not allocate per call — and
+// property of the scheduler: once the pool's job descriptors, worker queues
+// and injector buffer are warm, ForChunks must not allocate per call — and
 // in particular not per chunk, which is where the seed's
 // one-closure-per-chunk scheme spent its time. A tiny fixed budget is
 // allowed for incidental runtime activity; the seed pool sat at 20+ allocs
@@ -22,7 +22,7 @@ func TestForChunksSteadyStateAllocs(t *testing.T) {
 				p := New(workers, s)
 				defer p.Close()
 				body := func(worker, lo, hi int) {}
-				// Warm up: size the job table, deques and band arrays.
+				// Warm up: size the job table, queues and band arrays.
 				for i := 0; i < 100; i++ {
 					p.ForChunks(1<<15, exec.Fine, body)
 				}

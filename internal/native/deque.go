@@ -5,11 +5,13 @@ import (
 )
 
 // wsDeque is a Chase–Lev work-stealing deque of task words (see job.go for
-// the word encoding). The owner pushes and pops at the bottom (LIFO, both
-// wait-free); thieves remove from the top (FIFO) with a single CAS. The
-// algorithm follows Chase & Lev, "Dynamic Circular Work-Stealing Deque"
-// (SPAA'05), in the formulation of Lê et al. (PPoPP'13); Go's atomics are
-// sequentially consistent, so no explicit fences are needed.
+// the word encoding), used as the pool's shared injector: one pusher at a
+// time appends at the bottom (the pool serializes pushers with a mutex), and
+// any goroutine removes from the top (FIFO) with a single CAS — the per-chunk
+// dispatch the central-queue strategy pays. The algorithm follows Chase &
+// Lev, "Dynamic Circular Work-Stealing Deque" (SPAA'05), in the formulation
+// of Lê et al. (PPoPP'13), minus the owner's pop, which nothing needs; Go's
+// atomics are sequentially consistent, so no explicit fences are needed.
 //
 // Slots are single 64-bit words accessed atomically: a thief may read a slot
 // that loses the subsequent top CAS, and word-sized atomic slots keep that
@@ -18,10 +20,10 @@ import (
 //
 // The zero value is not usable; call init first. All indices grow
 // monotonically; the buffer is a circular window [top, bottom) over them and
-// is grown (never shrunk) by the owner when full. Stale buffers remain valid
+// is grown (never shrunk) by the pusher when full. Stale buffers remain valid
 // for in-flight thieves because a retired buffer is never written again.
 type wsDeque struct {
-	bottom atomic.Int64 // next slot to push (owner only writes)
+	bottom atomic.Int64 // next slot to push (only the pusher writes)
 	top    atomic.Int64 // next slot to steal
 	buf    atomic.Pointer[dqBuf]
 }
@@ -52,7 +54,7 @@ func (d *wsDeque) size() int64 {
 	return b - t
 }
 
-// push appends a word at the bottom. Owner only.
+// push appends a word at the bottom. One pusher at a time.
 func (d *wsDeque) push(w uint64) {
 	b := d.bottom.Load()
 	t := d.top.Load()
@@ -64,7 +66,7 @@ func (d *wsDeque) push(w uint64) {
 	d.bottom.Store(b + 1)
 }
 
-// grow doubles the buffer, copying the live window [t, b). Owner only. The
+// grow doubles the buffer, copying the live window [t, b). Pusher only. The
 // old buffer is left untouched so concurrent thieves holding it still read
 // valid words for any top CAS they go on to win.
 func (d *wsDeque) grow(old *dqBuf, t, b int64) *dqBuf {
@@ -76,43 +78,20 @@ func (d *wsDeque) grow(old *dqBuf, t, b int64) *dqBuf {
 	return nb
 }
 
-// pop removes the most recently pushed word. Owner only.
-func (d *wsDeque) pop() (uint64, bool) {
-	b := d.bottom.Load() - 1
-	buf := d.buf.Load()
-	d.bottom.Store(b)
-	t := d.top.Load()
-	if t > b {
-		// Empty: restore bottom.
-		d.bottom.Store(b + 1)
-		return 0, false
-	}
-	w := buf.a[b&buf.mask].Load()
-	if t == b {
-		// Last element: race against thieves for it via the top CAS.
-		ok := d.top.CompareAndSwap(t, t+1)
-		d.bottom.Store(b + 1)
-		if !ok {
+// steal removes the oldest word. Safe to call from any goroutine. A steal
+// that loses the top CAS retries, because the winner took a word and the
+// deque may hold more; ok is false only when the deque was seen empty.
+func (d *wsDeque) steal() (uint64, bool) {
+	for {
+		t := d.top.Load()
+		b := d.bottom.Load()
+		if t >= b {
 			return 0, false
 		}
-		return w, true
+		buf := d.buf.Load()
+		w := buf.a[t&buf.mask].Load()
+		if d.top.CompareAndSwap(t, t+1) {
+			return w, true
+		}
 	}
-	return w, true
-}
-
-// steal removes the oldest word. Safe to call from any goroutine. retry
-// reports that the steal lost a race (the deque may still be non-empty) as
-// opposed to finding the deque empty.
-func (d *wsDeque) steal() (w uint64, ok, retry bool) {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
-		return 0, false, false
-	}
-	buf := d.buf.Load()
-	w = buf.a[t&buf.mask].Load()
-	if !d.top.CompareAndSwap(t, t+1) {
-		return 0, false, true
-	}
-	return w, true, false
 }

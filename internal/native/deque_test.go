@@ -6,23 +6,6 @@ import (
 	"testing"
 )
 
-func TestDequeOwnerLIFO(t *testing.T) {
-	var d wsDeque
-	d.init()
-	for i := uint64(1); i <= 5; i++ {
-		d.push(i)
-	}
-	for want := uint64(5); want >= 1; want-- {
-		w, ok := d.pop()
-		if !ok || w != want {
-			t.Fatalf("pop = %d,%v want %d", w, ok, want)
-		}
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("pop from empty deque succeeded")
-	}
-}
-
 func TestDequeStealFIFO(t *testing.T) {
 	var d wsDeque
 	d.init()
@@ -30,12 +13,12 @@ func TestDequeStealFIFO(t *testing.T) {
 		d.push(i)
 	}
 	for want := uint64(1); want <= 5; want++ {
-		w, ok, _ := d.steal()
+		w, ok := d.steal()
 		if !ok || w != want {
 			t.Fatalf("steal = %d,%v want %d", w, ok, want)
 		}
 	}
-	if _, ok, retry := d.steal(); ok || retry {
+	if _, ok := d.steal(); ok {
 		t.Fatal("steal from empty deque succeeded")
 	}
 }
@@ -51,7 +34,7 @@ func TestDequeGrowPreservesWindow(t *testing.T) {
 		next++
 	}
 	for i := 0; i < dqInitialSize/4; i++ {
-		if _, ok, _ := d.steal(); !ok {
+		if _, ok := d.steal(); !ok {
 			t.Fatal("warmup steal failed")
 		}
 	}
@@ -61,7 +44,7 @@ func TestDequeGrowPreservesWindow(t *testing.T) {
 	}
 	want := uint64(dqInitialSize/4 + 1)
 	for {
-		w, ok, _ := d.steal()
+		w, ok := d.steal()
 		if !ok {
 			break
 		}
@@ -75,71 +58,127 @@ func TestDequeGrowPreservesWindow(t *testing.T) {
 	}
 }
 
-// TestDequeConcurrentStealers hammers one owner (push/pop) against several
-// thieves and checks every word is consumed exactly once. Run under -race
-// this also exercises the atomicity of the slot accesses.
-func TestDequeConcurrentStealers(t *testing.T) {
-	const (
-		words   = 100000
-		thieves = 4
-	)
-	var d wsDeque
-	d.init()
+// exactlyOnce runs producers that together hand out words 1..words through
+// put, and consumers that take through take until the producers are done and
+// take comes back empty, then checks every word was taken exactly once. Run
+// under -race it also checks the queue's synchronization.
+func exactlyOnce(t *testing.T, words, producers, consumers int, put func(w uint64), take func() (uint64, bool)) {
+	t.Helper()
 	seen := make([]atomic.Int32, words+1)
-	var consumed atomic.Int64
-	var wg sync.WaitGroup
+	var next atomic.Uint64
+	var prod, cons sync.WaitGroup
 	done := make(chan struct{})
-	for th := 0; th < thieves; th++ {
-		wg.Add(1)
+	for range producers {
+		prod.Add(1)
 		go func() {
-			defer wg.Done()
+			defer prod.Done()
 			for {
-				if w, ok, _ := d.steal(); ok {
+				w := next.Add(1)
+				if w > uint64(words) {
+					return
+				}
+				put(w)
+			}
+		}()
+	}
+	for range consumers {
+		cons.Add(1)
+		go func() {
+			defer cons.Done()
+			for {
+				if w, ok := take(); ok {
 					seen[w].Add(1)
-					consumed.Add(1)
 					continue
 				}
 				select {
 				case <-done:
-					// Final drain after the producer stops.
+					// Final drain after the producers stop.
 					for {
-						w, ok, _ := d.steal()
+						w, ok := take()
 						if !ok {
 							return
 						}
 						seen[w].Add(1)
-						consumed.Add(1)
 					}
 				default:
 				}
 			}
 		}()
 	}
-	for i := uint64(1); i <= words; i++ {
-		d.push(i)
-		if i%3 == 0 {
-			if w, ok := d.pop(); ok {
-				seen[w].Add(1)
-				consumed.Add(1)
+	prod.Wait()
+	close(done)
+	cons.Wait()
+	for i := 1; i <= words; i++ {
+		if c := seen[i].Load(); c != 1 {
+			t.Fatalf("word %d taken %d times", i, c)
+		}
+	}
+}
+
+// TestDequeSerializedPushersVsThieves is the injector's use: pushers
+// serialized by a mutex race several thieves.
+func TestDequeSerializedPushersVsThieves(t *testing.T) {
+	var d wsDeque
+	d.init()
+	var mu sync.Mutex
+	exactlyOnce(t, 100000, 3, 4, func(w uint64) {
+		mu.Lock()
+		d.push(w)
+		mu.Unlock()
+	}, d.steal)
+}
+
+// TestQueueOwnerNewestOthersOldest pins the worker queue's order: the owner
+// pops the most recently put word, thieves steal the oldest.
+func TestQueueOwnerNewestOthersOldest(t *testing.T) {
+	var q queue
+	for i := uint64(1); i <= 6; i++ {
+		q.put(i)
+	}
+	for _, want := range []struct {
+		pop  bool
+		word uint64
+	}{{true, 6}, {false, 1}, {true, 5}, {false, 2}, {false, 3}, {true, 4}} {
+		take, name := q.steal, "steal"
+		if want.pop {
+			take, name = q.pop, "pop"
+		}
+		if w, ok := take(); !ok || w != want.word {
+			t.Fatalf("%s = %d,%v want %d", name, w, ok, want.word)
+		}
+	}
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop from empty queue succeeded")
+	}
+	if _, ok := q.steal(); ok {
+		t.Fatal("steal from empty queue succeeded")
+	}
+	// A queue whose front was stolen reuses that space: the order holds
+	// across the compaction.
+	for i := uint64(1); i <= 100; i++ {
+		q.put(i)
+		if i%2 == 0 {
+			if w, _ := q.steal(); w != i/2 {
+				t.Fatalf("steal after %d puts = %d, want %d", i, w, i/2)
 			}
 		}
 	}
-	for {
-		w, ok := d.pop()
-		if !ok {
-			break
+	if w, _ := q.pop(); w != 100 {
+		t.Fatalf("pop after compaction = %d, want 100", w)
+	}
+}
+
+// TestQueueConcurrentPutTake races putters against the owner's pops and
+// several thieves' steals: every word is taken exactly once.
+func TestQueueConcurrentPutTake(t *testing.T) {
+	var q queue
+	var pops atomic.Int64
+	take := func() (uint64, bool) {
+		// One take in four pops, the owner's end.
+		if pops.Add(1)%4 == 0 {
+			return q.pop()
 		}
-		seen[w].Add(1)
-		consumed.Add(1)
+		return q.steal()
 	}
-	close(done)
-	wg.Wait()
-	if got := consumed.Load(); got != words {
-		t.Fatalf("consumed %d words, want %d", got, words)
-	}
-	for i := 1; i <= words; i++ {
-		if c := seen[i].Load(); c != 1 {
-			t.Fatalf("word %d consumed %d times", i, c)
-		}
-	}
+	exactlyOnce(t, 20000, 3, 4, q.put, take)
 }

@@ -8,12 +8,13 @@ import (
 	"pstlbench/internal/trace"
 )
 
-// A task word is the unit queued on the deques: the high half names a job
-// slot in the pool's job table (+1, so the zero word is never a valid task),
-// the low half is a small argument interpreted by the job kind (part index
-// or chunk index). Keeping tasks single words is what lets the deques hold
-// them atomically, and replacing the seed's one-closure-per-chunk scheme
-// with (job, index) pairs is what removes the per-chunk allocations.
+// A task word is the unit queued on the worker queues and the injector: the
+// high half names a job slot in the pool's job table (+1, so the zero word
+// is never a valid task), the low half is a small argument interpreted by
+// the job kind (part index or chunk index). Keeping tasks single words is
+// what lets the lock-free injector hold them atomically, and replacing the
+// seed's one-closure-per-chunk scheme with (job, index) pairs is what
+// removes the per-chunk allocations.
 func encodeTask(slot int32, arg int32) uint64 {
 	return uint64(slot+1)<<32 | uint64(uint32(arg))
 }
@@ -180,17 +181,24 @@ func (j *job) runTask(arg int32, worker int) {
 }
 
 // runBand drains the part's own band, then steals half of a sibling band
-// until no band has stealable work left. Victims are scanned in proximity
-// order: band indices are the home-worker ids their chunks were pinned to,
-// so the executing worker first retries the band bearing its own id (its
-// data lives closest), then follows its tiered victim order — same node,
-// randomized within the tier, then same socket, then remote. Flat pools
-// have one tier, reproducing the uniform random scan.
+// until no band has stealable work left. Band indices are the home-worker
+// ids their chunks were pinned to, so the executing worker first tries the
+// band bearing its own id (its data lives closest; that band never appears
+// in its own victim list), then scans its tiered victim order.
 func (j *job) runBand(part, worker int) {
 	own := &j.bands[part]
 	p := j.pool
-	nb := len(j.bands)
-	ord := &p.stealOrd[worker]
+	try := func(b int) bool {
+		if b >= len(j.bands) || b == part {
+			return false
+		}
+		lo, hi, ok := j.bands[b].stealHalf()
+		if ok {
+			own.state.Store(packBand(lo, hi))
+			p.noteBandSteal(worker, b, p.remoteFrom(worker, b))
+		}
+		return ok
+	}
 	for {
 		if j.cancel.Canceled() {
 			// The part's remaining band is abandoned, not drained: sibling
@@ -203,39 +211,7 @@ func (j *job) runBand(part, worker int) {
 			j.runChunk(worker, r.Lo, r.Hi)
 			continue
 		}
-		stolen := false
-		// A worker executing a migrated part may find fresh work in the
-		// band pinned to its own id; that victim never appears in its
-		// victim list, so probe it explicitly first.
-		if worker < nb && worker != part {
-			if lo, hi, ok := j.bands[worker].stealHalf(); ok {
-				own.state.Store(packBand(lo, hi))
-				p.noteBandSteal(worker, worker, false)
-				stolen = true
-			}
-		}
-		r := p.rand(worker)
-		lo, rr := 0, r
-		for t := 0; t < len(ord.tiers) && !stolen; t++ {
-			end := ord.tiers[t]
-			if tn := end - lo; tn > 0 {
-				rot := int(rr % uint64(tn))
-				for k := 0; k < tn; k++ {
-					b := int(ord.victims[lo+(rot+k)%tn])
-					if b >= nb || b == part {
-						continue
-					}
-					if blo, bhi, ok := j.bands[b].stealHalf(); ok {
-						own.state.Store(packBand(blo, bhi))
-						p.noteBandSteal(worker, b, p.remoteFrom(worker, b))
-						stolen = true
-						break
-					}
-				}
-			}
-			lo, rr = end, rr>>8
-		}
-		if !stolen {
+		if !try(worker) && p.stealOrd[worker].scan(p.rand(worker), try) < 0 {
 			return
 		}
 	}

@@ -10,18 +10,22 @@
 //     chunk is an individual task popped from one central injector, which
 //     maximizes load balance but pays a per-task scheduling cost.
 //
-// All strategies share one substrate: persistent workers, each owning a
-// Chase–Lev work-stealing deque (deque.go) plus a small inbox for pinned
-// submissions, a shared injector deque for external submissions, randomized
-// victim selection, and a spin-then-park idle protocol — so the hot dispatch
-// path never takes a mutex, unlike the seed's single mutex+cond LIFO queue,
-// which made every strategy degenerate into the central-queue anti-pattern
-// the paper identifies as the scalability killer. Loop chunks are scheduled
-// as (job, index) words rather than per-chunk closures, so steady-state
-// ForChunks dispatch does not allocate (job.go).
+// All strategies share one substrate: persistent workers, each owning one
+// mutex-guarded queue of task words (the owner takes the newest, thieves
+// the oldest), a shared lock-free injector (a Chase–Lev deque, deque.go)
+// for the central-queue strategy's chunks, one steal function with
+// randomized, tiered victim selection, and a spin-then-park idle protocol.
+// A worker queue holds one word per loop part, so its mutex is taken once
+// per part, never per chunk: chunk dispatch is a band CAS (stealing), index
+// arithmetic (forkjoin) or an injector CAS (centralqueue) — unlike the
+// seed's single mutex+cond LIFO queue, which made every strategy degenerate
+// into the central-queue anti-pattern the paper identifies as the
+// scalability killer. Loop chunks are scheduled as (job, index) words
+// rather than per-chunk closures, so steady-state ForChunks dispatch does
+// not allocate (job.go).
 //
 // Victim selection is optionally NUMA-aware (NewWithTopology): given a
-// worker->node mapping, every steal path scans same-node victims
+// worker->node mapping, every victim scan visits same-node victims
 // (randomized within the node) before same-socket and remote ones, and the
 // pool reports local and remote steal counts separately — the
 // locality-ordered stealing that keeps first-touched data from being
@@ -68,14 +72,14 @@ func (s Strategy) String() string {
 }
 
 // Pool is a fixed-size goroutine pool implementing exec.Pool with a
-// configurable scheduling strategy over per-worker work-stealing deques.
+// configurable scheduling strategy over per-worker task queues.
 type Pool struct {
 	strategy Strategy
 	ws       []*worker
 
-	// injector is the shared submission deque of the central-queue
-	// strategy's chunk tasks. Pushes are serialized by injMu (submission
-	// path only); consumption is the lock-free steal path.
+	// injector holds the central-queue strategy's chunk tasks, and nothing
+	// else. Pushes are serialized by injMu (submission path only); workers
+	// and waiting callers take words with its lock-free steal.
 	injector wsDeque
 	injMu    sync.Mutex
 
@@ -120,8 +124,8 @@ func New(workers int, strategy Strategy) *Pool {
 	return NewWithTopology(workers, strategy, Topology{})
 }
 
-// NewWithTopology creates a pool whose steal paths (worker stealing,
-// caller-side scavenging, and band half-stealing) scan victims in
+// NewWithTopology creates a pool whose victim scans (queue steals by
+// workers and waiting callers, and band half-stealing) visit victims in
 // proximity order — same node first, randomized within each tier, then
 // same socket, then remote — and whose SchedStats split steals into
 // LocalSteals/RemoteSteals by whether the victim shared the thief's node.
@@ -168,9 +172,7 @@ func NewTraced(workers int, strategy Strategy, t Topology, tr *trace.Tracer) *Po
 	p.callerRng.Store(0x9E3779B97F4A7C15)
 	p.ws = make([]*worker, workers)
 	for i := range p.ws {
-		w := &worker{park: make(chan struct{}, 1), rng: splitmix64(uint64(i) + 1)}
-		w.dq.init()
-		p.ws[i] = w
+		p.ws[i] = &worker{park: make(chan struct{}, 1), rng: splitmix64(uint64(i) + 1)}
 	}
 	tab := make([]*job, 0, 16)
 	p.jobTab.Store(&tab)
@@ -312,9 +314,9 @@ func (p *Pool) ForChunksCancel(n int, g exec.Grain, c *exec.Cancel, body func(wo
 }
 
 // submitStatic schedules min(P, chunks) parts, part i executing chunks
-// i, i+parts, i+2*parts, ... like OpenMP schedule(static). Parts are pinned
-// to their home worker's inbox; they migrate only if an idle thief raids the
-// inbox of a busy owner.
+// i, i+parts, i+2*parts, ... like OpenMP schedule(static). Each part goes on
+// its home worker's queue; it migrates only when an idle worker or a waiting
+// caller steals it from the front of a busy owner's queue.
 func (p *Pool) submitStatic(j *job, chunks int) {
 	parts := len(p.ws)
 	if parts > chunks {
@@ -323,7 +325,7 @@ func (p *Pool) submitStatic(j *job, chunks int) {
 	j.parts = parts
 	j.reset(kindStatic, parts)
 	for part := 0; part < parts; part++ {
-		p.ws[part].inbox.put(encodeTask(j.slot, int32(part)))
+		p.ws[part].queue.put(encodeTask(j.slot, int32(part)))
 	}
 	p.wake(parts)
 }
@@ -350,13 +352,13 @@ func (p *Pool) submitBands(j *job, chunks int) {
 	}
 	j.reset(kindBand, parts)
 	for part := 0; part < parts; part++ {
-		p.ws[part].inbox.put(encodeTask(j.slot, int32(part)))
+		p.ws[part].queue.put(encodeTask(j.slot, int32(part)))
 	}
 	p.wake(parts)
 }
 
 // submitQueue pushes every chunk as an individual task word onto the shared
-// injector deque, in the style of HPX's per-iteration-range futures. Words
+// injector, in the style of HPX's per-iteration-range futures. Words
 // are pushed in ascending order and the injector is consumed from the top,
 // preserving the front-to-back sweep of the other strategies; every chunk
 // dispatch is one CAS on the shared injector — the central contention point

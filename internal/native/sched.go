@@ -14,10 +14,11 @@ import (
 // comparable statistics.
 type SchedStats struct {
 	// LocalSteals counts work acquired from somewhere other than the
-	// worker's own queues — deque steals, injector pops, inbox raids, and
-	// band half-steals inside stealing loops — where the victim shared the
-	// thief's NUMA node. Flat pools (no topology) report every steal here;
-	// injector pops are always local (a shared queue has no home node).
+	// worker's own queue — words taken from another worker's queue,
+	// injector pops, and band half-steals inside stealing loops — where
+	// the victim shared the thief's NUMA node. Flat pools (no topology)
+	// report every steal here; injector pops are always local (a shared
+	// queue has no home node).
 	LocalSteals uint64
 	// RemoteSteals counts steals whose victim lived on a different NUMA
 	// node than the thief — the steals that drag first-touched data across
@@ -34,15 +35,6 @@ type SchedStats struct {
 
 // Steals returns the total steal count regardless of locality.
 func (s SchedStats) Steals() uint64 { return s.LocalSteals + s.RemoteSteals }
-
-// Add accumulates o into s.
-func (s *SchedStats) Add(o SchedStats) {
-	s.LocalSteals += o.LocalSteals
-	s.RemoteSteals += o.RemoteSteals
-	s.Parks += o.Parks
-	s.Wakeups += o.Wakeups
-	s.EmptySpins += o.EmptySpins
-}
 
 // Sub returns s - o, for differencing two snapshots around a region of
 // interest (the native analogue of the Likwid marker bracketing).
@@ -90,49 +82,70 @@ func (c *schedCounters) noteSteal(remote bool) {
 
 // worker is the per-worker scheduling state.
 type worker struct {
-	dq     wsDeque
-	inbox  inbox
+	queue  queue
 	parked atomic.Bool
 	park   chan struct{} // capacity 1; a token is only sent after unparking CAS
 	rng    uint64        // xorshift state, owner goroutine only
 }
 
-// inbox is a small mutex-guarded MPSC mailbox for task words submitted to a
-// specific worker (pinned fork-join parts, initial stealing bands). The
-// owner drains it into its deque; thieves may raid it as a last resort so a
-// worker blocked in nested waiting cannot strand pinned work. The mutex is
-// only on the submission path (per ForChunks call, not per chunk).
-type inbox struct {
+// queue is a worker's only task queue: a mutex-guarded slice of task words
+// put there by submitters (fork-join parts, initial stealing bands). The
+// owner takes the newest word (pop); idle workers and waiting callers take
+// the oldest (steal), so a worker shared by concurrent loops runs the loop
+// submitted last first while thieves drain from the other end. The mutex is
+// taken once per word, and a queue holds at most one word per loop it
+// serves — never one per chunk. n mirrors the word count so empty queues
+// are skipped without the lock.
+type queue struct {
 	mu   sync.Mutex
 	n    atomic.Int32
-	buf  []uint64
+	buf  []uint64 // live words are buf[head:], oldest first
 	head int
 }
 
-func (in *inbox) put(w uint64) {
-	in.mu.Lock()
-	if in.head == len(in.buf) {
-		in.buf = in.buf[:0]
-		in.head = 0
+func (q *queue) put(w uint64) {
+	q.mu.Lock()
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		// Reuse the taken front before growing.
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
 	}
-	in.buf = append(in.buf, w)
-	in.n.Add(1)
-	in.mu.Unlock()
+	q.buf = append(q.buf, w)
+	q.n.Add(1)
+	q.mu.Unlock()
 }
 
-func (in *inbox) take() (uint64, bool) {
-	if in.n.Load() == 0 {
+// pop takes the newest word; only the owner calls it.
+func (q *queue) pop() (uint64, bool) {
+	if q.n.Load() == 0 {
 		return 0, false
 	}
-	in.mu.Lock()
-	if in.head == len(in.buf) {
-		in.mu.Unlock()
+	q.mu.Lock()
+	if q.head == len(q.buf) {
+		q.mu.Unlock()
 		return 0, false
 	}
-	w := in.buf[in.head]
-	in.head++
-	in.n.Add(-1)
-	in.mu.Unlock()
+	w := q.buf[len(q.buf)-1]
+	q.buf = q.buf[:len(q.buf)-1]
+	q.n.Add(-1)
+	q.mu.Unlock()
+	return w, true
+}
+
+// steal takes the oldest word. Safe to call from any goroutine.
+func (q *queue) steal() (uint64, bool) {
+	if q.n.Load() == 0 {
+		return 0, false
+	}
+	q.mu.Lock()
+	if q.head == len(q.buf) {
+		q.mu.Unlock()
+		return 0, false
+	}
+	w := q.buf[q.head]
+	q.head++
+	q.n.Add(-1)
+	q.mu.Unlock()
 	return w, true
 }
 
@@ -212,8 +225,8 @@ func (p *Pool) runWord(w uint64, worker int) {
 	tab[slot].runTask(arg, worker)
 }
 
-// workerLoop is the body of each worker goroutine: pop own deque, drain own
-// inbox, steal, and spin-then-park when the pool is idle.
+// workerLoop is the body of each worker goroutine: pop the own queue,
+// steal, and spin-then-park when the pool is idle.
 func (p *Pool) workerLoop(id int) {
 	defer p.wg.Done()
 	w := p.ws[id]
@@ -221,18 +234,13 @@ func (p *Pool) workerLoop(id int) {
 	tb := p.tbuf(id)
 	idleSweeps := 0
 	for {
-		if word, ok := w.dq.pop(); ok {
+		if word, ok := w.queue.pop(); ok {
 			idleSweeps = 0
 			p.runWord(word, id)
 			continue
 		}
-		if moved := w.inbox.drainTo(&w.dq); moved {
-			continue
-		}
-		if word, victim, remote, ok := p.stealWork(id); ok {
+		if word, ok := p.steal(id); ok {
 			idleSweeps = 0
-			c.noteSteal(remote)
-			p.noteStealEvent(tb, victim, remote)
 			// Work-conserving cascade: if more work is visible, pull a
 			// sibling out of park to share it.
 			if p.idle.Load() > 0 && p.hasWork() {
@@ -254,70 +262,29 @@ func (p *Pool) workerLoop(id int) {
 	}
 }
 
-// drainTo moves every queued inbox word into the owner's deque, oldest
-// first so FIFO submission order is preserved under LIFO popping of the
-// most recent. Returns whether anything moved.
-func (in *inbox) drainTo(d *wsDeque) bool {
-	if in.n.Load() == 0 {
-		return false
-	}
-	in.mu.Lock()
-	moved := in.head < len(in.buf)
-	for ; in.head < len(in.buf); in.head++ {
-		d.push(in.buf[in.head])
-		in.n.Add(-1)
-	}
-	in.mu.Unlock()
-	return moved
-}
-
-// stealWork scans the other workers' deques in proximity order — nearest
-// tier first, with a randomized start within each tier — then the shared
-// injector, then (as a last resort) the other workers' inboxes in the same
-// tier order. victim is the worker the word came from (-1 for the shared
-// injector) and remote reports whether that victim lives on another NUMA
-// node; injector pops are always local (a shared queue has no home). Flat
-// pools have a single tier, reproducing the uniform random scan.
-func (p *Pool) stealWork(id int) (word uint64, victim int, remote, ok bool) {
-	ord := &p.stealOrd[id]
-	r := p.rand(id)
-	for retried := true; retried; {
-		retried = false
-		lo, rr := 0, r
-		for _, end := range ord.tiers {
-			if tn := end - lo; tn > 0 {
-				rot := int(rr % uint64(tn))
-				for k := 0; k < tn; k++ {
-					v := int(ord.victims[lo+(rot+k)%tn])
-					w, got, retry := p.ws[v].dq.steal()
-					if got {
-						return w, v, p.remoteFrom(id, v), true
-					}
-					retried = retried || retry
-				}
-			}
-			lo, rr = end, rr>>8
-		}
-		if w, got, retry := p.injector.steal(); got {
-			return w, -1, false, true
-		} else if retry {
-			retried = true
+// steal takes one task word from outside scanner id's own queue — the
+// shared injector, then the oldest word of another worker's queue in id's
+// tiered victim order — and records it as a steal. Workers and waiting
+// callers (id == len(ws)) share it. The injector-first order never decides
+// which word is taken: a pool's strategy fills either the injector
+// (centralqueue) or the worker queues (forkjoin, stealing), never both.
+// Injector pops are always local (a shared queue has no home node).
+func (p *Pool) steal(id int) (uint64, bool) {
+	victim := -1
+	word, ok := p.injector.steal()
+	if !ok {
+		victim = p.stealOrd[id].scan(p.rand(id), func(v int) bool {
+			word, ok = p.ws[v].queue.steal()
+			return ok
+		})
+		if victim < 0 {
+			return 0, false
 		}
 	}
-	lo, rr := 0, r
-	for _, end := range ord.tiers {
-		if tn := end - lo; tn > 0 {
-			rot := int(rr % uint64(tn))
-			for k := 0; k < tn; k++ {
-				v := int(ord.victims[lo+(rot+k)%tn])
-				if w, got := p.ws[v].inbox.take(); got {
-					return w, v, p.remoteFrom(id, v), true
-				}
-			}
-		}
-		lo, rr = end, rr>>8
-	}
-	return 0, -1, false, false
+	remote := victim >= 0 && p.remoteFrom(id, victim)
+	p.counters(id).noteSteal(remote)
+	p.noteStealEvent(p.tbuf(id), victim, remote)
+	return word, true
 }
 
 // hasWork reports whether any queue in the pool holds a task. Used for the
@@ -328,7 +295,7 @@ func (p *Pool) hasWork() bool {
 		return true
 	}
 	for _, w := range p.ws {
-		if w.dq.size() > 0 || w.inbox.n.Load() > 0 {
+		if w.queue.n.Load() > 0 {
 			return true
 		}
 	}
@@ -420,7 +387,7 @@ func (p *Pool) wait(j *job) {
 	c := &p.stats[callerID]
 	sweeps := 0
 	for !j.isDone() {
-		if word, ok := p.scavenge(callerID); ok {
+		if word, ok := p.steal(callerID); ok {
 			sweeps = 0
 			p.runWord(word, callerID)
 			continue
@@ -444,63 +411,4 @@ func (p *Pool) wait(j *job) {
 	if j.panicked.Load() {
 		panic(j.panicVal)
 	}
-}
-
-// scavenge is the caller-side steal path: injector first (external
-// submissions), then worker deques and inboxes in the same proximity order
-// the workers use — the caller pseudo-worker scans with worker 0's tiers.
-func (p *Pool) scavenge(callerID int) (uint64, bool) {
-	c := p.counters(callerID)
-	tb := p.tbuf(callerID)
-	for {
-		w, ok, retry := p.injector.steal()
-		if ok {
-			c.noteSteal(false)
-			p.noteStealEvent(tb, -1, false)
-			return w, true
-		}
-		if !retry {
-			break
-		}
-	}
-	ord := &p.stealOrd[callerID]
-	r := p.rand(callerID)
-	for retried := true; retried; {
-		retried = false
-		lo, rr := 0, r
-		for _, end := range ord.tiers {
-			if tn := end - lo; tn > 0 {
-				rot := int(rr % uint64(tn))
-				for k := 0; k < tn; k++ {
-					v := int(ord.victims[lo+(rot+k)%tn])
-					w, got, retry := p.ws[v].dq.steal()
-					if got {
-						remote := p.remoteFrom(callerID, v)
-						c.noteSteal(remote)
-						p.noteStealEvent(tb, v, remote)
-						return w, true
-					}
-					retried = retried || retry
-				}
-			}
-			lo, rr = end, rr>>8
-		}
-	}
-	lo, rr := 0, r
-	for _, end := range ord.tiers {
-		if tn := end - lo; tn > 0 {
-			rot := int(rr % uint64(tn))
-			for k := 0; k < tn; k++ {
-				v := int(ord.victims[lo+(rot+k)%tn])
-				if w, got := p.ws[v].inbox.take(); got {
-					remote := p.remoteFrom(callerID, v)
-					c.noteSteal(remote)
-					p.noteStealEvent(tb, v, remote)
-					return w, true
-				}
-			}
-		}
-		lo, rr = end, rr>>8
-	}
-	return 0, false
 }

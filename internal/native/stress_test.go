@@ -9,10 +9,11 @@ import (
 )
 
 // TestNestedDoInsideForChunksStress drives recursive two-task groups (fork)
-// from inside ForChunks bodies on every strategy: the deque scheduler must keep
-// nested parallelism deadlock-free (callers scavenge while waiting) and
-// cover the iteration space exactly once. Run with -race this doubles as
-// the data-race stress for the deques, inboxes and band CASes.
+// from inside ForChunks bodies on every strategy: the scheduler must keep
+// nested parallelism deadlock-free (waiting callers steal through the same
+// function as workers) and cover the iteration space exactly once. Run
+// with -race this doubles as the data-race stress for the worker queues,
+// the injector and the band CASes.
 func TestNestedDoInsideForChunksStress(t *testing.T) {
 	withPools(t, 4, func(t *testing.T, p *Pool) {
 		const n = 512

@@ -83,6 +83,26 @@ type stealOrder struct {
 	tiers   []int
 }
 
+// scan calls try on each victim, nearest tier first with the start within
+// each tier rotated by bits of r, until try reports success. It returns that
+// victim, or -1 when every try failed. Every victim scan in the pool (queue
+// steals by workers and waiting callers, band half-steals) walks this loop.
+func (o *stealOrder) scan(r uint64, try func(v int) bool) int {
+	lo := 0
+	for _, end := range o.tiers {
+		if n := end - lo; n > 0 {
+			rot := int(r % uint64(n))
+			for k := 0; k < n; k++ {
+				if v := int(o.victims[lo+(rot+k)%n]); try(v) {
+					return v
+				}
+			}
+		}
+		lo, r = end, r>>8
+	}
+	return -1
+}
+
 // buildStealOrders precomputes the victim order for every scanner: worker
 // ids 0..workers-1 plus the caller pseudo-worker (id == workers), which is
 // assumed co-located with worker 0. Precomputing keeps the hot steal path

@@ -68,9 +68,6 @@ func Generate[T any](n int, gen func(i int) T) *Pipeline[T] {
 	return &Pipeline[T]{n: n, gen: gen}
 }
 
-// Len returns the pipeline's element count.
-func (pl *Pipeline[T]) Len() int { return pl.n }
-
 // Transform appends an element-wise stage computing f(v) — fused into the
 // same pass as its neighbours (std::transform without the intermediate
 // array). f must be pure: it may run concurrently and, under a Scan

@@ -33,19 +33,10 @@ type WithdrawRequest struct {
 	Max int `json:"max"`
 }
 
-// WithdrawnJob is one job handed back by POST /withdraw: everything the
-// router needs to resubmit it on another shard.
-type WithdrawnJob struct {
-	ID             string `json:"id"`
-	Kernel         string `json:"kernel"`
-	N              int    `json:"n"`
-	Tenant         string `json:"tenant"`
-	DeadlineUnixMS int64  `json:"deadline_unix_ms,omitempty"`
-}
-
-// WithdrawResponse is the POST /withdraw reply.
+// WithdrawResponse is the POST /withdraw reply: the IDs of the jobs taken
+// off the queue. The router resubmits each from the spec it kept.
 type WithdrawResponse struct {
-	Jobs []WithdrawnJob `json:"jobs"`
+	IDs []string `json:"ids"`
 }
 
 // PollRequest is the POST /jobs/poll body: a batch status query, one RPC
@@ -193,19 +184,9 @@ func (s *Server) handleWithdraw(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs := s.WithdrawQueued(req.Max)
-	resp := WithdrawResponse{Jobs: make([]WithdrawnJob, len(jobs))}
+	resp := WithdrawResponse{IDs: make([]string, len(jobs))}
 	for i, j := range jobs {
-		spec := j.Spec()
-		wj := WithdrawnJob{
-			ID:     j.ID(),
-			Kernel: spec.Kernel,
-			N:      spec.N,
-			Tenant: spec.Tenant,
-		}
-		if !spec.DeadlineAt.IsZero() {
-			wj.DeadlineUnixMS = spec.DeadlineAt.UnixMilli()
-		}
-		resp.Jobs[i] = wj
+		resp.IDs[i] = j.ID()
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }

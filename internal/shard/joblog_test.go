@@ -162,6 +162,41 @@ func TestLogBatchedFsyncStillSyncs(t *testing.T) {
 	}
 }
 
+// TestLogSyncIsABarrier: Sync flushes the pending batch on demand, so a
+// record is readable by a second OpenLog on the same path while the first
+// log is still open; Sync on a closed log reports os.ErrClosed.
+func TestLogSyncIsABarrier(t *testing.T) {
+	path := logPath(t)
+	l, _, err := OpenLog(path, 1000, time.Hour) // neither batch nor timer flushes
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	want := Record{T: "submit", ID: "job-1", Seq: 1, Kernel: "reduce", N: 4096, Tenant: "a"}
+	if err := l.Append(want); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if l.pending != 0 {
+		t.Fatalf("pending = %d after Sync, want 0", l.pending)
+	}
+	l2, recs, err := OpenLog(path, 0, 0)
+	if err != nil {
+		t.Fatalf("second OpenLog: %v", err)
+	}
+	defer l2.Close()
+	if len(recs) != 1 || !reflect.DeepEqual(recs[0], want) {
+		t.Fatalf("second OpenLog read %+v, want [%+v]", recs, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := l.Sync(); err != os.ErrClosed {
+		t.Fatalf("Sync after Close: err=%v, want os.ErrClosed", err)
+	}
+}
+
 // FuzzReadLog drives the job-log decoder with arbitrary bytes. It must
 // never panic, and whenever it accepts the input: the valid prefix lies
 // inside the data, re-reading exactly that prefix yields the same records,

@@ -27,7 +27,6 @@ import (
 // every tenant's home (the property TestRingStability pins).
 type Ring struct {
 	points []ringPoint
-	shards int
 }
 
 type ringPoint struct {
@@ -57,7 +56,7 @@ func NewRing(shards int) *Ring {
 // with non-contiguous live shards (one died) rebuilds the ring through
 // this form.
 func NewRingOf(members []int) *Ring {
-	r := &Ring{shards: len(members), points: make([]ringPoint, 0, len(members)*replicas)}
+	r := &Ring{points: make([]ringPoint, 0, len(members)*replicas)}
 	for _, s := range members {
 		for v := 0; v < replicas; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("shard-%d/%d", s, v)), shard: s})
@@ -66,9 +65,6 @@ func NewRingOf(members []int) *Ring {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 	return r
 }
-
-// Shards returns the shard count the ring was built for.
-func (r *Ring) Shards() int { return r.shards }
 
 // Shard returns tenant's home shard: the owner of the first ring point
 // clockwise from the tenant's hash.

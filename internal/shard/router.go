@@ -299,14 +299,6 @@ func (r *Router) Shard(i int) *serve.Server {
 	return nil
 }
 
-// Shards returns the shard count (dead members included — indices are
-// stable member IDs).
-func (r *Router) Shards() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.shards)
-}
-
 // Submit admits a job through consistent-hash placement with load-aware
 // overflow. Error contract matches serve.Server.Submit; a tier with no
 // live shard answers like a closed server.

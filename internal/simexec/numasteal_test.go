@@ -8,6 +8,7 @@ import (
 	"pstlbench/internal/exec"
 	"pstlbench/internal/machine"
 	"pstlbench/internal/skeleton"
+	"pstlbench/internal/trace"
 )
 
 // TestNUMAStealModel verifies the simulated plane responds to the
@@ -95,19 +96,22 @@ func TestHomeBandsMatchNativeSplit(t *testing.T) {
 		}
 		b := backend.GCCTBB()
 		b.NUMASteal = true
+		tr := trace.NewVirtual(tc.threads, trace.DefaultCapacity)
 		r := runPhases(Config{
 			Machine: machine.MachB(), Backend: b,
 			Workload: wl(backend.OpForEach, int64(len(tasks))*1000),
-			Threads:  tc.threads, Alloc: allocsim.FirstTouch, Trace: true,
+			Threads:  tc.threads, Alloc: allocsim.FirstTouch, Tracer: tr,
 		}, []skeleton.Phase{{Tasks: tasks, EarlyExit: -1}}, 0, true)
 
-		if len(r.Trace) != len(tasks) {
-			t.Fatalf("%d tasks on %d cores: traced %d spans", len(tasks), tc.threads, len(r.Trace))
+		spans := chunkSpans(tr)
+		if len(spans) != len(tasks) {
+			t.Fatalf("%d tasks on %d cores: traced %d spans", len(tasks), tc.threads, len(spans))
 		}
-		for _, sp := range r.Trace {
-			if sp.Core != home[sp.Task] {
+		for _, sp := range spans {
+			// Task i covers elements [1000i, 1000(i+1)).
+			if task := int(sp.A0 / 1000); sp.core != home[task] {
 				t.Errorf("%d tasks on %d cores: task %d ran on core %d, home band of core %d",
-					len(tasks), tc.threads, sp.Task, sp.Core, home[sp.Task])
+					len(tasks), tc.threads, task, sp.core, home[task])
 			}
 		}
 		if s := r.Counters.Steals(); s != 0 {

@@ -46,26 +46,12 @@ type Config struct {
 	// from a previous chained call (Figure 9b).
 	DataResident bool
 
-	// Trace records the task schedule (which core ran which task when)
-	// into Result.Trace — the raw material for Gantt-style schedule
-	// inspection.
-	Trace bool
-
 	// Tracer, when non-nil, receives the schedule as typed events in
 	// virtual time: one track per simulated core (chunk spans carrying
 	// element ranges, steal/wakeup/park instants), stamped relative to the
 	// tracer's cursor so successive invocations stack end-to-end on one
 	// timeline. Must be a virtual-time tracer with at least Threads tracks.
 	Tracer *trace.Tracer
-}
-
-// TaskSpan is one scheduled task execution in a trace.
-type TaskSpan struct {
-	Phase, Task, Core int
-	// Start and End are virtual times relative to the invocation start.
-	Start, End float64
-	// Truncated marks tasks cancelled by an early-exit phase end.
-	Truncated bool
 }
 
 // Result is the outcome of one simulated invocation.
@@ -79,8 +65,6 @@ type Result struct {
 	// Parallel reports whether the backend actually ran in parallel
 	// (false for sequential fallbacks).
 	Parallel bool
-	// Trace holds the task schedule when Config.Trace is set.
-	Trace []TaskSpan
 }
 
 // epsElems is the completion tolerance of the epoch loop.
@@ -170,14 +154,8 @@ func runPhaseList(cfg Config, phases []skeleton.Phase, ws int64, parallel bool) 
 
 	var total float64
 	var ctr counters.Set
-	var spans []TaskSpan
-	for pi, ph := range phases {
-		var sink *[]TaskSpan
-		if cfg.Trace {
-			sink = &spans
-		}
-		t := runPhase(cfg, ph, tr, parallel, level, placement, alloc, &ctr, pi, total, sink, st)
-		total += t
+	for _, ph := range phases {
+		total += runPhase(cfg, ph, tr, parallel, level, placement, alloc, &ctr, total, st)
 	}
 	ctr.Seconds = total
 	// Advance the shared virtual clock past this invocation so the next
@@ -185,7 +163,7 @@ func runPhaseList(cfg Config, phases []skeleton.Phase, ws int64, parallel bool) 
 	if st != nil {
 		st.tr.Advance(int64(total * 1e9))
 	}
-	return Result{Seconds: total, Counters: ctr, Level: level, Parallel: parallel, Trace: spans}
+	return Result{Seconds: total, Counters: ctr, Level: level, Parallel: parallel}
 }
 
 // simTrace adapts the phase simulation to a virtual-time tracer: it fixes
@@ -256,8 +234,7 @@ type runTask struct {
 // counters into ctr.
 func runPhase(cfg Config, ph skeleton.Phase, tr backend.OpTraits, parallel bool,
 	level memsys.Level, placement memsys.Placement, alloc allocsim.Strategy,
-	ctr *counters.Set, phaseIdx int, phaseOffset float64, sink *[]TaskSpan,
-	st *simTrace) float64 {
+	ctr *counters.Set, phaseOffset float64, st *simTrace) float64 {
 
 	m := cfg.Machine
 	b := cfg.Backend
@@ -595,13 +572,6 @@ func runPhase(cfg Config, ph skeleton.Phase, tr backend.OpTraits, parallel bool,
 						tb.Instant(trace.KindPark, st.at(phaseOffset+forkCost+tNext), 0, 0)
 					}
 				}
-				if sink != nil {
-					*sink = append(*sink, TaskSpan{
-						Phase: phaseIdx, Task: t.idx, Core: t.core,
-						Start: phaseOffset + forkCost + t.startAt,
-						End:   phaseOffset + forkCost + tNext,
-					})
-				}
 				if tb := st.buf(t.core); tb != nil {
 					tb.Span(trace.KindChunk,
 						st.at(phaseOffset+forkCost+t.startAt),
@@ -620,14 +590,6 @@ func runPhase(cfg Config, ph skeleton.Phase, tr backend.OpTraits, parallel bool,
 			// spans.
 			for _, t := range tasks {
 				if t.running && t.startAt <= now {
-					if sink != nil {
-						*sink = append(*sink, TaskSpan{
-							Phase: phaseIdx, Task: t.idx, Core: t.core,
-							Start:     phaseOffset + forkCost + t.startAt,
-							End:       phaseOffset + forkCost + now,
-							Truncated: true,
-						})
-					}
 					if tb := st.buf(t.core); tb != nil {
 						tb.Span(trace.KindChunk,
 							st.at(phaseOffset+forkCost+t.startAt),

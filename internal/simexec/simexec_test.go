@@ -8,6 +8,7 @@ import (
 	"pstlbench/internal/machine"
 	"pstlbench/internal/memsys"
 	"pstlbench/internal/skeleton"
+	"pstlbench/internal/trace"
 )
 
 // findFracs mirrors the paper's random-element search: find results are
@@ -365,64 +366,57 @@ func TestCacheLevelsAffectTiming(t *testing.T) {
 	}
 }
 
-// TestTraceCoversSchedule: the trace accounts for every task, spans stay
-// within the invocation, and cores never run two tasks at once.
+// TestTraceCoversSchedule: the tracer's chunk spans account for every
+// task, stay within the invocation, and never overlap on one core.
 func TestTraceCoversSchedule(t *testing.T) {
-	a := machine.MachA()
+	tr := trace.NewVirtual(8, trace.DefaultCapacity)
 	r := Run(Config{
-		Machine: a, Backend: backend.GCCTBB(),
+		Machine: machine.MachA(), Backend: backend.GCCTBB(),
 		Workload: wl(backend.OpSort, 1<<22),
 		Threads:  8, Alloc: allocsim.FirstTouch,
-		Trace: true,
+		Tracer: tr,
 	})
-	if len(r.Trace) == 0 {
-		t.Fatal("no trace recorded")
-	}
-	perCore := map[int][]TaskSpan{}
-	for _, s := range r.Trace {
-		if s.Start < 0 || s.End > r.Seconds*1.0001 || s.End < s.Start {
-			t.Fatalf("span out of bounds: %+v (total %v)", s, r.Seconds)
+	spans := chunkSpans(tr)
+	end := int64(r.Seconds * 1e9)
+	for _, s := range spans {
+		if s.Start < 0 || s.End > end || s.End < s.Start {
+			t.Fatalf("span out of bounds: %+v (total %d ns)", s, end)
 		}
-		if s.Core < 0 || s.Core >= 8 {
-			t.Fatalf("bad core: %+v", s)
-		}
-		perCore[s.Core] = append(perCore[s.Core], s)
 	}
-	for c, spans := range perCore {
-		for i := range spans {
-			for j := i + 1; j < len(spans); j++ {
-				x, y := spans[i], spans[j]
-				if x.Start < y.End-1e-12 && y.Start < x.End-1e-12 {
-					t.Fatalf("core %d runs two tasks at once: %+v %+v", c, x, y)
-				}
+	for i, x := range spans {
+		for _, y := range spans[i+1:] {
+			if x.core == y.core && x.Start < y.End && y.Start < x.End {
+				t.Fatalf("core %d runs two tasks at once: %+v %+v", x.core, x, y)
 			}
 		}
 	}
 	// Sort on 8 threads: leaf phase + 3 merge rounds, 8 tasks each.
-	if len(r.Trace) != 32 {
-		t.Fatalf("trace has %d spans, want 32", len(r.Trace))
-	}
-	// No trace unless requested.
-	r2 := Run(Config{Machine: a, Backend: backend.GCCTBB(), Workload: wl(backend.OpSort, 1<<22), Threads: 8, Alloc: allocsim.FirstTouch})
-	if r2.Trace != nil {
-		t.Fatal("trace recorded without Trace flag")
+	if len(spans) != 32 {
+		t.Fatalf("trace has %d chunk spans, want 32", len(spans))
 	}
 }
 
-// TestTraceMarksFindTruncation: early-exit cancellation marks the losers.
+// TestTraceMarksFindTruncation: early-exit cancellation cuts every task
+// still running when the hit is found, so the losers' spans end at the
+// winner's end instead of being dropped.
 func TestTraceMarksFindTruncation(t *testing.T) {
-	a := machine.MachA()
 	w := wl(backend.OpFind, 1<<22)
 	w.HitFrac = 0.6
-	r := Run(Config{Machine: a, Backend: backend.GCCTBB(), Workload: w, Threads: 8, Alloc: allocsim.FirstTouch, Trace: true})
-	truncated := 0
-	for _, s := range r.Trace {
-		if s.Truncated {
-			truncated++
+	tr := trace.NewVirtual(8, trace.DefaultCapacity)
+	Run(Config{Machine: machine.MachA(), Backend: backend.GCCTBB(), Workload: w, Threads: 8, Alloc: allocsim.FirstTouch, Tracer: tr})
+	spans := chunkSpans(tr)
+	last := int64(0)
+	for _, s := range spans {
+		last = max(last, s.End)
+	}
+	cut := map[int]bool{}
+	for _, s := range spans {
+		if s.End == last {
+			cut[s.core] = true
 		}
 	}
-	if truncated == 0 {
-		t.Fatal("no truncated spans in an early-exit find")
+	if len(cut) < 2 {
+		t.Fatalf("only %d core(s) end at the find's exit, want the winner and truncated losers", len(cut))
 	}
 }
 

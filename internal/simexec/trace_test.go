@@ -20,6 +20,25 @@ func tracedConfig(threads int, tr *trace.Tracer) Config {
 	}
 }
 
+// coreSpan is a chunk span with the core (track) that ran it.
+type coreSpan struct {
+	trace.Event
+	core int
+}
+
+// chunkSpans returns every chunk span of tr's tracks.
+func chunkSpans(tr *trace.Tracer) []coreSpan {
+	var out []coreSpan
+	for c := 0; c < tr.Tracks(); c++ {
+		for _, e := range tr.Events(c) {
+			if e.Kind == trace.KindChunk {
+				out = append(out, coreSpan{e, c})
+			}
+		}
+	}
+	return out
+}
+
 func TestSimTraceChunkSpansCoverElements(t *testing.T) {
 	const threads = 8
 	tr := trace.NewVirtual(threads, trace.DefaultCapacity)
