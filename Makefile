@@ -58,6 +58,7 @@ bench:
 	$(GO) test -run 'xxx' -bench '^BenchmarkSort$$' -benchmem ./internal/core/
 	$(GO) test -run 'xxx' -bench '^BenchmarkElementKernels$$' -benchmem ./internal/core/
 	$(GO) test -run 'xxx' -bench '^BenchmarkServeJob$$' -benchmem ./internal/serve/
+	$(GO) test -run 'xxx' -bench '^BenchmarkPush$$' -benchmem ./internal/flow/
 
 # Fused-pipeline comparison: the 3-stage chain as staged core passes vs one
 # fused chunk-granular pass (the chain entries of the kernel table: Go

@@ -37,6 +37,7 @@ package flow
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,6 +74,11 @@ type Config struct {
 	OnResult func(WindowResult)
 }
 
+// closedStreams is how many closed streams an engine keeps listed, the
+// same number as the default ResultCap. A stream closed before the newest
+// closedStreams leaves Streams, Stats and the metrics registry.
+const closedStreams = 1024
+
 // Engine owns a set of named streams and drives their closed windows
 // through the shared server.
 type Engine struct {
@@ -83,9 +89,18 @@ type Engine struct {
 	mu        sync.Mutex
 	streams   map[string]*Stream
 	order     []string // insertion order, for stable Streams()/Stats()
+	retired   []retiredStream
+	forgotten int64 // finished windows of streams that left retired
 	results   []WindowResult
 	resultCap int
 	closed    bool
+}
+
+// retiredStream is a closed stream the engine still lists, with its final
+// count of finished windows.
+type retiredStream struct {
+	name     string
+	finished int64
 }
 
 // NewEngine returns an engine over cfg.Server.
@@ -144,10 +159,15 @@ func (e *Engine) Stream(name string) *Stream {
 	return e.streams[name]
 }
 
-// Streams returns every stream in creation order.
+// Streams returns the open streams and the newest closed ones, in
+// creation order.
 func (e *Engine) Streams() []*Stream {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.streamsLocked()
+}
+
+func (e *Engine) streamsLocked() []*Stream {
 	out := make([]*Stream, 0, len(e.order))
 	for _, n := range e.order {
 		out = append(out, e.streams[n])
@@ -166,15 +186,41 @@ func (e *Engine) Stats() []StreamStats {
 }
 
 // WindowsFinished returns the total number of windows that reached a
-// terminal result (done, canceled, dropped, or empty) across all streams —
-// the streaming driver's -windows stop condition counts these.
+// terminal result (done, canceled, dropped, or empty) across all streams
+// the engine ever had — the streaming driver's -windows stop condition
+// counts these. It never decreases: a stream's count moves into forgotten
+// when it stops being listed, and it is final by then.
 func (e *Engine) WindowsFinished() int64 {
-	var n int64
-	for _, s := range e.Streams() {
+	e.mu.Lock()
+	n := e.forgotten
+	streams := e.streamsLocked()
+	e.mu.Unlock()
+	for _, s := range streams {
 		st := s.Stats()
 		n += st.WindowsDone + st.WindowsCanceled + st.WindowsDropped + st.WindowsEmpty
 	}
 	return n
+}
+
+// retire lists a closed stream among the newest closed ones. The oldest
+// beyond closedStreams is forgotten: it leaves streams, order and the
+// registry, so its name may be reused, and its finished windows move into
+// forgotten. Its series go under e.mu, so a new stream of the same name
+// cannot register its own before they are gone.
+func (e *Engine) retire(s *Stream, finished int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.retired = append(e.retired, retiredStream{s.cfg.Name, finished})
+	if len(e.retired) <= closedStreams {
+		return
+	}
+	old := e.retired[0]
+	e.retired = e.retired[1:]
+	delete(e.streams, old.name)
+	i := slices.Index(e.order, old.name)
+	e.order = slices.Delete(e.order, i, i+1)
+	e.met.Remove("stream", old.name)
+	e.forgotten += old.finished
 }
 
 // record appends a terminal window result to the bounded ring.

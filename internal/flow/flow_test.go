@@ -657,10 +657,11 @@ func TestFnJobSubmitPath(t *testing.T) {
 }
 
 // TestClosedStreamsReleaseBuffers pins that a closed stream, which the
-// engine keeps for Stats, drops its pending-window queue and open-window
-// index: heap growth over many add/close rounds stays below what the
-// PendingWindows-sized queues alone would add, and a closed stream still
-// answers Push, Flush and Stats without panicking or moving its counts.
+// engine keeps for Stats while it is among the newest closedStreams,
+// drops its pending-window queue and open-window list: heap growth over
+// many add/close rounds stays below what the PendingWindows-sized queues
+// alone would add, and a closed stream still answers Push, Flush and
+// Stats without panicking or moving its counts.
 func TestClosedStreamsReleaseBuffers(t *testing.T) {
 	const streams = 256
 	// A closed stream keeps its struct, metric series and counters (about

@@ -1,9 +1,10 @@
 package flow
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,7 +118,33 @@ func (c StreamConfig) withDefaults() (StreamConfig, error) {
 // openWindow is one still-open window's buffered events.
 type openWindow struct {
 	start, end int64
-	events     []Event
+	events     *[]Event // taken from eventBufs
+}
+
+// byStart orders open windows by start for binary search.
+func byStart(w *openWindow, start int64) int { return cmp.Compare(w.start, start) }
+
+// eventBufs recycles window event buffers, so a steady stream allocates
+// no event slice per window: an open window takes its buffer here, and
+// the window puts it back through putEvents once it has ended — done,
+// canceled, dropped, or closed empty.
+//
+// No job still reads a buffer put back. A window job's Fn is the only
+// reader of its events, and windowFinished runs only after the job's Done.
+// serve closes Done only after Fn has returned, or when Fn will never run:
+// a canceled or expired queued job is retired, and retireLocked drops Fn;
+// WithdrawQueued takes the job off the queue, its only callers are router
+// shards, and the router rejects Fn jobs. A dropped window's job was never
+// admitted.
+var eventBufs = sync.Pool{New: func() any { return new([]Event) }}
+
+// putEvents clears b, so no Key stays reachable from the pool, and puts it
+// back in eventBufs. Elements past len(*b) are already zero: evictLocked
+// clears the tail it vacates.
+func putEvents(b *[]Event) {
+	clear(*b)
+	*b = (*b)[:0]
+	eventBufs.Put(b)
 }
 
 // Window is one closed window handed to a job: its event-time bounds and
@@ -132,6 +159,17 @@ type Window struct {
 	// watermark passing its end.
 	Flushed  bool
 	closedAt time.Time
+	buf      *[]Event // the pooled buffer Events came from
+}
+
+// release puts the window's event buffer back in eventBufs and returns
+// how many events it held. Call it once the window has ended; see
+// eventBufs for why no job can still read the events then.
+func (w *Window) release() int {
+	n := len(*w.buf)
+	putEvents(w.buf)
+	w.Events, w.buf = nil, nil
+	return n
 }
 
 // WindowResult is the terminal record of one closed window.
@@ -162,8 +200,7 @@ type Stream struct {
 	m   streamMetrics
 
 	mu        sync.Mutex
-	open      map[int64]*openWindow
-	starts    []int64 // open window starts, ascending
+	open      []*openWindow // ascending by start
 	buffered  int
 	peak      int
 	hasEvents bool
@@ -194,7 +231,6 @@ func newStream(e *Engine, cfg StreamConfig) (*Stream, error) {
 	s := &Stream{
 		cfg:     cfg,
 		eng:     e,
-		open:    make(map[int64]*openWindow),
 		closedQ: make(chan *Window, cfg.PendingWindows),
 	}
 	return s, nil
@@ -277,16 +313,14 @@ func (s *Stream) Push(ev Event) PushStatus {
 		s.evictLocked(s.buffered + need - s.cfg.BufferCap)
 	}
 	for _, start := range s.scratch {
-		w := s.open[start]
-		if w == nil {
-			w = &openWindow{start: start, end: start + size}
-			s.open[start] = w
-			i := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] >= start })
-			s.starts = append(s.starts, 0)
-			copy(s.starts[i+1:], s.starts[i:])
-			s.starts[i] = start
+		i, ok := slices.BinarySearchFunc(s.open, start, byStart)
+		if !ok {
+			s.open = slices.Insert(s.open, i, &openWindow{
+				start: start, end: start + size, events: eventBufs.Get().(*[]Event),
+			})
 		}
-		w.events = append(w.events, ev)
+		w := s.open[i].events
+		*w = append(*w, ev)
 	}
 	s.buffered += need
 	s.assigned += int64(need)
@@ -298,8 +332,7 @@ func (s *Stream) Push(ev Event) PushStatus {
 		s.peak = s.buffered
 	}
 	// The advanced watermark may have closed the oldest windows.
-	closed := s.closeExpiredLocked(s.watermarkLocked(), false)
-	s.emitLocked(closed)
+	s.closeExpiredLocked(s.watermarkLocked(), false)
 	s.mu.Unlock()
 	return PushAccepted
 }
@@ -307,78 +340,82 @@ func (s *Stream) Push(ev Event) PushStatus {
 // evictLocked drops k (event, window) assignments from the front of the
 // oldest open windows — the DropOldest policy's victim order. Events are
 // copied down in place so the evicted memory is actually released to the
-// window's append slack, keeping the cap a real memory bound.
+// window's append slack, keeping the cap a real memory bound; the vacated
+// tail is cleared so it keeps no Key reachable.
 func (s *Stream) evictLocked(k int) {
-	for _, start := range s.starts {
+	for _, w := range s.open {
 		if k <= 0 {
 			break
 		}
-		w := s.open[start]
-		d := len(w.events)
-		if d > k {
-			d = k
-		}
+		evs := *w.events
+		d := min(len(evs), k)
 		if d == 0 {
 			continue
 		}
-		w.events = w.events[:copy(w.events, w.events[d:])]
+		n := copy(evs, evs[d:])
+		clear(evs[n:])
+		*w.events = evs[:n]
 		s.buffered -= d
 		s.droppedEvents += int64(d)
 		k -= d
 	}
 }
 
-// closeExpiredLocked removes every open window whose end is at or behind
-// the watermark (or all of them when flush is set) and returns them in
-// start order. Closed windows leave the buffer immediately — their memory
-// is owned by the job from here on.
-func (s *Stream) closeExpiredLocked(wm int64, flush bool) []*Window {
-	var out []*Window
-	now := time.Now()
-	for len(s.starts) > 0 {
-		start := s.starts[0]
-		w := s.open[start]
+// closeExpiredLocked closes every open window whose end is at or behind
+// the watermark (or all of them when flush is set), in start order, and
+// hands each non-empty one to the drainer. Closed windows leave the buffer
+// immediately — their memory is owned by the job from here on.
+//
+// The clock is read once, at the first window closed with events, and
+// every window of the call shares that close time: most pushes close no
+// window, and a clock read per push was a third of the pusher's CPU.
+//
+// The hand-off never blocks: a full pending queue drops the window (the
+// drainer is stalled on a saturated server — backpressure has reached the
+// window plane). A window dropped here ends as it closes, so its latency
+// is 0. Must run under mu so no send can race Close's close(closedQ).
+func (s *Stream) closeExpiredLocked(wm int64, flush bool) {
+	var now time.Time
+	k := 0
+	for ; k < len(s.open); k++ {
+		w := s.open[k]
 		if !flush && w.end > wm {
 			break
 		}
-		s.starts = s.starts[1:]
-		delete(s.open, start)
-		s.buffered -= len(w.events)
+		n := len(*w.events)
+		s.buffered -= n
 		s.windowsClosed++
 		if flush {
 			s.windowsFlushed++
 		}
-		if len(w.events) == 0 {
+		if n == 0 {
 			s.windowsEmpty++
+			putEvents(w.events)
 			continue
 		}
-		s.m.winEvents.Observe(float64(len(w.events)))
-		out = append(out, &Window{
+		if now.IsZero() {
+			now = time.Now()
+		}
+		s.m.winEvents.Observe(float64(n))
+		cw := &Window{
 			Stream: s.cfg.Name, Start: w.start, End: w.end,
-			Events: w.events, Flushed: flush, closedAt: now,
-		})
-	}
-	return out
-}
-
-// emitLocked hands closed windows to the drainer without blocking: a full
-// pending queue drops the window (the drainer is stalled on a saturated
-// server — backpressure has reached the window plane). Must run under mu
-// so no send can race Close's close(closedQ).
-func (s *Stream) emitLocked(ws []*Window) {
-	for _, w := range ws {
+			Events: *w.events, Flushed: flush, closedAt: now, buf: w.events,
+		}
 		select {
-		case s.closedQ <- w:
+		case s.closedQ <- cw:
 		default:
-			s.finishLocked(w, len(w.Events), "dropped", 0, time.Since(w.closedAt))
+			s.finishLocked(cw, cw.release(), "dropped", 0, 0)
 		}
 	}
+	s.open = slices.Delete(s.open, 0, k)
 }
 
 // windowDropped finalizes a window the server refused.
 func (s *Stream) windowDropped(w *Window) {
+	lat := time.Since(w.closedAt)
+	n := w.release()
 	s.mu.Lock()
-	s.finishLocked(w, len(w.Events), "dropped", 0, time.Since(w.closedAt))
+	s.finishLocked(w, n, "dropped", 0, lat)
 	s.mu.Unlock()
 }
 
@@ -391,8 +428,11 @@ func (s *Stream) windowFinished(w *Window, info serve.JobInfo) {
 		sum = info.Checksum
 	}
 	lat := time.Since(w.closedAt)
+	// Clear the buffer before taking mu: clearing it under the lock would
+	// hold up the pusher.
+	n := w.release()
 	s.mu.Lock()
-	s.finishLocked(w, len(w.Events), state, sum, lat)
+	s.finishLocked(w, n, state, sum, lat)
 	s.mu.Unlock()
 }
 
@@ -423,8 +463,7 @@ func (s *Stream) finishLocked(w *Window, events int, state string, sum float64, 
 // them to the drainer. The stream stays usable.
 func (s *Stream) Flush() {
 	s.mu.Lock()
-	closed := s.closeExpiredLocked(0, true)
-	s.emitLocked(closed)
+	s.closeExpiredLocked(0, true)
 	s.mu.Unlock()
 }
 
@@ -436,19 +475,20 @@ func (s *Stream) Close() {
 		s.mu.Unlock()
 		return
 	}
-	closed := s.closeExpiredLocked(0, true)
-	s.emitLocked(closed)
+	s.closeExpiredLocked(0, true)
 	s.closed = true
 	close(s.closedQ)
 	s.mu.Unlock()
 	s.drainWG.Wait()
 	s.jobWG.Wait()
-	// The engine keeps closed streams for Stats, so release the buffers
-	// only open streams use. Push returns on closed before touching them,
-	// and Flush finds no open windows to close or emit.
+	// The engine keeps the newest closed streams for Stats, so release the
+	// buffers only open streams use. Push returns on closed before touching
+	// them, and Flush finds no open windows to close or emit.
 	s.mu.Lock()
-	s.open, s.starts, s.scratch, s.closedQ = nil, nil, nil, nil
+	s.open, s.scratch, s.closedQ = nil, nil, nil
+	finished := s.windowsDone + s.windowsCanceled + s.windowsDropped + s.windowsEmpty
 	s.mu.Unlock()
+	s.eng.retire(s, finished)
 }
 
 // StreamStats is a consistent snapshot of one stream's accounting.

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -429,6 +430,33 @@ func (r *Registry) HistogramFunc(name, help string, f func() HistSnapshot, label
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.lookupLocked(name, help, kindHistogramFunc, labels).hf = f
+}
+
+// Remove deletes every instrument whose label set is exactly labels, in
+// every family, and each family it leaves empty. An instrument handed out
+// before keeps working but is no longer exposed; registering the same
+// name and labels again starts a fresh one.
+func (r *Registry) Remove(labels ...string) {
+	if r == nil {
+		return
+	}
+	ls := renderLabels(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	kept := r.fams[:0]
+	for _, f := range r.fams {
+		if in := f.byLabels[ls]; in != nil {
+			delete(f.byLabels, ls)
+			f.insts = slices.DeleteFunc(f.insts, func(x *inst) bool { return x == in })
+		}
+		if len(f.insts) == 0 {
+			delete(r.byName, f.name)
+			continue
+		}
+		kept = append(kept, f)
+	}
+	clear(r.fams[len(kept):])
+	r.fams = kept
 }
 
 // fnum renders a sample value; Prometheus accepts Go's shortest-form

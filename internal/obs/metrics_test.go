@@ -26,6 +26,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatalf("nil registry write: %v", err)
 	}
+	r.Remove("tenant", "a")
 }
 
 func TestCounterMonotone(t *testing.T) {
@@ -49,6 +50,54 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 	if a != a2 {
 		t.Fatal("same (name, labels) returned a new instrument")
 	}
+}
+
+// TestRegistryRemove drops one label set from every family: its series
+// leave the exposition, a family left empty goes with them, other label
+// sets and unlabeled series stay, an old handle keeps working unexposed,
+// and registering the label set again starts fresh instruments.
+func TestRegistryRemove(t *testing.T) {
+	r := NewRegistry()
+	oldA := r.Counter("jobs_total", "h", "tenant", "a")
+	oldA.Add(7)
+	r.Counter("jobs_total", "h", "tenant", "b").Add(2)
+	r.Counter("jobs_total", "h").Add(1)
+	r.Histogram("lat_seconds", "h", nil, "tenant", "a").Observe(0.1)
+	r.GaugeFunc("depth", "h", func() float64 { return 3 }, "tenant", "a", "shard", "0")
+	r.CounterFunc("only_a_total", "h", func() float64 { return 4 }, "tenant", "a")
+	render := func() string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	r.Remove("tenant", "a")
+	out := render()
+	for _, gone := range []string{`jobs_total{tenant="a"}`, `lat_seconds_count{tenant="a"}`, "only_a_total"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("%s still exposed after Remove:\n%s", gone, out)
+		}
+	}
+	for _, kept := range []string{`jobs_total{tenant="b"} 2`, "jobs_total 1", `depth{shard="0",tenant="a"} 3`} {
+		if !strings.Contains(out, kept) {
+			t.Fatalf("%s lost by Remove:\n%s", kept, out)
+		}
+	}
+	oldA.Inc()
+	if oldA.Value() != 8 {
+		t.Fatalf("old handle reads %d, want 8", oldA.Value())
+	}
+	if a := r.Counter("jobs_total", "h", "tenant", "a"); a == oldA || a.Value() != 0 {
+		t.Fatal("re-registration returned the removed counter")
+	}
+	r.CounterFunc("only_a_total", "h", func() float64 { return 5 }, "tenant", "a")
+	if out := render(); !strings.Contains(out, `jobs_total{tenant="a"} 0`) ||
+		!strings.Contains(out, "# TYPE only_a_total counter\n"+`only_a_total{tenant="a"} 5`) {
+		t.Fatalf("re-registered series not exposed:\n%s", out)
+	}
+	r.Remove("tenant", "nobody")
 }
 
 func TestRegistryKindConflictPanics(t *testing.T) {

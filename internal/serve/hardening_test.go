@@ -284,14 +284,15 @@ func TestWithdrawQueued(t *testing.T) {
 		default:
 			t.Fatalf("withdrawn job %s not terminal", j.ID())
 		}
-		if info := s.Info(j); info.State != "canceled" || info.Reason != "migrated" {
+		info := s.Info(j)
+		if info.State != "canceled" || info.Reason != "migrated" {
 			t.Fatalf("withdrawn job %s: %s/%s", j.ID(), info.State, info.Reason)
+		}
+		if info.Kernel != "sort" || info.Tenant != "a" {
+			t.Fatalf("withdrawn job %s: kernel %q tenant %q", j.ID(), info.Kernel, info.Tenant)
 		}
 		if _, ok := s.Get(j.ID()); ok {
 			t.Fatalf("withdrawn job %s still in the jobs map", j.ID())
-		}
-		if j.Spec().Kernel != "sort" || j.Spec().Tenant != "a" {
-			t.Fatalf("withdrawn spec %+v", j.Spec())
 		}
 	}
 	st := s.Stats()

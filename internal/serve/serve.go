@@ -192,10 +192,6 @@ type Job struct {
 // ID returns the job's server-assigned identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the job's submission spec — what a shard router needs to
-// resubmit a withdrawn job elsewhere.
-func (j *Job) Spec() Spec { return j.spec }
-
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
@@ -584,7 +580,6 @@ func (s *Server) finishJobLocked(j *Job, sum float64, ok bool) {
 // Queued and running jobs never enter the ring, so they are never evicted.
 // A retired job never runs again, so its Fn is dropped: a retained record
 // must not keep the body's captures (a window's events) reachable.
-// Withdrawn jobs never retire, so they keep Fn for resubmission.
 func (s *Server) retireLocked(j *Job) {
 	j.spec.Fn = nil
 	if s.retainDone < 0 {
@@ -650,8 +645,8 @@ func (s *Server) finishCanceledLocked(j *Job, reason string) {
 // soon) and finalizes each as canceled with reason "migrated", without
 // billing the WFQ clock, the in-service set, or the tenant cancel
 // counters: the jobs are moving to another shard, not dying. The caller
-// resubmits each job's Spec elsewhere; the withdrawn records leave this
-// server's jobs map entirely.
+// resubmits its own copy of each job's spec elsewhere; the withdrawn
+// records leave this server's jobs map entirely.
 func (s *Server) WithdrawQueued(max int) []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -661,7 +656,7 @@ func (s *Server) WithdrawQueued(max int) []*Job {
 		j := it.Value.(*Job)
 		j.state = StateCanceled
 		j.reason = "migrated"
-		// The span travels with the Spec to the next shard; no terminal
+		// The span travels with the spec to the next shard; no terminal
 		// phase — the job is moving, not dying.
 		j.spec.Span.Mark(obs.PhaseMigrated)
 		j.finished = time.Now()

@@ -479,3 +479,23 @@ func TestRouterCancel(t *testing.T) {
 		t.Fatal("Cancel of unknown id succeeded")
 	}
 }
+
+// TestProbeLocalShard runs one heartbeat against an in-process shard. Its
+// Ping never fails, so the probe keeps the heartbeat going and the shard
+// healthy. (The heartbeat goroutine pings local shards only when a test
+// outlives its 250 ms tick, so this is the one deterministic run.)
+func TestProbeLocalShard(t *testing.T) {
+	r, err := New(Config{Shards: 1, Serve: serve.Config{Workers: 1}, RebalanceEvery: -1, HeartbeatEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !r.probe(0) {
+		t.Fatal("probe of a local shard ended its heartbeat")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if hs := r.health[0]; hs.state != Healthy || hs.fails != 0 {
+		t.Fatalf("after one probe: state %v, %d fails", hs.state, hs.fails)
+	}
+}
